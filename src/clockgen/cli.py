@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from .config import DEFAULT_TCP_PORT, load_config, load_pot_map, load_synth_map
 from .errors import ClockgenError
-from .host import BridgeClient, DeviceHandle
-from .planner import FrequencyPlan, PhasePlan, RationalDivider
+from .host import DeviceHandle, bridge_init
+from .planner import FrequencyPlan, PhasePlan, RationalDivider, as_fraction
 from .power import SupplySetting
 from .server import SimulatorServer
 from .sim import BoardState
-from .transport import SessionConfig, SimulatorHost, open_session
+from .transport import SessionConfig
 
 _FREQ_RE = re.compile(r"^(\d+(?:\.\d+)?)\s*([kM]?)(?:Hz)?$")
 _FREQ_SCALE = {"": 1, "k": 10**3, "M": 10**6}
@@ -41,7 +41,7 @@ def parse_frequency(text: str) -> Fraction:
 
 def _exact(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
 
@@ -248,20 +248,6 @@ def dispatch(device: DeviceHandle, args: argparse.Namespace) -> tuple[dict, str]
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _open_device(args: argparse.Namespace,
-                 session_config: SessionConfig) -> DeviceHandle:
-    config = load_config(args.config)
-    synth_map = load_synth_map(args.map)
-    pot_map = load_pot_map()
-    simulator = None
-    if session_config.endpoint == "sim":
-        board = BoardState(synth_map, config, pot_map)
-        board.boot()
-        simulator = SimulatorHost(board)
-    session = open_session(session_config, simulator)
-    return DeviceHandle(BridgeClient(session), synth_map, config, pot_map)
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, perform the command, print the result."""
     parser = build_parser()
@@ -285,7 +271,7 @@ def run(argv: list[str] | None = None) -> int:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
 
-        device = _open_device(args, session_config)
+        device = bridge_init(session_config, args.map, args.config)
         try:
             payload, text = dispatch(device, args)
         finally:

@@ -19,38 +19,51 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .planner import PlannerConstraints
+from .planner import PlannerConstraints, as_fraction
 from .power import RailModel
 from .registers import RegisterMap, parse_register_map
 
 DEFAULT_SYNTH_ADDRESS = 0x70
 DEFAULT_TCP_PORT = 53380
 
+
+def _parse_int(text: str, lineno: int) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}", line=lineno) from None
+
+
+def _parse_fraction(text: str, lineno: int) -> Fraction:
+    try:
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"expected a number, got {text!r}", line=lineno) from None
+
+
 # constraint keys: config name -> (dataclass field, parser)
-_FRACTION = "fraction"
-_INT = "int"
 _CONSTRAINT_KEYS = {
-    "f_in_hz": ("f_in", _FRACTION),
-    "vco_min_hz": ("vco_min", _FRACTION),
-    "vco_max_hz": ("vco_max", _FRACTION),
-    "fb_int_min": ("fb_int_min", _INT),
-    "fb_int_max": ("fb_int_max", _INT),
-    "ms_int_min": ("ms_int_min", _INT),
-    "ms_int_max": ("ms_int_max", _INT),
-    "max_denominator": ("max_denominator", _INT),
-    "phase_step_limit": ("phase_step_limit", _INT),
-    "f_out_min_hz": ("f_out_min", _FRACTION),
-    "f_out_max_hz": ("f_out_max", _FRACTION),
+    "f_in_hz": ("f_in", _parse_fraction),
+    "vco_min_hz": ("vco_min", _parse_fraction),
+    "vco_max_hz": ("vco_max", _parse_fraction),
+    "fb_int_min": ("fb_int_min", _parse_int),
+    "fb_int_max": ("fb_int_max", _parse_int),
+    "ms_int_min": ("ms_int_min", _parse_int),
+    "ms_int_max": ("ms_int_max", _parse_int),
+    "max_denominator": ("max_denominator", _parse_int),
+    "phase_step_limit": ("phase_step_limit", _parse_int),
+    "f_out_min_hz": ("f_out_min", _parse_fraction),
+    "f_out_max_hz": ("f_out_max", _parse_fraction),
 }
 
 _RAIL_KEYS = {
-    "pot_address": _INT,
-    "pot_channel": _INT,
-    "v_ref": _FRACTION,
-    "r_fixed": _FRACTION,
-    "r_ab": _FRACTION,
-    "r_wiper": _FRACTION,
-    "v_default": _FRACTION,
+    "pot_address": _parse_int,
+    "pot_channel": _parse_int,
+    "v_ref": _parse_fraction,
+    "r_fixed": _parse_fraction,
+    "r_ab": _parse_fraction,
+    "r_wiper": _parse_fraction,
+    "v_default": _parse_fraction,
 }
 
 _DEFAULT_RAIL_PLAN = (
@@ -90,20 +103,6 @@ def default_config() -> StackConfig:
     return StackConfig(constraints=PlannerConstraints(), rails=default_rails())
 
 
-def _parse_int(text: str, lineno: int) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}", line=lineno) from None
-
-
-def _parse_fraction(text: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected a number, got {text!r}", line=lineno) from None
-
-
 def parse_config(text: str) -> StackConfig:
     """Parse configuration text into a :class:`StackConfig`."""
     constraint_values: dict[str, object] = {}
@@ -124,16 +123,15 @@ def parse_config(text: str) -> StackConfig:
             synth_address = _parse_int(value, lineno)
             continue
         if key in _CONSTRAINT_KEYS:
-            field, kind = _CONSTRAINT_KEYS[key]
-            parser = _parse_int if kind == _INT else _parse_fraction
+            field, parser = _CONSTRAINT_KEYS[key]
             constraint_values[field] = parser(value, lineno)
             continue
         if key.startswith("rail"):
             head, _, param = key.partition("_")
             if param in _RAIL_KEYS and head[4:].isdigit():
                 rail_id = int(head[4:])
-                parser = _parse_int if _RAIL_KEYS[param] == _INT else _parse_fraction
-                rail_values.setdefault(rail_id, {})[param] = parser(value, lineno)
+                rail_values.setdefault(rail_id, {})[param] = \
+                    _RAIL_KEYS[param](value, lineno)
                 continue
         raise ConfigError(f"unknown key {key!r}", line=lineno)
 

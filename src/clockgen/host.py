@@ -10,6 +10,7 @@ idempotent; repeating one leaves identical register state.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
 from .errors import InconsistentEncodingError, NoPlanError
@@ -17,8 +18,8 @@ from .planner import (
     FrequencyLike,
     FrequencyPlan,
     PhasePlan,
+    _build_plan,
     apply_plan,
-    decode_divider,
     phase_step_byte,
     plan_frequency,
     plan_phase,
@@ -26,8 +27,15 @@ from .planner import (
 )
 from .power import SupplySetting, apply_supply, plan_voltage
 from .protocol import RESPONSE_LENGTH, BridgeCommand, encode_command
-from .readout import ChannelStatus, decode_outputs, decode_rails
+from .readout import (
+    ChannelStatus,
+    decode_feedback,
+    decode_output_divider,
+    decode_outputs,
+    decode_rails,
+)
 from .registers import RegisterMap
+from .sim import BoardState
 from .transport import SessionConfig, SimulatorHost, open_session
 
 
@@ -123,42 +131,16 @@ class DeviceHandle:
         if plan is not None:
             return plan
         cons = self.constraints
-        synth = self.synth_address
-
-        def read(register: int) -> int:
-            return self.bridge.read_register(synth, register)
-
+        read = partial(self.bridge.read_register, self.synth_address)
         try:
-            feedback = decode_divider(
-                self.synth_map.unpack("fb_p1", read),
-                self.synth_map.unpack("fb_p2", read),
-                self.synth_map.unpack("fb_p3", read),
-                int_range=(cons.fb_int_min, cons.fb_int_max),
-            )
-            output = decode_divider(
-                self.synth_map.unpack(f"ms{channel}_p1", read),
-                self.synth_map.unpack(f"ms{channel}_p2", read),
-                self.synth_map.unpack(f"ms{channel}_p3", read),
-                int_range=(cons.ms_int_min, cons.ms_int_max),
-            )
-        except InconsistentEncodingError:
+            feedback, f_vco = decode_feedback(read, self.synth_map, cons)
+            output = decode_output_divider(read, self.synth_map, cons, channel)
+        except InconsistentEncodingError as exc:
             raise NoPlanError(
-                f"channel {channel} has no frequency plan yet"
+                f"channel {channel} registers hold no usable plan ({exc})"
             ) from None
-        f_vco = cons.f_in * feedback.value
-        if not cons.vco_min <= f_vco <= cons.vco_max:
-            raise NoPlanError(f"channel {channel} registers hold no usable plan")
-        f_achieved = f_vco / output.value
-        plan = FrequencyPlan(
-            f_in=cons.f_in,
-            f_target=f_achieved,
-            feedback=feedback,
-            output=output,
-            f_vco=f_vco,
-            f_achieved=f_achieved,
-            rel_error=Fraction(0),
-            channel=channel,
-        )
+        plan = _build_plan(cons.f_in, f_vco / output.value, feedback.value,
+                           output.value, channel)
         self._plans[channel] = plan
         return plan
 
@@ -203,9 +185,15 @@ def bridge_init(
     simulator: SimulatorHost | None = None,
 ) -> DeviceHandle:
     """Open a session, load the register maps and configuration, and return
-    a ready device handle."""
+    a ready device handle.
+
+    With the ``sim`` endpoint and no ``simulator``, the handle talks to a
+    fresh in-process board built from the loaded maps and configuration.
+    """
     config = load_config(config_path)
     synth_map = load_synth_map(map_path)
     pot_map = load_pot_map()
+    if simulator is None and session_config.endpoint == "sim":
+        simulator = SimulatorHost(BoardState(synth_map, config, pot_map))
     session = open_session(session_config, simulator)
     return DeviceHandle(BridgeClient(session), synth_map, config, pot_map)

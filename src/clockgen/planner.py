@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Union
 
 from .errors import (
@@ -46,11 +45,9 @@ def as_fraction(value: FrequencyLike) -> Fraction:
     """Exact conversion; floats are rejected to keep the rational contract."""
     if isinstance(value, float):
         raise TypeError(
-            "floats are not accepted for exact frequency values; "
+            "floats are not accepted for exact values; "
             "pass an int, a decimal string, or a Fraction"
         )
-    if isinstance(value, Rational):
-        return Fraction(value)
     return Fraction(value)
 
 

@@ -16,23 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Union
 
 from .errors import InfeasibleVoltageError
-
-NumberLike = Union[int, float, str, Fraction]
+from .planner import FrequencyLike, as_fraction
 
 WIPER_STEPS = 256
-
-
-def _exact(value: NumberLike) -> Fraction:
-    # floats go through their decimal repr so 1.25 means 1.25 exactly
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -51,7 +39,7 @@ class RailModel:
 
     def __post_init__(self):
         for name in ("v_ref", "r_fixed", "r_ab", "r_wiper", "v_default"):
-            object.__setattr__(self, name, _exact(getattr(self, name)))
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if min(self.r_fixed, self.r_ab, self.r_wiper) <= 0 or self.v_ref <= 0:
             raise ValueError("rail resistances and reference must be positive")
         if self.steps != WIPER_STEPS:
@@ -84,7 +72,7 @@ class SupplySetting:
     v_error: Fraction
 
 
-def plan_voltage(rail: RailModel, v_target: NumberLike) -> SupplySetting:
+def plan_voltage(rail: RailModel, v_target: FrequencyLike) -> SupplySetting:
     """Pick the wiper code minimizing |predicted - target|, ties to the
     lower code.
 
@@ -93,7 +81,7 @@ def plan_voltage(rail: RailModel, v_target: NumberLike) -> SupplySetting:
     evaluated exactly.  Targets more than half a step outside the reachable
     band are infeasible.
     """
-    target = _exact(v_target)
+    target = as_fraction(v_target)
     if target <= 0:
         raise ValueError("target voltage must be positive")
     half_step = rail.volts_per_step / 2
@@ -118,5 +106,10 @@ def plan_voltage(rail: RailModel, v_target: NumberLike) -> SupplySetting:
 def apply_supply(bridge, rail: RailModel, setting: SupplySetting, pot_map) -> None:
     """Store the planned code: exactly one wire write to the pot's channel
     register, as named in the pot register map."""
-    register = pot_map.field(f"wiper{rail.pot_channel}").address
-    bridge.write_register(rail.pot_address, register, setting.code)
+    bridge.write_register(rail.pot_address, wiper_register(rail, pot_map),
+                          setting.code)
+
+
+def wiper_register(rail: RailModel, pot_map) -> int:
+    """Address of the pot register that holds ``rail``'s wiper code."""
+    return pot_map.field(f"wiper{rail.pot_channel}").address

@@ -15,11 +15,14 @@ from .errors import InconsistentEncodingError
 from .planner import (
     CHANNEL_COUNT,
     PlannerConstraints,
+    RationalDivider,
     decode_divider,
     phase_steps_from_byte,
 )
-from .power import RailModel
+from .power import RailModel, wiper_register
 from .registers import RegisterMap
+
+Read = Callable[[int], int]
 
 
 @dataclass(frozen=True)
@@ -38,29 +41,48 @@ class ChannelStatus:
     problem: str | None
 
 
+def _divider(read: Read, regmap: RegisterMap, prefix: str,
+             int_range: tuple[int, int], problem: str) -> RationalDivider:
+    try:
+        return decode_divider(
+            *(regmap.unpack(f"{prefix}_{p}", read) for p in ("p1", "p2", "p3")),
+            int_range=int_range,
+        )
+    except InconsistentEncodingError:
+        raise InconsistentEncodingError(problem) from None
+
+
+def decode_feedback(read: Read, regmap: RegisterMap, cons: PlannerConstraints
+                    ) -> tuple[RationalDivider, Fraction]:
+    """The feedback divider and the VCO frequency it sets; raises
+    :class:`InconsistentEncodingError` naming the problem."""
+    feedback = _divider(read, regmap, "fb", (cons.fb_int_min, cons.fb_int_max),
+                        "invalid feedback divider")
+    f_vco = cons.f_in * feedback.value
+    if not cons.vco_min <= f_vco <= cons.vco_max:
+        raise InconsistentEncodingError("vco frequency outside window")
+    return feedback, f_vco
+
+
+def decode_output_divider(read: Read, regmap: RegisterMap,
+                          cons: PlannerConstraints, channel: int) -> RationalDivider:
+    """One channel's output divider; raises
+    :class:`InconsistentEncodingError` naming the problem."""
+    return _divider(read, regmap, f"ms{channel}", (cons.ms_int_min, cons.ms_int_max),
+                    "invalid output divider")
+
+
 def decode_outputs(
-    read: Callable[[int], int],
+    read: Read,
     regmap: RegisterMap,
     constraints: PlannerConstraints,
 ) -> list[ChannelStatus]:
     """Compute per-channel status from synthesizer registers via ``read``."""
-    cons = constraints
     feedback_problem = None
-    f_vco = None
     try:
-        fb = decode_divider(
-            regmap.unpack("fb_p1", read),
-            regmap.unpack("fb_p2", read),
-            regmap.unpack("fb_p3", read),
-            int_range=(cons.fb_int_min, cons.fb_int_max),
-        )
-    except InconsistentEncodingError:
-        feedback_problem = "invalid feedback divider"
-    else:
-        f_vco = cons.f_in * fb.value
-        if not cons.vco_min <= f_vco <= cons.vco_max:
-            feedback_problem = "vco frequency outside window"
-            f_vco = None
+        _, f_vco = decode_feedback(read, regmap, constraints)
+    except InconsistentEncodingError as exc:
+        feedback_problem = str(exc)
 
     channels = []
     for k in range(CHANNEL_COUNT):
@@ -72,14 +94,9 @@ def decode_outputs(
         f_out = phase_offset = None
         if problem is None:
             try:
-                divider = decode_divider(
-                    regmap.unpack(f"ms{k}_p1", read),
-                    regmap.unpack(f"ms{k}_p2", read),
-                    regmap.unpack(f"ms{k}_p3", read),
-                    int_range=(cons.ms_int_min, cons.ms_int_max),
-                )
-            except InconsistentEncodingError:
-                problem = "invalid output divider"
+                divider = decode_output_divider(read, regmap, constraints, k)
+            except InconsistentEncodingError as exc:
+                problem = str(exc)
             else:
                 if enabled:
                     steps = phase_steps_from_byte(regmap.unpack(f"ms{k}_phstep", read))
@@ -100,7 +117,6 @@ def decode_rails(
     """
     volts = {}
     for rail in rails:
-        register = pot_map.field(f"wiper{rail.pot_channel}").address
-        code = read(rail.pot_address, register)
+        code = read(rail.pot_address, wiper_register(rail, pot_map))
         volts[rail.rail_id] = rail.predict(code)
     return volts

@@ -72,6 +72,12 @@ class MapEntry:
     reset: int
     mask: int
 
+    def __post_init__(self):
+        if not 0 <= self.address < REGISTER_COUNT:
+            raise ValueError(f"address 0x{self.address:X} out of range")
+        if not (0 <= self.reset <= 0xFF and 0 <= self.mask <= 0xFF):
+            raise ValueError("reset/mask must fit one byte")
+
 
 class RegisterMap:
     """Immutable register-map: entries plus the named-field index."""
@@ -190,34 +196,34 @@ def parse_register_map(text: str) -> RegisterMap:
             if not match:
                 raise RegisterMapError(f"bad field binding: {line!r}", line=lineno)
             name, addr_s, msb_s, lsb_s = match.groups()
-            address = int(addr_s, 0)
-            msb, lsb = int(msb_s), int(lsb_s)
-            if address >= REGISTER_COUNT:
-                raise RegisterMapError(f"address 0x{address:X} out of range", line=lineno)
-            if not lsb <= msb <= 7:
-                raise RegisterMapError(f"bad bit range [{msb}:{lsb}]", line=lineno)
+            field = _construct(BitField, lineno, name, int(addr_s, 0),
+                               int(msb_s), int(lsb_s))
             if name in seen_names:
                 raise RegisterMapError(f"duplicate field name {name}", line=lineno)
             seen_names.add(name)
-            fields.append(BitField(name, address, msb, lsb))
+            fields.append(field)
         elif "," in line:
             match = _ENTRY_RE.match(line)
             if not match:
                 raise RegisterMapError(f"bad register entry: {line!r}", line=lineno)
-            address, reset, mask = (int(s, 0) for s in match.groups())
-            if address >= REGISTER_COUNT:
-                raise RegisterMapError(f"address 0x{address:X} out of range", line=lineno)
-            if reset > 0xFF or mask > 0xFF:
-                raise RegisterMapError("reset/mask must fit one byte", line=lineno)
-            if address in seen_addresses:
+            entry = _construct(MapEntry, lineno, *(int(s, 0) for s in match.groups()))
+            if entry.address in seen_addresses:
                 raise RegisterMapError(
-                    f"duplicate register address 0x{address:02X}", line=lineno
+                    f"duplicate register address 0x{entry.address:02X}", line=lineno
                 )
-            seen_addresses.add(address)
-            entries.append(MapEntry(address, reset, mask))
+            seen_addresses.add(entry.address)
+            entries.append(entry)
         else:
             raise RegisterMapError(f"unrecognized line: {line!r}", line=lineno)
     return RegisterMap(entries, fields)
+
+
+def _construct(cls, lineno: int, *args):
+    """``cls(*args)``, with its range check reported against ``lineno``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise RegisterMapError(str(exc), line=lineno) from None
 
 
 class RegisterFile:

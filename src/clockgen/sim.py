@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .config import StackConfig, default_config, load_pot_map, load_synth_map
 from .errors import ProtocolError
-from .power import plan_voltage
+from .power import plan_voltage, wiper_register
 from .protocol import (
     Action,
     BridgeCommand,
@@ -120,8 +120,8 @@ class BoardState:
         fw.phase = Phase.POWER_INIT
         for rail in self.config.rails:
             setting = plan_voltage(rail, rail.v_default)
-            register = self.pot_map.field(f"wiper{rail.pot_channel}").address
-            self.devices[rail.pot_address].write(register, setting.code)
+            self.devices[rail.pot_address].write(
+                wiper_register(rail, self.pot_map), setting.code)
         fw.phase = Phase.MAIN_LOOP
 
     def ingest_byte(self, byte: int) -> None:

@@ -4,15 +4,23 @@ from fractions import Fraction
 import pytest
 
 from clockgen import (
+    BridgeClient,
     ConfigError,
+    DeviceHandle,
     InfeasibleVoltageError,
     NoPlanError,
     PhaseRangeError,
+    RationalDivider,
     RegisterMapError,
     SessionConfig,
     UnsatisfiableFrequencyError,
+    apply_plan,
     bridge_init,
+    encode_divider,
+    plan_frequency,
+    plan_voltage,
 )
+from clockgen.planner import write_fields
 
 import oracles
 
@@ -54,6 +62,15 @@ def test_bridge_init_malformed_map(tmp_path, host):
     with pytest.raises(RegisterMapError) as info:
         bridge_init(SessionConfig(endpoint="sim"), map_path=bad, simulator=host)
     assert info.value.line == 1
+
+
+def test_bridge_init_without_simulator_boots_a_board():
+    handle = bridge_init(SessionConfig())
+    assert handle.read_rails() == {
+        rail.rail_id: plan_voltage(rail, rail.v_default).v_predicted
+        for rail in handle.config.rails
+    }
+    handle.close()
 
 
 def test_bridge_write_then_read_echo(device):
@@ -174,6 +191,70 @@ def test_set_phase_recovers_plan_from_registers(device, host):
     assert host.board.query_outputs()[0].phase_offset == \
         phase.steps * (1 / plan.f_vco)
     fresh.close()
+
+
+def _write_divider(device, prefix, divider):
+    writes = []
+    for suffix, value in zip(("p1", "p2", "p3"), encode_divider(divider)):
+        writes += device.synth_map.pack(f"{prefix}_{suffix}", value)
+    write_fields(device.bridge, device.synth_address, writes)
+
+
+def _fractional_plan(device, channel):
+    plan = device.set_frequency(channel, Fraction(777777777, 7))
+    assert not (plan.feedback.is_integer and plan.output.is_integer)
+    return plan
+
+
+def _vco_below_window(device, channel):
+    plan = device.set_frequency(channel, 100 * MHZ)
+    _write_divider(device, "fb", RationalDivider(device.constraints.fb_int_min, 0, 1))
+    return plan
+
+
+def _output_p2_not_below_p3(device, channel):
+    plan = device.set_frequency(channel, 100 * MHZ)
+    write_fields(device.bridge, device.synth_address,
+                 device.synth_map.pack(f"ms{channel}_p2", 7)
+                 + device.synth_map.pack(f"ms{channel}_p3", 7))
+    return plan
+
+
+@pytest.mark.parametrize("prepare, problem", [
+    (_fractional_plan, None),
+    (_vco_below_window, "vco frequency outside window"),
+    (_output_p2_not_below_p3, "invalid output divider"),
+], ids=["fractional", "vco-outside-window", "p2-not-below-p3"])
+def test_fresh_handle_recovers_plan_exactly_when_readout_can(device, host,
+                                                             prepare, problem):
+    channel = 2
+    plan = prepare(device, channel)
+    device.close()
+    assert host.board.query_outputs()[channel].problem == problem
+    fresh = DeviceHandle(BridgeClient(host.open()), host.board.synth_map,
+                         host.board.config, host.board.pot_map)
+    if problem:
+        with pytest.raises(NoPlanError, match=problem):
+            fresh.set_phase(channel, degrees=45)
+    else:
+        fresh.set_phase(channel, degrees=45)
+        recovered = fresh._current_plan(channel)
+        assert recovered.f_vco == plan.f_vco
+        assert recovered.f_achieved == plan.f_achieved
+    fresh.close()
+
+
+def test_set_phase_recovery_reads_each_divider_register_once(counting_device):
+    device, counting = counting_device
+    plan = plan_frequency(device.constraints.f_in, 100 * MHZ, 0, device.constraints)
+    apply_plan(device.bridge, device.synth_map, plan, None, 0, device.synth_address)
+    counting.reads = 0
+    device.set_phase(0, degrees=45)
+    divider_registers = sum(
+        len(device.synth_map.group(f"{prefix}_{suffix}"))
+        for prefix in ("fb", "ms0") for suffix in ("p1", "p2", "p3")
+    )
+    assert counting.reads == divider_registers == 22
 
 
 def test_set_phase_idempotent(device, host):

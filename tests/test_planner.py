@@ -11,6 +11,7 @@ from clockgen import (
     InconsistentEncodingError,
     PhaseRangeError,
     PlannerConstraints,
+    RailModel,
     RationalDivider,
     UnsatisfiableFrequencyError,
     decode_divider,
@@ -18,6 +19,7 @@ from clockgen import (
     farey_neighbors,
     plan_frequency,
     plan_phase,
+    plan_voltage,
 )
 
 import oracles
@@ -80,6 +82,15 @@ def test_reference_outside_window_rejected():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         plan_frequency(F_IN, 123.4e6)
+    plan = plan_frequency(F_IN, 100 * MHZ)
+    with pytest.raises(TypeError):
+        plan_phase(plan, seconds=1e-9)
+    with pytest.raises(TypeError):
+        plan_phase(plan, degrees=45.0)
+    with pytest.raises(TypeError):
+        plan_voltage(RailModel(rail_id=0), 2.5)
+    with pytest.raises(TypeError):
+        RailModel(rail_id=0, v_default=2.5)
 
 
 def test_plan_deterministic():

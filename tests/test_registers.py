@@ -56,10 +56,15 @@ def test_overlapping_fields_rejected():
 
 
 def test_parse_bad_bit_range():
-    with pytest.raises(RegisterMapError):
+    with pytest.raises(RegisterMapError) as info:
         parse_register_map("0x04, 0x00, 0xFF\na = 0x04[0:3]\n")
-    with pytest.raises(RegisterMapError):
+    assert info.value.line == 2
+    with pytest.raises(RegisterMapError) as info:
         parse_register_map("0x04, 0x00, 0xFF\na = 0x04[8:0]\n")
+    assert info.value.line == 2
+    with pytest.raises(RegisterMapError) as info:
+        parse_register_map("0x04, 0x00, 0xFF\n0x05, 0x100, 0xFF\n")
+    assert info.value.line == 2
 
 
 def test_serialize_roundtrip_shipped_maps():
