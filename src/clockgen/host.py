@@ -1,16 +1,18 @@
 """Layered host stack above the transport.
 
-The bridge layer packs register reads and writes into wire commands, one
-command per call, and is the only path to the transport.  The device layer
-on top exposes the operator-facing operations: frequency, phase, output
-enables, and rail voltages.  All device operations are synchronous and
-idempotent; repeating one leaves identical register state.
+The bridge layer packs register reads and writes into wire commands and is
+the only path to the transport.  It sends a batch of commands as one write
+and reads all of their responses with one read, so each device operation
+costs at most one round trip however many registers it touches.  The
+device layer on top exposes the operator-facing operations: frequency,
+phase, output enables, and rail voltages.  All device operations are
+synchronous and idempotent; repeating one leaves identical register state.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from typing import Callable, Sequence
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
 from .errors import InconsistentEncodingError, NoPlanError
@@ -26,13 +28,17 @@ from .planner import (
     write_fields,
 )
 from .power import SupplySetting, apply_supply, plan_voltage
-from .protocol import RESPONSE_LENGTH, BridgeCommand, encode_command
+from .protocol import RESPONSE_LENGTH, Action, BridgeCommand, encode_command
 from .readout import (
     ChannelStatus,
     decode_feedback,
     decode_output_divider,
     decode_outputs,
     decode_rails,
+    divider_fields,
+    field_registers,
+    output_registers,
+    rail_registers,
 )
 from .registers import RegisterMap
 from .sim import BoardState
@@ -40,25 +46,42 @@ from .transport import SessionConfig, SimulatorHost, open_session
 
 
 class BridgeClient:
-    """Register access over an open session: read, write, and close.
+    """Register access over an open session: exchange, read, write, close.
 
-    Each call maps one-to-one onto a wire command; reads block until the
-    single response byte arrives or the session times out.
+    :meth:`exchange` is the one path to the session: a batch of commands
+    goes out as one write and their responses come back with one read,
+    which blocks until every response byte arrives or the session times
+    out.  The wire keeps order, so responses arrive in command order.
+
+    After a timeout the responses still owed are counted; the next
+    exchange reads and discards them before its own, so a late byte is
+    never handed to a later read.
     """
 
     def __init__(self, session):
         self._session = session
+        self._owed = 0  # response bytes of timed-out exchanges, not yet drained
+
+    def exchange(self, commands: Sequence[BridgeCommand]) -> list[int]:
+        """Send ``commands`` in one write; returns the values their reads
+        fetched, in command order."""
+        if not commands:
+            return []
+        self._session.write_bytes(b"".join(map(encode_command, commands)))
+        wanted = RESPONSE_LENGTH * sum(c.action is Action.READ for c in commands)
+        if not wanted:
+            return []
+        owed = self._owed
+        self._owed += wanted
+        data = self._session.read_bytes(owed + wanted)
+        self._owed = 0
+        return list(data[owed::RESPONSE_LENGTH])
 
     def write_register(self, device: int, register: int, value: int) -> None:
-        self._session.write_bytes(
-            encode_command(BridgeCommand.write(device, register, value))
-        )
+        self.exchange([BridgeCommand.write(device, register, value)])
 
     def read_register(self, device: int, register: int) -> int:
-        self._session.write_bytes(
-            encode_command(BridgeCommand.read(device, register))
-        )
-        return self._session.read_bytes(RESPONSE_LENGTH)[0]
+        return self.exchange([BridgeCommand.read(device, register)])[0]
 
     def close(self) -> None:
         self._session.close()
@@ -78,6 +101,7 @@ class DeviceHandle:
         self.config = config
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
+        self._output_registers = output_registers(synth_map)
 
     @property
     def constraints(self):
@@ -97,12 +121,15 @@ class DeviceHandle:
 
         Re-plans and rewrites the feedback registers even when unchanged;
         the phase step returns to zero because a retune changes the step
-        quantum.
+        quantum.  A new feedback divider moves every channel's VCO, so the
+        cached plans of other channels built on the old one are dropped.
         """
         plan = plan_frequency(self.constraints.f_in, f_target, channel,
                               self.constraints)
         apply_plan(self.bridge, self.synth_map, plan, None, channel,
                    self.synth_address)
+        self._plans = {k: p for k, p in self._plans.items()
+                       if p.feedback == plan.feedback}
         self._plans[channel] = plan
         return plan
 
@@ -131,7 +158,8 @@ class DeviceHandle:
         if plan is not None:
             return plan
         cons = self.constraints
-        read = partial(self.bridge.read_register, self.synth_address)
+        read = self._snapshot(field_registers(
+            self.synth_map, divider_fields("fb") + divider_fields(f"ms{channel}")))
         try:
             feedback, f_vco = decode_feedback(read, self.synth_map, cons)
             output = decode_output_divider(read, self.synth_map, cons, channel)
@@ -164,18 +192,26 @@ class DeviceHandle:
     # -- readback ----------------------------------------------------------------
 
     def read_outputs(self) -> list[ChannelStatus]:
-        """Per-channel status decoded from registers read over the bridge."""
-        synth = self.synth_address
-        return decode_outputs(
-            lambda register: self.bridge.read_register(synth, register),
-            self.synth_map,
-            self.constraints,
-        )
+        """Per-channel status decoded from one snapshot of the synthesizer
+        registers, read over the bridge in one exchange."""
+        return decode_outputs(self._snapshot(self._output_registers),
+                              self.synth_map, self.constraints)
 
     def read_rails(self) -> dict[int, Fraction]:
-        """Per-rail predicted volts from wiper codes read over the bridge."""
-        return decode_rails(self.bridge.read_register, self.config.rails,
+        """Per-rail predicted volts from wiper codes read over the bridge in
+        one exchange."""
+        where = rail_registers(self.config.rails, self.pot_map)
+        values = self.bridge.exchange([BridgeCommand.read(*w) for w in where])
+        snapshot = dict(zip(where, values))
+        return decode_rails(lambda *w: snapshot[w], self.config.rails,
                             self.pot_map)
+
+    def _snapshot(self, registers: list[int]) -> Callable[[int], int]:
+        """Read synthesizer ``registers`` in one exchange; returns a lookup
+        over the values read."""
+        values = self.bridge.exchange(
+            [BridgeCommand.read(self.synth_address, r) for r in registers])
+        return dict(zip(registers, values)).__getitem__
 
 
 def bridge_init(

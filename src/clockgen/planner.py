@@ -28,6 +28,7 @@ from .errors import (
     PhaseRangeError,
     UnsatisfiableFrequencyError,
 )
+from .protocol import BridgeCommand
 
 FrequencyLike = Union[int, str, Fraction]
 
@@ -483,10 +484,18 @@ def apply_plan(
 
 
 def write_fields(bridge, device: int, writes: list[tuple[int, int, int]]) -> None:
-    """Issue packed field writes; partial-byte fields go read-modify-write."""
+    """Issue packed field writes in at most two bridge exchanges.
+
+    Partial-byte fields go read-modify-write: the first exchange reads each
+    register they live in, once.  Every field written to one register is
+    then folded onto that value, and the second exchange writes each
+    register once, in the order the fields first name it.
+    """
+    shared = list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
+    current = dict(zip(shared, bridge.exchange(
+        [BridgeCommand.read(device, a) for a in shared])))
+    folded: dict[int, int] = {}
     for address, bits, mask in writes:
-        if mask == 0xFF:
-            bridge.write_register(device, address, bits)
-        else:
-            current = bridge.read_register(device, address)
-            bridge.write_register(device, address, (current & ~mask) | bits)
+        value = folded.get(address, current.get(address, 0))
+        folded[address] = (value & ~mask) | bits
+    bridge.exchange([BridgeCommand.write(device, a, v) for a, v in folded.items()])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentEncodingError
 from .planner import (
@@ -45,7 +45,7 @@ def _divider(read: Read, regmap: RegisterMap, prefix: str,
              int_range: tuple[int, int], problem: str) -> RationalDivider:
     try:
         return decode_divider(
-            *(regmap.unpack(f"{prefix}_{p}", read) for p in ("p1", "p2", "p3")),
+            *(regmap.unpack(name, read) for name in divider_fields(prefix)),
             int_range=int_range,
         )
     except InconsistentEncodingError:
@@ -70,6 +70,30 @@ def decode_output_divider(read: Read, regmap: RegisterMap,
     :class:`InconsistentEncodingError` naming the problem."""
     return _divider(read, regmap, f"ms{channel}", (cons.ms_int_min, cons.ms_int_max),
                     "invalid output divider")
+
+
+def field_registers(regmap: RegisterMap, names: Iterable[str]) -> list[int]:
+    """Addresses holding the named fields or composites, each once, in
+    address order: the registers to read before decoding them."""
+    return sorted({f.address for name in names for f in regmap.group(name)})
+
+
+def divider_fields(prefix: str) -> list[str]:
+    """The P1/P2/P3 composites of the divider named ``prefix``."""
+    return [f"{prefix}_{p}" for p in ("p1", "p2", "p3")]
+
+
+def output_registers(regmap: RegisterMap) -> list[int]:
+    """Every synthesizer register :func:`decode_outputs` may read.
+
+    The host reads exactly these as one snapshot and the simulator's oracle
+    decodes from the same set, so a register missing here fails both.
+    """
+    names = divider_fields("fb")
+    for k in range(CHANNEL_COUNT):
+        names += [f"clk{k}_en", f"clk{k}_pdn", f"ms{k}_phstep",
+                  *divider_fields(f"ms{k}")]
+    return field_registers(regmap, names)
 
 
 def decode_outputs(
@@ -106,6 +130,12 @@ def decode_outputs(
     return channels
 
 
+def rail_registers(rails: Sequence[RailModel], pot_map: RegisterMap
+                   ) -> list[tuple[int, int]]:
+    """``(i2c_address, register)`` of each rail's wiper code, in rail order."""
+    return [(rail.pot_address, wiper_register(rail, pot_map)) for rail in rails]
+
+
 def decode_rails(
     read: Callable[[int, int], int],
     rails: Sequence[RailModel],
@@ -115,8 +145,7 @@ def decode_rails(
 
     ``read(i2c_address, register)`` fetches one pot register.
     """
-    volts = {}
-    for rail in rails:
-        code = read(rail.pot_address, wiper_register(rail, pot_map))
-        volts[rail.rail_id] = rail.predict(code)
-    return volts
+    return {
+        rail.rail_id: rail.predict(read(*where))
+        for rail, where in zip(rails, rail_registers(rails, pot_map))
+    }

@@ -28,7 +28,7 @@ from .protocol import (
     decode_command,
     encode_read_response,
 )
-from .readout import ChannelStatus, decode_outputs, decode_rails
+from .readout import ChannelStatus, decode_outputs, decode_rails, output_registers
 from .registers import RegisterFile, RegisterMap
 
 ABSENT_DEVICE_VALUE = 0xFF
@@ -206,7 +206,9 @@ class BoardState:
     def query_outputs(self) -> list[ChannelStatus]:
         """Decode divider/phase/enable registers into per-channel status."""
         synth = self.devices[self.config.synth_address]
-        return decode_outputs(synth.read, self.synth_map, self.config.constraints)
+        snapshot = {a: synth.read(a) for a in output_registers(self.synth_map)}
+        return decode_outputs(snapshot.__getitem__, self.synth_map,
+                              self.config.constraints)
 
     def query_rails(self) -> dict[int, Fraction]:
         """Predicted volts per rail from the stored wiper codes."""

@@ -51,11 +51,18 @@ class CountingSession:
         self.writes = 0
         self.reads = 0
         self.written = bytearray()
+        self.write_sizes = []
 
     def write_bytes(self, data):
         self.writes += 1
         self.written.extend(data)
+        self.write_sizes.append(len(data))
         self.inner.write_bytes(data)
+
+    def reset(self):
+        self.writes = self.reads = 0
+        self.written.clear()
+        self.write_sizes.clear()
 
     def read_bytes(self, n, timeout=None):
         self.reads += 1

@@ -1,26 +1,36 @@
 import random
+import socket
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from clockgen import (
+    Action,
+    BoardState,
     BridgeClient,
+    BridgeCommand,
     ConfigError,
     DeviceHandle,
     InfeasibleVoltageError,
     NoPlanError,
     PhaseRangeError,
     RationalDivider,
+    ReadTimeoutError,
     RegisterMapError,
     SessionConfig,
     UnsatisfiableFrequencyError,
     apply_plan,
     bridge_init,
+    decode_command,
+    encode_command,
     encode_divider,
     plan_frequency,
     plan_voltage,
 )
 from clockgen.planner import write_fields
+from clockgen.transport import TcpSession
 
 import oracles
 
@@ -29,6 +39,12 @@ MHZ = 10**6
 
 def synth_snapshot(device_handle, host):
     return host.board.devices[device_handle.synth_address].snapshot()
+
+
+def frames(written):
+    """The commands in a stream of written bytes, in order."""
+    return [decode_command(bytes(written[i:i + 4]))
+            for i in range(0, len(written), 4)]
 
 
 def field_addresses(regmap, prefixes):
@@ -95,6 +111,60 @@ def test_bridge_ops_map_one_to_one_onto_wire_commands(counting_device):
     device.bridge.read_register(0x70, 0x06)
     assert (counting.writes, counting.reads) == (2, 1)
     assert len(counting.written) % 4 == 0
+
+
+class SlowRegisterDevice:
+    """A TCP device answering every read with ``register ^ 0xA5``, in order;
+    its first read of ``slow_register`` is answered ``delay`` s late."""
+
+    def __init__(self, slow_register, delay):
+        self.slow_register = slow_register
+        self.delay = delay
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(5.0)
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _peer = self._listener.accept()
+        late = True
+        pending = b""
+        with conn:
+            while data := conn.recv(4096):
+                pending += data
+                while len(pending) >= 4:
+                    cmd = decode_command(pending[:4])
+                    pending = pending[4:]
+                    if cmd.action is not Action.READ:
+                        continue
+                    if late and cmd.register == self.slow_register:
+                        late = False
+                        time.sleep(self.delay)
+                    conn.sendall(bytes((cmd.register ^ 0xA5,)))
+
+    def close(self):
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+@pytest.mark.parametrize("first", [[0x42], [0x01, 0x42, 0x03]],
+                         ids=["single-read", "partial-batch"])
+def test_late_response_is_never_handed_to_a_later_read(first):
+    device = SlowRegisterDevice(slow_register=0x42, delay=0.3)
+    bridge = BridgeClient(TcpSession.connect("127.0.0.1", device.port,
+                                             read_timeout=0.2))
+    try:
+        with pytest.raises(ReadTimeoutError):
+            bridge.exchange([BridgeCommand.read(0x70, r) for r in first])
+        for register in (0x10, 0x11, 0x12):
+            assert bridge.read_register(0x70, register) == register ^ 0xA5
+        assert bridge.exchange([BridgeCommand.read(0x70, r) for r in (0x20, 0x21)]) \
+            == [0x20 ^ 0xA5, 0x21 ^ 0xA5]
+    finally:
+        bridge.close()
+        device.close()
 
 
 # -- device layer: frequency ---------------------------------------------------------
@@ -248,13 +318,26 @@ def test_set_phase_recovery_reads_each_divider_register_once(counting_device):
     device, counting = counting_device
     plan = plan_frequency(device.constraints.f_in, 100 * MHZ, 0, device.constraints)
     apply_plan(device.bridge, device.synth_map, plan, None, 0, device.synth_address)
-    counting.reads = 0
+    counting.reset()
     device.set_phase(0, degrees=45)
     divider_registers = sum(
         len(device.synth_map.group(f"{prefix}_{suffix}"))
         for prefix in ("fb", "ms0") for suffix in ("p1", "p2", "p3")
     )
-    assert counting.reads == divider_registers == 22
+    reads = [c.register for c in frames(counting.written) if c.action is Action.READ]
+    assert len(reads) == len(set(reads)) == divider_registers == 22
+    assert counting.reads == 1
+
+
+def test_set_phase_after_the_feedback_moved_uses_the_registers(counting_device, host):
+    device, counting = counting_device
+    first = device.set_frequency(1, 100 * MHZ)
+    moved = device.set_frequency(0, Fraction(6608629685309, 40000))
+    assert moved.feedback != first.feedback
+    counting.reset()
+    phase = device.set_phase(1, degrees=45)
+    assert phase.offset_achieved == host.board.query_outputs()[1].phase_offset
+    assert counting.reads == 1
 
 
 def test_set_phase_idempotent(device, host):
@@ -352,15 +435,60 @@ def test_set_rail_idempotent(device, host):
 
 # -- layer purity ----------------------------------------------------------------------
 
-def test_device_layer_only_talks_in_whole_commands(counting_device):
+def test_device_layer_only_talks_in_whole_commands(counting_device, host):
     device, counting = counting_device
     device.set_frequency(0, 150 * MHZ)
     device.set_phase(0, degrees=90)
     device.enable_output(0, True)
     device.set_rail_voltage(0, Fraction("2.5"))
     assert len(counting.written) % 4 == 0
-    # each write call carried exactly one command frame
-    assert counting.writes == len(counting.written) // 4
+    # each write call carried whole command frames
+    assert counting.write_sizes and all(
+        size > 0 and size % 4 == 0 for size in counting.write_sizes)
+    # the same commands issued one by one leave the same register state
+    replay = BoardState()
+    replay.boot()
+    for cmd in frames(counting.written):
+        replay.ingest(encode_command(cmd))
+        replay.run_until_idle()
+    assert {a: d.snapshot() for a, d in replay.devices.items()} == \
+        {a: d.snapshot() for a, d in host.board.devices.items()}
+
+
+# -- wire cost: commands and round trips per operation ---------------------------------
+
+@pytest.mark.parametrize("prepare, operation, cost", [
+    (None, lambda d: d.set_frequency(0, 100 * MHZ), (31, 1)),
+    (lambda d: d.set_frequency(2, 100 * MHZ),
+     lambda d: d.set_phase(2, degrees=45), (1, 0)),
+    (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.read_outputs(), (61, 1)),
+    (None, lambda d: d.read_rails(), (5, 1)),
+], ids=["set_frequency", "set_phase-cached-plan", "read_outputs", "read_rails"])
+def test_wire_cost_commands_and_read_calls(counting_device, prepare, operation, cost):
+    device, counting = counting_device
+    if prepare is not None:
+        prepare(device)
+    counting.reset()
+    operation(device)
+    assert (len(frames(counting.written)), counting.reads) == cost
+
+
+def test_write_fields_folds_fields_sharing_a_register(counting_device, host):
+    device, counting = counting_device
+    regmap = device.synth_map
+    address = regmap.field("clk0_en").address
+    assert regmap.field("clk1_en").address == address
+    device.bridge.write_register(device.synth_address, address, 0b1000)
+    before = synth_snapshot(device, host)
+    counting.reset()
+    write_fields(device.bridge, device.synth_address,
+                 regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1))
+    after = synth_snapshot(device, host)
+    assert after[address] == 0b1011
+    assert {a for a in range(256) if before[a] != after[a]} == {address}
+    assert [(c.action, c.register) for c in frames(counting.written)] == \
+        [(Action.READ, address), (Action.WRITE, address)]
+    assert counting.reads == 1
 
 
 def test_readback_matches_simulator_view(device, host):
@@ -369,6 +497,23 @@ def test_readback_matches_simulator_view(device, host):
     device.set_rail_voltage(3, Fraction("2.2"))
     assert device.read_outputs() == host.board.query_outputs()
     assert device.read_rails() == host.board.query_rails()
+
+
+def test_tcp_readback_matches_simulator_view(tcp_server):
+    device = bridge_init(SessionConfig.parse(f"tcp:127.0.0.1:{tcp_server.port}"))
+    try:
+        targets = (100 * MHZ, Fraction(777777777, 7), 33 * MHZ, 150 * MHZ)
+        for channel, target in enumerate(targets):
+            device.set_frequency(channel, target)
+            device.set_phase(channel, degrees=30 * (channel + 1))
+        device.set_rail_voltage(1, Fraction("2.2"))
+        device.set_rail_voltage(4, Fraction("1.9"))
+        outputs, rails = device.read_outputs(), device.read_rails()
+    finally:
+        device.close()
+    assert all(ch.enabled and ch.f_out is not None for ch in outputs)
+    assert outputs == tcp_server.board.query_outputs()
+    assert rails == tcp_server.board.query_rails()
 
 
 def test_repeated_operations_random_idempotence(device, host):

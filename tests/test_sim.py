@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from clockgen import (
+    Action,
     BoardState,
     BridgeCommand,
     Phase,
@@ -42,6 +43,14 @@ class DirectBridge:
         out = self.board.take_output()
         assert len(out) == 1
         return out[0]
+
+    def exchange(self, commands):
+        for cmd in commands:
+            feed(self.board, cmd)
+        self.board.run_until_idle()
+        out = self.board.take_output()
+        assert len(out) == sum(cmd.action is Action.READ for cmd in commands)
+        return list(out)
 
 
 # -- boot ---------------------------------------------------------------------
