@@ -6,18 +6,25 @@ output frequency is::
 
     f_out = f_in * feedback / output        with  vco_min <= f_in * feedback <= vco_max
 
-All planning arithmetic is exact (:class:`fractions.Fraction` end-to-end);
-floating point never enters a frequency or error computation.
+All planning arithmetic is exact; floating point never enters a frequency
+or error computation.  The search runs on exact integer numerator and
+denominator pairs; :class:`fractions.Fraction` appears only where inputs
+are converted and where the chosen plan is built.
 
 Search order: exact integer/integer plans first, then exact plans where one
-divider is fractional, then a minimal-error approximation built from
-Stern-Brocot (Farey mediant) neighbors with the denominator capped.  Ties
-are broken by lowest VCO frequency, then smallest feedback denominator.
+divider is fractional (the lowest valid VCO wins, so each scan stops at its
+first valid candidate), then a minimal-error approximation built from
+Stern-Brocot (Farey mediant) neighbors with the denominator capped, its
+relative errors compared by cross-multiplication.  Ties are broken by
+lowest VCO frequency, then smallest feedback denominator.  Each plan logs
+one DEBUG record on the ``clockgen.planner`` logger naming the stage, the
+chosen VCO frequency and the number of candidates examined.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -158,25 +165,34 @@ def farey_neighbors(value: Fraction, max_denominator: int) -> tuple[Fraction, Fr
     the continued-fraction convergent/semiconvergent construction).  When
     ``value`` itself fits the bound both neighbors equal ``value``.
     """
-    if max_denominator < 1:
+    lo_n, lo_d, hi_n, hi_d = _neighbors(value.numerator, value.denominator,
+                                        max_denominator)
+    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+
+
+def _neighbors(n: int, d: int, cap: int) -> tuple[int, int, int, int]:
+    """Integer core of :func:`farey_neighbors`: ``(lo_n, lo_d, hi_n, hi_d)``
+    for the value ``n/d``, which must be in lowest terms with ``d >= 1``."""
+    if cap < 1:
         raise ValueError("max_denominator must be >= 1")
-    if value.denominator <= max_denominator:
-        return value, value
+    if d <= cap:
+        return n, d, n, d
     p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = value.numerator, value.denominator
+    x, y = n, d
     while True:
-        a = n // d
+        a = x // y
         q2 = q0 + a * q1
-        if q2 > max_denominator:
+        if q2 > cap:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    semiconvergent = Fraction(p0 + k * p1, q0 + k * q1)
-    convergent = Fraction(p1, q1)
-    if convergent <= value:
-        return convergent, semiconvergent
-    return semiconvergent, convergent
+        x, y = y, x - a * y
+    # consecutive convergents have determinant +-1, so the semiconvergent
+    # is in lowest terms as well
+    k = (cap - q0) // q1
+    semi_n, semi_d = p0 + k * p1, q0 + k * q1
+    if p1 * d <= n * q1:
+        return p1, q1, semi_n, semi_d
+    return semi_n, semi_d, p1, q1
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -186,38 +202,25 @@ def _round_half_away(x: Fraction) -> int:
     return -((-2 * n + d) // (2 * d))
 
 
-def _int_points(lo: Fraction, hi: Fraction, int_min: int, int_max: int) -> range:
-    """Integers n with lo <= n <= hi intersected with [int_min, int_max]."""
-    start = max(int_min, math.ceil(lo))
-    stop = min(int_max, math.floor(hi))
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _int_points(cons: PlannerConstraints, f_n: int, f_d: int,
+                int_min: int, int_max: int) -> range:
+    """Integers n in [int_min, int_max] with ``n * f_n/f_d`` inside the VCO
+    window."""
+    lo, hi = cons.vco_min, cons.vco_max
+    start = max(int_min, -(-lo.numerator * f_d // (lo.denominator * f_n)))
+    stop = min(int_max, hi.numerator * f_d // (hi.denominator * f_n))
     return range(start, stop + 1)
 
 
-def _divider_value_ok(value: Fraction, int_min: int, int_max: int, cap: int) -> bool:
-    return (
-        int_min <= value < int_max + 1
-        and value.denominator <= cap
-        and value >= 1
-    )
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    rel_error: Fraction
-    f_vco: Fraction
-    feedback: Fraction
-    output: Fraction
-
-    @property
-    def sort_key(self):
-        return (
-            self.rel_error,
-            self.f_vco,
-            self.feedback.denominator,
-            self.output.denominator,
-            self.feedback,
-            self.output,
-        )
+def _fits(p: int, q: int, int_min: int, int_max: int, cap: int) -> bool:
+    """Whether the divider ``p/q`` (lowest terms) is legal:
+    ``int_min <= p/q < int_max + 1``, ``p/q >= 1`` and ``q <= cap``."""
+    return q <= cap and int_min * q <= p < (int_max + 1) * q and p >= q
 
 
 def plan_frequency(
@@ -251,87 +254,123 @@ def plan_frequency(
             f"[{float(cons.f_out_min):.6g}, {float(cons.f_out_max):.6g}] Hz"
         )
 
-    fb_ints = _int_points(cons.vco_min / fin, cons.vco_max / fin,
-                          cons.fb_int_min, cons.fb_int_max)
-    ms_ints = _int_points(cons.vco_min / target, cons.vco_max / target,
-                          cons.ms_int_min, cons.ms_int_max)
+    fn, fd = fin.numerator, fin.denominator
+    tn, td = target.numerator, target.denominator
+    # r = f_in / target = kn / kd: integer feedback a needs the output
+    # divider r*a, integer output o needs the feedback divider o/r
+    kn, kd = fn * td, fd * tn
+    cap = cons.max_denominator
+    fb_ints = _int_points(cons, fn, fd, cons.fb_int_min, cons.fb_int_max)
+    ms_ints = _int_points(cons, tn, td, cons.ms_int_min, cons.ms_int_max)
+    examined = 0
 
     # stage 1: exact integer feedback + integer output; ascending f_vco
     for a in fb_ints:
-        f_vco = fin * a
-        out = f_vco / target
-        if out.denominator == 1 and cons.ms_int_min <= out <= cons.ms_int_max:
-            return _build_plan(fin, target, Fraction(a), out, channel)
+        examined += 1
+        out, rem = divmod(kn * a, kd)
+        if not rem and cons.ms_int_min <= out <= cons.ms_int_max:
+            return _chosen("int", fin, target, (a, 1), (out, 1), channel, examined)
 
-    # stage 2: exact plans with one fractional divider
-    exact: list[_Candidate] = []
+    # stage 2: exact plans with one fractional divider.  f_vco fixes both
+    # dividers, so no two candidates share an f_vco and the lowest valid one
+    # wins: each family is scanned up in f_vco to its first valid candidate,
+    # integer outputs only below the integer-feedback winner (and past
+    # integer feedbacks, which stage 1 covered).
+    best, a_bound = None, math.inf
     for a in fb_ints:
-        f_vco = fin * a
-        out = f_vco / target
-        if _divider_value_ok(out, cons.ms_int_min, cons.ms_int_max, cons.max_denominator):
-            exact.append(_Candidate(Fraction(0), f_vco, Fraction(a), out))
+        examined += 1
+        p, q = _reduced(kn * a, kd)
+        if _fits(p, q, cons.ms_int_min, cons.ms_int_max, cap):
+            best, a_bound = ((a, 1), (p, q)), a * kn
+            break
     for o in ms_ints:
-        f_vco = target * o
-        fb = f_vco / fin
-        if fb.denominator == 1:
-            continue  # integer/integer handled above
-        if _divider_value_ok(fb, cons.fb_int_min, cons.fb_int_max, cons.max_denominator):
-            exact.append(_Candidate(Fraction(0), f_vco, fb, Fraction(o)))
-    if exact:
-        best = min(exact, key=lambda c: c.sort_key)
-        return _build_plan(fin, target, best.feedback, best.output, channel)
+        if o * kd > a_bound:  # target * o > f_in * a
+            break
+        examined += 1
+        p, q = _reduced(kd * o, kn)
+        if q != 1 and _fits(p, q, cons.fb_int_min, cons.fb_int_max, cap):
+            best = (p, q), (o, 1)
+            break
+    if best:
+        return _chosen("exactfrac", fin, target, *best, channel, examined)
 
     # stage 3: minimal-error approximation via bounded-denominator neighbors
-    approx: list[_Candidate] = []
-    fb_window = (cons.vco_min / fin, cons.vco_max / fin)
-    for o in ms_ints:
-        wanted = target * o / fin
-        for fb in _approximations(wanted, cons.max_denominator, fb_window):
-            if not _divider_value_ok(fb, cons.fb_int_min, cons.fb_int_max,
-                                     cons.max_denominator):
+    best = best_error = None
+    for candidate in _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
+        examined += 1
+        fb_n, fb_d, out_n, out_d = candidate
+        # rel_error = error_n / (kd * error_d); kd is shared by every candidate
+        error_n = abs(kn * fb_n * out_d - kd * fb_d * out_n)
+        error_d = fb_d * out_n
+        if best is not None:
+            lhs, rhs = error_n * best_error[1], best_error[0] * error_d
+            if lhs > rhs or (lhs == rhs and
+                             _tie_key(candidate) >= _tie_key(best)):
                 continue
-            achieved = fin * fb / o
-            approx.append(
-                _Candidate(abs(achieved - target) / target, fin * fb, fb, Fraction(o))
-            )
-    for a in fb_ints:
-        f_vco = fin * a
-        wanted = f_vco / target
-        for out in _approximations(wanted, cons.max_denominator, None):
-            if not _divider_value_ok(out, cons.ms_int_min, cons.ms_int_max,
-                                     cons.max_denominator):
-                continue
-            achieved = f_vco / out
-            approx.append(
-                _Candidate(abs(achieved - target) / target, f_vco, Fraction(a), out)
-            )
-    if not approx:
+        best, best_error = candidate, (error_n, error_d)
+    if best is None:
         raise UnsatisfiableFrequencyError(
             f"no divider pair reaches {float(target):.6g} Hz inside the VCO window"
         )
-    best = min(approx, key=lambda c: c.sort_key)
-    if best.rel_error > Fraction(1, 10**9):
+    error_n, error_d = best_error
+    if error_n * 10**9 > kd * error_d:
         raise UnsatisfiableFrequencyError(
             f"best achievable plan misses {float(target):.6g} Hz by "
-            f"{float(best.rel_error):.3g} relative"
+            f"{error_n / (kd * error_d):.3g} relative"
         )
-    return _build_plan(fin, target, best.feedback, best.output, channel)
+    return _chosen("approx", fin, target, best[:2], best[2:], channel, examined)
 
 
-def _approximations(
-    wanted: Fraction,
-    cap: int,
-    window: tuple[Fraction, Fraction] | None,
-) -> list[Fraction]:
-    lo, hi = farey_neighbors(wanted, cap)
-    candidates = [lo] if lo == hi else [lo, hi]
-    if window is not None:
-        # window edges are valid fallbacks when both neighbors overshoot it
-        inside = [c for c in candidates if window[0] <= c <= window[1]]
+def _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
+    """Stage-3 candidates ``(fb_n, fb_d, out_n, out_d)``, all legal: for each
+    integer divider in range, the bounded-denominator neighbors of the exact
+    partner divider."""
+    cap = cons.max_denominator
+    fn, fd = fin.numerator, fin.denominator
+    # the VCO window in feedback units, vco / f_in
+    lo_n, lo_d = _reduced(cons.vco_min.numerator * fd, cons.vco_min.denominator * fn)
+    hi_n, hi_d = _reduced(cons.vco_max.numerator * fd, cons.vco_max.denominator * fn)
+    for o in ms_ints:
+        inside = [(p, q) for p, q in _bracket(kd * o, kn, cap)
+                  if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q]
         if not inside:
-            inside = [e for e in window if e.denominator <= cap]
-        candidates = inside
-    return candidates
+            # window edges are valid fallbacks when both neighbors overshoot it
+            inside = [e for e in ((lo_n, lo_d), (hi_n, hi_d)) if e[1] <= cap]
+        for p, q in inside:
+            if _fits(p, q, cons.fb_int_min, cons.fb_int_max, cap):
+                yield p, q, o, 1
+    for a in fb_ints:
+        for p, q in _bracket(kn * a, kd, cap):
+            if _fits(p, q, cons.ms_int_min, cons.ms_int_max, cap):
+                yield a, 1, p, q
+
+
+def _bracket(n: int, d: int, cap: int) -> list[tuple[int, int]]:
+    """The distinct bounded-denominator neighbors bracketing ``n/d``."""
+    p_lo, q_lo, p_hi, q_hi = _neighbors(*_reduced(n, d), cap)
+    if (p_lo, q_lo) == (p_hi, q_hi):
+        return [(p_lo, q_lo)]
+    return [(p_lo, q_lo), (p_hi, q_hi)]
+
+
+def _tie_key(candidate: tuple[int, int, int, int]):
+    """Order among equal errors: lowest f_vco (the feedback value, for one
+    f_in), then feedback denominator, output denominator, output value."""
+    fb_n, fb_d, out_n, out_d = candidate
+    return Fraction(fb_n, fb_d), fb_d, out_d, Fraction(out_n, out_d)
+
+
+def _chosen(stage, fin, target, feedback, output, channel, examined):
+    plan = _build_plan(fin, target, Fraction(*feedback), Fraction(*output), channel)
+    # A DEBUG record is seen only where the application has set up logging,
+    # which imports it.  The planner does not import it itself: that import
+    # would add several ms to every start of the command-line tool.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("clockgen.planner").debug(
+            "stage %s chose f_vco %s Hz after %d candidates",
+            stage, plan.f_vco, examined)
+    return plan
 
 
 def _build_plan(

@@ -44,6 +44,49 @@ def exact_plans(f_in, f_target, cons):
     return plans
 
 
+def approximate_plans(f_in, f_target, cons):
+    """Candidates of the searched family for a target with no exact plan,
+    by a route independent of the planner's neighbor search.
+
+    For every integer output divider with the VCO in window, the stdlib's
+    best bounded-denominator approximation of the exact feedback divider,
+    or the window edges (vco / f_in) within the cap when that approximation
+    leaves the window; for every integer feedback in window, the best
+    approximation of the exact output divider.  Returns
+    (rel_error, f_vco, feedback, output) for each legal one.
+    """
+    cap = cons.max_denominator
+    plans = []
+
+    def legal(value, int_min, int_max):
+        return (value.denominator <= cap and value >= 1
+                and int_min <= value < int_max + 1)
+
+    def add(fb, out):
+        f_achieved = f_in * fb / out
+        plans.append((abs(f_achieved - f_target) / f_target, f_in * fb, fb, out))
+
+    window = (cons.vco_min / f_in, cons.vco_max / f_in)
+    o = math.ceil(cons.vco_min / f_target)
+    while f_target * o <= cons.vco_max:
+        if cons.ms_int_min <= o <= cons.ms_int_max:
+            fb = (f_target * o / f_in).limit_denominator(cap)
+            choices = ([fb] if window[0] <= fb <= window[1]
+                       else [e for e in window if e.denominator <= cap])
+            for fb in choices:
+                if legal(fb, cons.fb_int_min, cons.fb_int_max):
+                    add(fb, Fraction(o))
+        o += 1
+    a = math.ceil(cons.vco_min / f_in)
+    while f_in * a <= cons.vco_max:
+        if cons.fb_int_min <= a <= cons.fb_int_max:
+            out = (f_in * a / f_target).limit_denominator(cap)
+            if legal(out, cons.ms_int_min, cons.ms_int_max):
+                add(Fraction(a), out)
+        a += 1
+    return plans
+
+
 def has_exact_plan(f_in, f_target, cons) -> bool:
     return bool(exact_plans(f_in, f_target, cons))
 

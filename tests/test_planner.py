@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from fractions import Fraction
@@ -130,6 +131,62 @@ def test_lowest_vco_tie_rule():
     assert plan.f_vco == Fraction(2_200_000_000)
     assert plan.feedback == RationalDivider(88, 0, 1)
     assert plan.output == RationalDivider(22, 0, 1)
+
+
+def exact_targets(rng, f_in, count):
+    """Seeded int-Hz and f_in * p / q targets inside the band."""
+    lo, hi = int(CONS.f_out_min), int(CONS.f_out_max)
+    targets = []
+    while len(targets) < count:
+        if len(targets) % 2:
+            target = f_in * rng.randint(1, 64) / rng.randint(1, 64)
+            if not CONS.f_out_min <= target <= CONS.f_out_max:
+                continue
+        else:
+            target = Fraction(rng.randint(lo, hi))
+        targets.append(target)
+    return targets
+
+
+@pytest.mark.parametrize("cons, f_ins", [
+    (CONS, (F_IN,)),
+    (CONS, (Fraction(10 * MHZ), Fraction(48 * MHZ), Fraction(50 * MHZ))),
+    (PlannerConstraints(max_denominator=12),
+     (F_IN, Fraction(48 * MHZ), Fraction(10 * MHZ))),
+], ids=["default", "other-references", "small-cap"])
+def test_lowest_vco_tie_rule_against_oracle(cons, f_ins):
+    # integer/integer plans rank first (stage 1), then every exact plan by
+    # (f_vco, feedback denominator, output denominator)
+    def rank(p):
+        f_vco, fb, out = p
+        return (fb.denominator != 1 or out.denominator != 1,
+                f_vco, fb.denominator, out.denominator)
+
+    rng = random.Random(18)
+    small_cap = cons.max_denominator < CONS.max_denominator
+    skipped_invalid_first = 0
+    for f_in in f_ins:
+        for target in exact_targets(rng, f_in, 60):
+            plans = oracles.exact_plans(f_in, target, cons)
+            try:
+                plan = plan_frequency(f_in, target, constraints=cons)
+            except UnsatisfiableFrequencyError:
+                assert not plans, target
+                continue
+            if not plans:
+                assert plan.rel_error > 0, target
+                continue
+            oracles.assert_plan_valid(plan, cons)
+            best = min(plans, key=rank)
+            assert (plan.f_vco, plan.feedback.value, plan.output.value) == best
+            if small_cap and rank(best)[0]:  # a stage-2 plan
+                uncapped = oracles.exact_plans(f_in, target, CONS)
+                if min(p[0] for p in uncapped) < plan.f_vco:
+                    skipped_invalid_first += 1
+    if small_cap:
+        # the cap must invalidate the lowest-VCO fractional candidate of
+        # some targets, or the early exit past it goes untested
+        assert skipped_invalid_first >= 5
 
 
 def test_alternate_reference_inputs():
@@ -394,6 +451,49 @@ def test_approximation_is_minimal_over_family_small_cap():
             checked_plans += 1
 
 
+@pytest.mark.parametrize("f_in", [F_IN, Fraction(10 * MHZ), Fraction(48 * MHZ)])
+def test_approximation_no_worse_than_stdlib_candidates(f_in):
+    # rough targets (denominators near 1e6) have no exact plan, so the plan
+    # must be at least as close as every limit_denominator candidate
+    rng = random.Random(19)
+    lo, hi = int(CONS.f_out_min), int(CONS.f_out_max)
+    for _ in range(40):
+        q = rng.choice((999983, 1048573, 10**6 + 3))
+        target = Fraction(rng.randint(lo * q, hi * q), q)
+        plan = plan_frequency(f_in, target)
+        oracles.assert_plan_valid(plan, CONS)
+        assert 0 < plan.rel_error <= Fraction(1, 10**9)
+        candidates = oracles.approximate_plans(f_in, target, CONS)
+        assert candidates
+        assert plan.rel_error <= min(c[0] for c in candidates), target
+
+
+def test_equal_approximation_errors_resolve_to_lowest_vco():
+    # a 10 MHz reference and a small cap give approximate plans whose error
+    # another candidate matches exactly; the lower VCO must win
+    f_in = Fraction(10 * MHZ)
+    cons = PlannerConstraints(max_denominator=5000)
+    rng = random.Random(20)
+    ties = 0
+    for _ in range(150):
+        target = Fraction(rng.randint(int(CONS.f_out_min), int(CONS.f_out_max)))
+        try:
+            plan = plan_frequency(f_in, target, constraints=cons)
+        except UnsatisfiableFrequencyError:
+            continue
+        if not plan.rel_error:
+            continue
+        candidates = oracles.approximate_plans(f_in, target, cons)
+        assert plan.rel_error <= min(c[0] for c in candidates), target
+        equal = [c for c in candidates
+                 if c[0] == plan.rel_error and c[2:] != (plan.feedback.value,
+                                                         plan.output.value)]
+        for _error, f_vco, _fb, _out in equal:
+            assert plan.f_vco < f_vco, target
+        ties += bool(equal)
+    assert ties >= 3
+
+
 def test_degenerate_single_point_vco_window():
     cons = PlannerConstraints(vco_min=Fraction(2_500_000_000),
                               vco_max=Fraction(2_500_000_000))
@@ -413,3 +513,27 @@ def test_unsatisfiable_when_family_is_empty():
     target = Fraction(25_000_000) * Fraction(10035, 1000) / 25  # wants fb 100.35
     with pytest.raises(UnsatisfiableFrequencyError):
         plan_frequency(F_IN, target, constraints=cons)
+
+
+# -- observability --------------------------------------------------------------
+
+
+def test_one_debug_record_per_plan_names_its_stage(caplog):
+    caplog.set_level(logging.DEBUG, logger="clockgen.planner")
+    targets = {
+        "int": Fraction(100 * MHZ),
+        "exactfrac": Fraction(123456789),
+        "approx": Fraction(146728095418128, 999983),
+    }
+    for stage, target in targets.items():
+        caplog.clear()
+        plan = plan_frequency(F_IN, target)
+        (record,) = caplog.records
+        assert record.name == "clockgen.planner"
+        assert record.levelno == logging.DEBUG
+        # lazy %-style arguments: nothing is formatted unless emitted
+        picked, f_vco, examined = record.args
+        assert (picked, f_vco) == (stage, plan.f_vco)
+        assert examined >= 1
+        assert stage in record.getMessage()
+        assert str(plan.f_vco) in record.getMessage()
