@@ -102,6 +102,7 @@ class DeviceHandle:
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
         self._output_registers = output_registers(synth_map)
+        self._rail_registers = rail_registers(config.rails, pot_map)
 
     @property
     def constraints(self):
@@ -200,9 +201,9 @@ class DeviceHandle:
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
         one exchange."""
-        where = rail_registers(self.config.rails, self.pot_map)
-        values = self.bridge.exchange([BridgeCommand.read(*w) for w in where])
-        snapshot = dict(zip(where, values))
+        values = self.bridge.exchange(
+            [BridgeCommand.read(*w) for w in self._rail_registers])
+        snapshot = dict(zip(self._rail_registers, values))
         return decode_rails(lambda *w: snapshot[w], self.config.rails,
                             self.pot_map)
 

@@ -14,6 +14,7 @@ self-delimiting over any transport.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,7 @@ WRITE_OPCODE = 0xFF
 READ_OPCODE = 0x00
 COMMAND_LENGTH = 4
 RESPONSE_LENGTH = 1
+READ_CACHE_SIZE = 128 * 256  # every 7-bit address times every register
 
 
 class Action(Enum):
@@ -60,7 +62,14 @@ class BridgeCommand:
         return cls(Action.WRITE, i2c_address, register, value)
 
     @classmethod
+    @functools.lru_cache(maxsize=READ_CACHE_SIZE)
     def read(cls, i2c_address: int, register: int) -> "BridgeCommand":
+        """The read of ``register`` on ``i2c_address``.
+
+        Memoised: a command is a frozen value, so every caller can share
+        one instance per valid ``(i2c_address, register)``, at most
+        ``READ_CACHE_SIZE`` of them.  Invalid arguments raise every time.
+        """
         return cls(Action.READ, i2c_address, register)
 
 
@@ -80,16 +89,13 @@ def decode_command(data: bytes) -> BridgeCommand:
     if len(data) != COMMAND_LENGTH:
         raise FramingError(f"command frame must be {COMMAND_LENGTH} bytes, got {len(data)}")
     opcode, address, register, payload = data
-    if opcode == WRITE_OPCODE:
-        action = Action.WRITE
-    elif opcode == READ_OPCODE:
-        action = Action.READ
-        payload = 0x00
-    else:
+    if opcode != WRITE_OPCODE and opcode != READ_OPCODE:
         raise InvalidOpcodeError(f"unknown opcode 0x{opcode:02X}")
     if address > 0x7F:
         raise FramingError(f"i2c address 0x{address:02X} outside 7-bit range")
-    return BridgeCommand(action, address, register, payload)
+    if opcode == READ_OPCODE:
+        return BridgeCommand.read(address, register)
+    return BridgeCommand(Action.WRITE, address, register, payload)
 
 
 def encode_read_response(value: int) -> bytes:

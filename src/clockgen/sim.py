@@ -7,6 +7,13 @@ reads queues the one-byte response.  Time is counted in discrete ``step``
 calls (one main-loop iteration each); a raised flag is always consumed
 within five steps.
 
+:meth:`BoardState.step` is that single-step model.  The event pump calls
+:meth:`BoardState.ingest` and :meth:`BoardState.run_until_idle`, which frame
+a whole received chunk at once and serve every buffered command in one pass
+with the same tick accounting, flags and responses as repeated ``step``
+calls.  The board keeps cheap counters (commands served, frames dropped,
+worst dispatch steps) and only the most recent dispatch records.
+
 The board also exposes oracle views (:meth:`BoardState.query_outputs`,
 :meth:`BoardState.query_rails`) that decode the stored register state into
 achieved frequencies, phase offsets, and rail voltages.
@@ -25,6 +32,7 @@ from .protocol import (
     Action,
     BridgeCommand,
     COMMAND_LENGTH,
+    READ_OPCODE,
     decode_command,
     encode_read_response,
 )
@@ -33,6 +41,8 @@ from .registers import RegisterFile, RegisterMap
 
 ABSENT_DEVICE_VALUE = 0xFF
 DISPATCH_STEP_BOUND = 5
+# dispatch records kept; past it, the older half is dropped
+DISPATCH_HISTORY = 4096
 
 
 class Phase(Enum):
@@ -41,7 +51,7 @@ class Phase(Enum):
     MAIN_LOOP = "main-loop"
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchRecord:
     """One executed command, with the ticks its flag was raised and served."""
 
@@ -89,7 +99,11 @@ class BoardState:
         self.pot_map = pot_map if pot_map is not None else load_pot_map()
         self.f_in: Fraction = self.config.constraints.f_in
         self.firmware = FirmwareState()
+        # the last DISPATCH_HISTORY records at most, oldest first
         self.dispatch_log: list[DispatchRecord] = []
+        self.commands_served = 0
+        self.frames_dropped = 0
+        self.max_dispatch_steps = 0  # worst dispatch_tick - flag_set_tick
         self.devices: dict[int, RegisterFile] = {
             self.config.synth_address: RegisterFile.from_map(self.synth_map)
         }
@@ -116,6 +130,7 @@ class BoardState:
         fw.rx_buffer.extend(pending_rx)
         fw.step_counter = 0
         self.dispatch_log.clear()
+        self.commands_served = self.frames_dropped = self.max_dispatch_steps = 0
         # power-init: program every rail to its configured default
         fw.phase = Phase.POWER_INIT
         for rail in self.config.rails:
@@ -133,8 +148,10 @@ class BoardState:
         self._frame()
 
     def ingest(self, data: bytes) -> None:
-        for byte in data:
-            self.ingest_byte(byte)
+        """Receive a whole chunk: buffer it, then frame as
+        :meth:`ingest_byte` would have, byte by byte."""
+        self.firmware.rx_buffer.extend(data)
+        self._frame()
 
     def _frame(self) -> None:
         """Frame complete commands while no flag is raised.
@@ -152,6 +169,7 @@ class BoardState:
             try:
                 command = decode_command(frame)
             except ProtocolError:
+                self.frames_dropped += 1
                 continue
             fw.pending = command
             fw.flag_set_tick = fw.step_counter
@@ -182,18 +200,73 @@ class BoardState:
             fw.tx_queue.extend(encode_read_response(value))
             fw.flag_read = False
         fw.pending = None
-        self.dispatch_log.append(
-            DispatchRecord(command, fw.flag_set_tick, fw.step_counter)
-        )
+        self._record(command, fw.flag_set_tick, fw.step_counter)
+
+    def _record(self, command: BridgeCommand, flag_set_tick: int,
+                dispatch_tick: int) -> None:
+        """Count a served command and keep its record; past
+        ``DISPATCH_HISTORY`` records the older half is dropped."""
+        log = self.dispatch_log
+        log.append(DispatchRecord(command, flag_set_tick, dispatch_tick))
+        if len(log) > DISPATCH_HISTORY:
+            del log[:DISPATCH_HISTORY // 2]
+        self.commands_served += 1
+        if dispatch_tick - flag_set_tick > self.max_dispatch_steps:
+            self.max_dispatch_steps = dispatch_tick - flag_set_tick
 
     def run_until_idle(self, limit: int = 100_000) -> None:
-        """Step until no flag is raised and no complete command is buffered."""
+        """Serve every buffered command, stepping until no flag is raised
+        and no complete command is buffered.
+
+        Leaves the board as calling :meth:`step` that many times would, and
+        like that loop raises ``RuntimeError`` once ``limit`` steps have
+        run without going idle.  After the command framed on ingest, each
+        step frames and serves the next valid frame in the same tick, so
+        the loop reads frames in place and cuts them from the buffer once.
+        """
         fw = self.firmware
-        for _ in range(limit):
-            if not fw.flag_raised and len(fw.rx_buffer) < COMMAND_LENGTH:
-                return
-            self.step()
-        raise RuntimeError("simulator failed to go idle")
+        buf = fw.rx_buffer
+        steps = 0
+        if limit > 0 and (fw.flag_raised or (
+                fw.phase is not Phase.MAIN_LOOP and len(buf) >= COMMAND_LENGTH)):
+            self.step()  # serves the raised flag; refuses before boot
+            steps += 1
+        pos, end = 0, len(buf) - COMMAND_LENGTH
+        tick = fw.step_counter
+        devices, tx, record = self.devices, fw.tx_queue, self._record
+        read_command = BridgeCommand.read
+        try:
+            while pos <= end and steps < limit:
+                steps += 1
+                tick += 1
+                while pos <= end:
+                    opcode, address, register = buf[pos], buf[pos + 1], buf[pos + 2]
+                    # reads come from the shared read cache; writes and
+                    # undecodable frames go through the one decoder
+                    if opcode == READ_OPCODE and address <= 0x7F:
+                        command = read_command(address, register)
+                        device = devices.get(address)
+                        tx.append(device.read(register) if device is not None
+                                  else ABSENT_DEVICE_VALUE)
+                    else:
+                        try:
+                            command = decode_command(bytes(buf[pos:pos + COMMAND_LENGTH]))
+                        except ProtocolError:
+                            pos += COMMAND_LENGTH
+                            self.frames_dropped += 1
+                            continue
+                        device = devices.get(address)
+                        if device is not None:
+                            device.write(register, command.payload)
+                    pos += COMMAND_LENGTH
+                    fw.flag_set_tick = tick
+                    record(command, tick, tick)
+                    break
+        finally:
+            del buf[:pos]
+            fw.step_counter = tick
+        if steps >= limit:
+            raise RuntimeError("simulator failed to go idle")
 
     def take_output(self) -> bytes:
         """Drain queued read responses, oldest first."""

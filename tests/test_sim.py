@@ -2,19 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clockgen import (
     Action,
     BoardState,
+    BridgeClient,
     BridgeCommand,
+    DeviceHandle,
     Phase,
     RegisterMap,
+    SimulatorServer,
     apply_plan,
     encode_command,
     plan_frequency,
     plan_phase,
     plan_voltage,
 )
+from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND
+from clockgen.transport import TcpSession
 
 
 def booted():
@@ -291,3 +297,181 @@ def test_full_mask_board_echoes_every_register():
     for address in (0, 1, 4, 0x10, 0x7F, 0xFF):
         bridge.write_register(0x70, address, 0x5A)
         assert bridge.read_register(0x70, address) == 0x5A
+
+
+# -- batch service ---------------------------------------------------------------
+
+def _frames():
+    """One 4-byte frame: a valid read or write on a present or absent device,
+    a bad opcode, an address above 0x7F, or any four bytes."""
+    address = st.sampled_from([0x70, 0x2C, 0x2D, 0x00, 0x5A, 0x7F])
+    byte = st.integers(0, 0xFF)
+    return st.one_of(
+        st.builds(lambda a, r, p: bytes((0x00, a, r, p)), address, byte, byte),
+        st.builds(lambda a, r, v: bytes((0xFF, a, r, v)), address, byte, byte),
+        st.builds(lambda o, a, r, v: bytes((o, a, r, v)),
+                  byte.filter(lambda o: o not in (0x00, 0xFF)), address, byte, byte),
+        st.builds(lambda o, a, r, v: bytes((o, a, r, v)),
+                  st.sampled_from([0x00, 0xFF]), st.integers(0x80, 0xFF), byte, byte),
+        st.binary(min_size=4, max_size=4),
+    )
+
+
+def _chunks():
+    """Byte chunks as they arrive at the board: whole frames, each chunk
+    possibly ending in a partial frame that the next one completes."""
+    chunk = st.builds(lambda frames, tail: b"".join(frames) + tail,
+                      st.lists(_frames(), max_size=12), st.binary(max_size=3))
+    return st.lists(chunk, min_size=1, max_size=5)
+
+
+def _booted_pair():
+    """Two fresh booted boards sharing one loaded map set."""
+    first = booted()
+    second = BoardState(first.synth_map, first.config, first.pot_map)
+    second.boot()
+    return first, second
+
+
+def _state(board):
+    fw = board.firmware
+    return {
+        "registers": {a: d.snapshot() for a, d in board.devices.items()},
+        "output": board.take_output(),
+        "ticks": fw.step_counter,
+        "flags": (fw.flag_write, fw.flag_read, fw.pending, fw.flag_set_tick),
+        "rx": bytes(fw.rx_buffer),
+        "records": list(board.dispatch_log),
+        "counters": (board.commands_served, board.frames_dropped,
+                     board.max_dispatch_steps),
+    }
+
+
+def _step_until_idle(board):
+    fw = board.firmware
+    while fw.flag_raised or len(fw.rx_buffer) >= 4:
+        board.step()
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.binary(max_size=6), chunks=_chunks())
+def test_batch_service_matches_single_steps(prefix, chunks):
+    """ingest + run_until_idle leaves the board as ingest_byte per byte plus
+    step() until idle would; ``prefix`` is ingested before the first batch,
+    so a flag may already be raised when it starts."""
+    batched, stepped = _booted_pair()
+    for byte in prefix:
+        batched.ingest_byte(byte)
+        stepped.ingest_byte(byte)
+    for chunk in chunks:
+        batched.ingest(chunk)
+        batched.run_until_idle()
+        for byte in chunk:
+            stepped.ingest_byte(byte)
+        _step_until_idle(stepped)
+        assert _state(batched) == _state(stepped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.binary(max_size=6), chunk=_chunks().map(b"".join),
+       limit=st.integers(-1, 12))
+def test_batch_step_limit_matches_single_steps(prefix, chunk, limit):
+    """run_until_idle(limit) raises exactly when ``limit`` steps do not
+    reach idle, after leaving the board as those steps would."""
+    batched, stepped = _booted_pair()
+    for board in (batched, stepped):
+        board.ingest(prefix)
+        board.ingest(chunk)
+    try:
+        batched.run_until_idle(limit)
+    except RuntimeError:
+        batched_raised = True
+    else:
+        batched_raised = False
+    fw = stepped.firmware
+    stepped_raised = True
+    for _ in range(limit):
+        if not fw.flag_raised and len(fw.rx_buffer) < 4:
+            stepped_raised = False
+            break
+        stepped.step()
+    assert batched_raised == stepped_raised
+    assert _state(batched) == _state(stepped)
+
+
+def test_run_until_idle_before_boot_refuses_like_step():
+    board = BoardState()
+    board.run_until_idle()  # nothing buffered: idle
+    board.ingest(encode_command(BridgeCommand.write(0x70, 0x06, 0xAB)))
+    with pytest.raises(RuntimeError, match="boot first"):
+        board.run_until_idle()
+    assert len(board.firmware.rx_buffer) == 4
+    board.boot()
+    board.run_until_idle()
+    assert board.devices[0x70].read(0x06) == 0xAB
+
+
+def test_read_commands_are_shared_values():
+    assert BridgeCommand.read(0x70, 0x06) is BridgeCommand.read(0x70, 0x06)
+    assert BridgeCommand.write(0x70, 0x06, 1) is not BridgeCommand.write(0x70, 0x06, 1)
+    with pytest.raises(ValueError):
+        BridgeCommand.read(0x80, 0x06)
+
+
+# -- bounded dispatch history ------------------------------------------------------
+
+def test_dispatch_history_stays_bounded_with_true_counters():
+    board = booted()
+    bad = bytes((0x02, 0x70, 0x06, 0x00))
+    served = dropped = 0
+    for round_ in range(3 * DISPATCH_HISTORY // 61 + 1):
+        commands = [BridgeCommand.read(0x70, (round_ + r) % 256) for r in range(60)]
+        commands.append(BridgeCommand.write(0x70, 0x06, round_ % 256))
+        board.ingest(b"".join(map(encode_command, commands)) + bad)
+        board.run_until_idle()
+        assert len(board.take_output()) == 60
+        served += len(commands)
+        dropped += 1
+        assert len(board.dispatch_log) <= DISPATCH_HISTORY
+        assert board.dispatch_log[-1].command == commands[-1]
+    for byte in encode_command(BridgeCommand.read(0x70, 0x06)) + bad:
+        board.ingest_byte(byte)  # the single-step path keeps the same bound
+    for _ in range(3):
+        board.step()
+    served, dropped = served + 1, dropped + 1
+    assert served > 3 * DISPATCH_HISTORY
+    assert len(board.dispatch_log) <= DISPATCH_HISTORY
+    assert board.commands_served == served
+    assert board.frames_dropped == dropped
+    assert 1 <= board.max_dispatch_steps <= DISPATCH_STEP_BOUND
+    board.boot()
+    assert board.dispatch_log == []
+    assert (board.commands_served, board.frames_dropped,
+            board.max_dispatch_steps) == (0, 0, 0)
+
+
+def test_dispatch_history_stays_bounded_over_tcp():
+    server = SimulatorServer(BoardState(), port=0)
+    server.start()
+    try:
+        session = TcpSession.connect("127.0.0.1", server.port, 2.0)
+        board = server.board
+        device = DeviceHandle(BridgeClient(session), board.synth_map,
+                              board.config, board.pot_map)
+        try:
+            session.write_bytes(bytes((0x00, 0x80, 0x06, 0x00)))  # dropped
+            served = 0
+            while served <= DISPATCH_HISTORY:
+                assert device.read_outputs() == board.query_outputs()
+                served += 61
+                assert len(board.dispatch_log) <= DISPATCH_HISTORY
+            assert device.read_rails() == board.query_rails()
+            served += 5
+        finally:
+            device.close()
+        assert len(board.dispatch_log) <= DISPATCH_HISTORY
+        assert board.commands_served == served
+        assert board.frames_dropped == 1
+        assert board.max_dispatch_steps <= DISPATCH_STEP_BOUND
+    finally:
+        server.stop()
