@@ -62,13 +62,16 @@ class BridgeCommand:
         return cls(Action.WRITE, i2c_address, register, value)
 
     @classmethod
-    @functools.lru_cache(maxsize=READ_CACHE_SIZE)
+    @functools.lru_cache(maxsize=READ_CACHE_SIZE, typed=True)
     def read(cls, i2c_address: int, register: int) -> "BridgeCommand":
         """The read of ``register`` on ``i2c_address``.
 
         Memoised: a command is a frozen value, so every caller can share
         one instance per valid ``(i2c_address, register)``, at most
-        ``READ_CACHE_SIZE`` of them.  Invalid arguments raise every time.
+        ``READ_CACHE_SIZE`` of them.  The cache is keyed by argument type
+        too, so an odd caller passing ``6.0`` or ``True`` never hands its
+        instance to callers passing ``6`` or ``1``.  Invalid arguments raise
+        every time.
         """
         return cls(Action.READ, i2c_address, register)
 

@@ -32,7 +32,6 @@ from .protocol import (
     Action,
     BridgeCommand,
     COMMAND_LENGTH,
-    READ_OPCODE,
     decode_command,
     encode_read_response,
 )
@@ -234,31 +233,25 @@ class BoardState:
         pos, end = 0, len(buf) - COMMAND_LENGTH
         tick = fw.step_counter
         devices, tx, record = self.devices, fw.tx_queue, self._record
-        read_command = BridgeCommand.read
+        read = Action.READ
         try:
             while pos <= end and steps < limit:
                 steps += 1
                 tick += 1
                 while pos <= end:
-                    opcode, address, register = buf[pos], buf[pos + 1], buf[pos + 2]
-                    # reads come from the shared read cache; writes and
-                    # undecodable frames go through the one decoder
-                    if opcode == READ_OPCODE and address <= 0x7F:
-                        command = read_command(address, register)
-                        device = devices.get(address)
-                        tx.append(device.read(register) if device is not None
-                                  else ABSENT_DEVICE_VALUE)
-                    else:
-                        try:
-                            command = decode_command(bytes(buf[pos:pos + COMMAND_LENGTH]))
-                        except ProtocolError:
-                            pos += COMMAND_LENGTH
-                            self.frames_dropped += 1
-                            continue
-                        device = devices.get(address)
-                        if device is not None:
-                            device.write(register, command.payload)
+                    try:
+                        command = decode_command(buf[pos:pos + COMMAND_LENGTH])
+                    except ProtocolError:
+                        pos += COMMAND_LENGTH
+                        self.frames_dropped += 1
+                        continue
                     pos += COMMAND_LENGTH
+                    device = devices.get(command.i2c_address)
+                    if command.action is read:
+                        tx.append(device.read(command.register) if device is not None
+                                  else ABSENT_DEVICE_VALUE)
+                    elif device is not None:
+                        device.write(command.register, command.payload)
                     fw.flag_set_tick = tick
                     record(command, tick, tick)
                     break

@@ -416,6 +416,15 @@ def test_read_commands_are_shared_values():
     assert BridgeCommand.write(0x70, 0x06, 1) is not BridgeCommand.write(0x70, 0x06, 1)
     with pytest.raises(ValueError):
         BridgeCommand.read(0x80, 0x06)
+    # 6.0 and True equal ints; the cache must not hand their instances
+    # to callers passing plain ints, even when they come first
+    BridgeCommand.read.cache_clear()
+    BridgeCommand.read(0x70, 6.0)
+    BridgeCommand.read(0x70, True)
+    for register in (6, 1):
+        command = BridgeCommand.read(0x70, register)
+        assert type(command.register) is int
+        assert encode_command(command) == bytes((0x00, 0x70, register, 0x00))
 
 
 # -- bounded dispatch history ------------------------------------------------------
