@@ -19,24 +19,22 @@ class InvalidOpcodeError(ProtocolError):
     """First byte of a command frame was neither the read nor write opcode."""
 
 
-class RegisterMapError(ClockgenError):
+class _LineError(ClockgenError):
+    """An error that names the input line it was found on, when there is one."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class RegisterMapError(_LineError):
     """Register-map file could not be parsed or failed validation."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class ConfigError(ClockgenError):
+class ConfigError(_LineError):
     """Configuration file could not be parsed or failed validation."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class TransportError(ClockgenError):

@@ -102,7 +102,8 @@ class DeviceHandle:
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
         self._output_registers = output_registers(synth_map)
-        self._rail_registers = rail_registers(config.rails, pot_map)
+        self._rail_reads = [BridgeCommand.read(*where)
+                            for where in rail_registers(config.rails, pot_map)]
 
     @property
     def constraints(self):
@@ -201,11 +202,8 @@ class DeviceHandle:
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
         one exchange."""
-        values = self.bridge.exchange(
-            [BridgeCommand.read(*w) for w in self._rail_registers])
-        snapshot = dict(zip(self._rail_registers, values))
-        return decode_rails(lambda *w: snapshot[w], self.config.rails,
-                            self.pot_map)
+        return decode_rails(self.bridge.exchange(self._rail_reads),
+                            self.config.rails)
 
     def _snapshot(self, registers: list[int]) -> Callable[[int], int]:
         """Read synthesizer ``registers`` in one exchange; returns a lookup

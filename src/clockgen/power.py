@@ -34,7 +34,6 @@ class RailModel:
     r_fixed: Fraction = Fraction(10_000)
     r_ab: Fraction = Fraction(20_000)
     r_wiper: Fraction = Fraction(60)
-    steps: int = WIPER_STEPS
     v_default: Fraction = Fraction("2.5")
 
     def __post_init__(self):
@@ -42,25 +41,23 @@ class RailModel:
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if min(self.r_fixed, self.r_ab, self.r_wiper) <= 0 or self.v_ref <= 0:
             raise ValueError("rail resistances and reference must be positive")
-        if self.steps != WIPER_STEPS:
-            raise ValueError(f"pot must have {WIPER_STEPS} steps")
         if not 0 <= self.pot_address <= 0x7F:
             raise ValueError("pot i2c address outside 7-bit range")
         if not 0 <= self.pot_channel <= 3:
             raise ValueError("pot channel must be 0..3")
 
     def wiper_resistance(self, code: int) -> Fraction:
-        return Fraction(code, self.steps) * self.r_ab + self.r_wiper
+        return Fraction(code, WIPER_STEPS) * self.r_ab + self.r_wiper
 
     def predict(self, code: int) -> Fraction:
         """Exact output voltage for one wiper code."""
-        if not 0 <= code < self.steps:
-            raise ValueError(f"wiper code {code} outside 0..{self.steps - 1}")
+        if not 0 <= code < WIPER_STEPS:
+            raise ValueError(f"wiper code {code} outside 0..{WIPER_STEPS - 1}")
         return self.v_ref * (1 + self.wiper_resistance(code) / self.r_fixed)
 
     @property
     def volts_per_step(self) -> Fraction:
-        return self.v_ref * self.r_ab / (self.steps * self.r_fixed)
+        return self.v_ref * self.r_ab / (WIPER_STEPS * self.r_fixed)
 
 
 @dataclass(frozen=True)
@@ -85,16 +82,16 @@ def plan_voltage(rail: RailModel, v_target: FrequencyLike) -> SupplySetting:
     if target <= 0:
         raise ValueError("target voltage must be positive")
     half_step = rail.volts_per_step / 2
-    v_lo, v_hi = rail.predict(0), rail.predict(rail.steps - 1)
+    v_lo, v_hi = rail.predict(0), rail.predict(WIPER_STEPS - 1)
     if not v_lo - half_step <= target <= v_hi + half_step:
         raise InfeasibleVoltageError(
             f"rail {rail.rail_id}: {float(target):.4g} V outside reachable band "
             f"[{float(v_lo):.6g}, {float(v_hi):.6g}] V"
         )
     exact_code = (rail.r_fixed * (target / rail.v_ref - 1) - rail.r_wiper) \
-        * rail.steps / rail.r_ab
-    floor_code = max(0, min(rail.steps - 1, math.floor(exact_code)))
-    ceil_code = max(0, min(rail.steps - 1, math.ceil(exact_code)))
+        * WIPER_STEPS / rail.r_ab
+    floor_code = max(0, min(WIPER_STEPS - 1, math.floor(exact_code)))
+    ceil_code = max(0, min(WIPER_STEPS - 1, math.ceil(exact_code)))
     best = floor_code
     if ceil_code != floor_code:
         if abs(rail.predict(ceil_code) - target) < abs(rail.predict(floor_code) - target):

@@ -136,16 +136,9 @@ def rail_registers(rails: Sequence[RailModel], pot_map: RegisterMap
     return [(rail.pot_address, wiper_register(rail, pot_map)) for rail in rails]
 
 
-def decode_rails(
-    read: Callable[[int, int], int],
-    rails: Sequence[RailModel],
-    pot_map: RegisterMap,
-) -> dict[int, Fraction]:
-    """Predicted volts per rail from stored wiper codes.
-
-    ``read(i2c_address, register)`` fetches one pot register.
-    """
-    return {
-        rail.rail_id: rail.predict(read(*where))
-        for rail, where in zip(rails, rail_registers(rails, pot_map))
-    }
+def decode_rails(codes: Sequence[int], rails: Sequence[RailModel]
+                 ) -> dict[int, Fraction]:
+    """Predicted volts per rail from the wiper codes stored at
+    :func:`rail_registers`, given in rail order."""
+    return {rail.rail_id: rail.predict(code)
+            for rail, code in zip(rails, codes, strict=True)}

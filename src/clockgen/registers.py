@@ -13,16 +13,18 @@ The second section binds named functional fields to bit ranges::
 default to reset 0x00 with a fully writable mask.
 
 Parameters wider than one register are stored little-endian across a run of
-fields named ``<base>_b0`` (least significant) .. ``<base>_bN``;
-:meth:`RegisterMap.pack` and :meth:`RegisterMap.unpack` accept either a
-plain field name or such a composite base name.
+fields named ``<base>_b0`` (least significant) .. ``<base>_bN``, up to the
+first missing index; :meth:`RegisterMap.pack` and :meth:`RegisterMap.unpack`
+accept either a plain field name or such a composite base name.  A plain
+field of the same name as a base wins.  Each name's layout is resolved once,
+when the map is built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import RegisterMapError
 
@@ -59,12 +61,6 @@ class BitField:
     def mask(self) -> int:
         return ((1 << self.width) - 1) << self.lsb
 
-    def extract(self, register_value: int) -> int:
-        return (register_value & self.mask) >> self.lsb
-
-    def place(self, field_value: int) -> int:
-        return (field_value << self.lsb) & self.mask
-
 
 @dataclass(frozen=True)
 class MapEntry:
@@ -79,8 +75,26 @@ class MapEntry:
             raise ValueError("reset/mask must fit one byte")
 
 
+class _Layout(NamedTuple):
+    """Where one field or composite lives, least significant part first."""
+
+    fields: tuple[BitField, ...]
+    width: int  # total bits
+    parts: tuple[tuple[int, int, int, int], ...]  # (address, mask, lsb, offset)
+
+
+def _resolve(fields: tuple[BitField, ...]) -> _Layout:
+    parts = []
+    offset = 0
+    for field in fields:
+        parts.append((field.address, field.mask, field.lsb, offset))
+        offset += field.width
+    return _Layout(fields, offset, tuple(parts))
+
+
 class RegisterMap:
-    """Immutable register-map: entries plus the named-field index."""
+    """Immutable register-map: entries, the named-field index, and the
+    layout of every field and composite name."""
 
     def __init__(self, entries: Iterable[MapEntry], fields: Iterable[BitField]):
         self.entries: dict[int, MapEntry] = {}
@@ -94,6 +108,14 @@ class RegisterMap:
                 raise RegisterMapError(f"duplicate field name {field.name}")
             self.fields[field.name] = field
         self._validate()
+        self._layouts = {name: _resolve((f,)) for name, f in self.fields.items()}
+        for name in self.fields:
+            base = name[:-3]
+            if name.endswith("_b0") and base not in self._layouts:
+                run = []
+                while f"{base}_b{len(run)}" in self.fields:
+                    run.append(self.fields[f"{base}_b{len(run)}"])
+                self._layouts[base] = _resolve(tuple(run))
 
     def _validate(self) -> None:
         # exhaustive bit-overlap scan over (address, bit) space
@@ -129,38 +151,29 @@ class RegisterMap:
         except KeyError:
             raise RegisterMapError(f"unknown field {name}") from None
 
-    def group(self, name: str) -> list[BitField]:
+    def _layout(self, name: str) -> _Layout:
+        try:
+            return self._layouts[name]
+        except KeyError:
+            raise RegisterMapError(f"unknown field {name}") from None
+
+    def group(self, name: str) -> tuple[BitField, ...]:
         """Resolve a field name or composite base name, least significant first."""
-        if name in self.fields:
-            return [self.fields[name]]
-        parts = []
-        while f"{name}_b{len(parts)}" in self.fields:
-            parts.append(self.fields[f"{name}_b{len(parts)}"])
-        if not parts:
-            raise RegisterMapError(f"unknown field {name}")
-        return parts
+        return self._layout(name).fields
 
     def pack(self, name: str, value: int) -> list[tuple[int, int, int]]:
         """Split ``value`` into (address, placed-bits, bit-mask) register writes."""
-        parts = self.group(name)
-        total = sum(f.width for f in parts)
-        if not 0 <= value < (1 << total):
-            raise ValueError(f"value {value} does not fit {total}-bit field {name}")
-        writes = []
-        offset = 0
-        for field in parts:
-            chunk = (value >> offset) & ((1 << field.width) - 1)
-            writes.append((field.address, field.place(chunk), field.mask))
-            offset += field.width
-        return writes
+        _, width, parts = self._layout(name)
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value {value} does not fit {width}-bit field {name}")
+        return [(address, (value >> offset << lsb) & mask, mask)
+                for address, mask, lsb, offset in parts]
 
     def unpack(self, name: str, read: Callable[[int], int]) -> int:
         """Assemble a field or composite value using ``read(address)``."""
         value = 0
-        offset = 0
-        for field in self.group(name):
-            value |= field.extract(read(field.address)) << offset
-            offset += field.width
+        for address, mask, lsb, offset in self._layout(name).parts:
+            value |= (read(address) & mask) >> lsb << offset
         return value
 
     def serialize(self) -> str:
@@ -182,11 +195,11 @@ class RegisterMap:
 
 def parse_register_map(text: str) -> RegisterMap:
     """Parse register-map text.  Raises :class:`RegisterMapError` with the
-    offending line number on any syntax or validation problem."""
+    offending line number on any syntax or range problem; duplicate
+    addresses or field names and overlapping fields are reported by the
+    :class:`RegisterMap` constructor, without one."""
     entries: list[MapEntry] = []
     fields: list[BitField] = []
-    seen_addresses: set[int] = set()
-    seen_names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -196,23 +209,14 @@ def parse_register_map(text: str) -> RegisterMap:
             if not match:
                 raise RegisterMapError(f"bad field binding: {line!r}", line=lineno)
             name, addr_s, msb_s, lsb_s = match.groups()
-            field = _construct(BitField, lineno, name, int(addr_s, 0),
-                               int(msb_s), int(lsb_s))
-            if name in seen_names:
-                raise RegisterMapError(f"duplicate field name {name}", line=lineno)
-            seen_names.add(name)
-            fields.append(field)
+            fields.append(_construct(BitField, lineno, name, int(addr_s, 0),
+                                     int(msb_s), int(lsb_s)))
         elif "," in line:
             match = _ENTRY_RE.match(line)
             if not match:
                 raise RegisterMapError(f"bad register entry: {line!r}", line=lineno)
-            entry = _construct(MapEntry, lineno, *(int(s, 0) for s in match.groups()))
-            if entry.address in seen_addresses:
-                raise RegisterMapError(
-                    f"duplicate register address 0x{entry.address:02X}", line=lineno
-                )
-            seen_addresses.add(entry.address)
-            entries.append(entry)
+            entries.append(_construct(MapEntry, lineno,
+                                      *(int(s, 0) for s in match.groups())))
         else:
             raise RegisterMapError(f"unrecognized line: {line!r}", line=lineno)
     return RegisterMap(entries, fields)

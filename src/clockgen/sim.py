@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .config import StackConfig, default_config, load_pot_map, load_synth_map
 from .errors import ProtocolError
-from .power import plan_voltage, wiper_register
+from .power import plan_voltage
 from .protocol import (
     Action,
     BridgeCommand,
@@ -35,7 +35,13 @@ from .protocol import (
     decode_command,
     encode_read_response,
 )
-from .readout import ChannelStatus, decode_outputs, decode_rails, output_registers
+from .readout import (
+    ChannelStatus,
+    decode_outputs,
+    decode_rails,
+    output_registers,
+    rail_registers,
+)
 from .registers import RegisterFile, RegisterMap
 
 ABSENT_DEVICE_VALUE = 0xFF
@@ -110,6 +116,7 @@ class BoardState:
             if rail.pot_address == self.config.synth_address:
                 raise ValueError("pot shares the synthesizer's i2c address")
             self.devices.setdefault(rail.pot_address, RegisterFile.from_map(self.pot_map))
+        self._rail_registers = rail_registers(self.config.rails, self.pot_map)
 
     # -- firmware lifecycle -------------------------------------------------
 
@@ -132,10 +139,8 @@ class BoardState:
         self.commands_served = self.frames_dropped = self.max_dispatch_steps = 0
         # power-init: program every rail to its configured default
         fw.phase = Phase.POWER_INIT
-        for rail in self.config.rails:
-            setting = plan_voltage(rail, rail.v_default)
-            self.devices[rail.pot_address].write(
-                wiper_register(rail, self.pot_map), setting.code)
+        for rail, (address, register) in zip(self.config.rails, self._rail_registers):
+            self.devices[address].write(register, plan_voltage(rail, rail.v_default).code)
         fw.phase = Phase.MAIN_LOOP
 
     def ingest_byte(self, byte: int) -> None:
@@ -278,8 +283,6 @@ class BoardState:
 
     def query_rails(self) -> dict[int, Fraction]:
         """Predicted volts per rail from the stored wiper codes."""
-        return decode_rails(
-            lambda address, register: self.devices[address].read(register),
-            self.config.rails,
-            self.pot_map,
-        )
+        return decode_rails([self.devices[address].read(register)
+                             for address, register in self._rail_registers],
+                            self.config.rails)

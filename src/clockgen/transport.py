@@ -67,12 +67,12 @@ class SimulatorHost:
         self.board = board
         self._active: InProcessSession | None = None
 
-    def open(self, read_timeout: float = 1.0) -> "InProcessSession":
+    def open(self) -> "InProcessSession":
         if self._active is not None:
             raise AlreadyOpenError("simulator already has an open session")
         if self.board.firmware.phase is not Phase.MAIN_LOOP:
             self.board.boot()
-        session = InProcessSession(self, read_timeout)
+        session = InProcessSession(self)
         self._active = session
         return session
 
@@ -90,9 +90,8 @@ class SimulatorHost:
 class InProcessSession:
     """Session straight into a :class:`SimulatorHost`."""
 
-    def __init__(self, host: SimulatorHost, read_timeout: float):
+    def __init__(self, host: SimulatorHost):
         self._host = host
-        self._timeout = read_timeout
         self._open = True
         self._rx = bytearray()
 
@@ -100,7 +99,7 @@ class InProcessSession:
         self._require_open()
         self._host.ingest(bytes(data))
 
-    def read_bytes(self, n: int, timeout: float | None = None) -> bytes:
+    def read_bytes(self, n: int) -> bytes:
         self._require_open()
         self._rx.extend(self._host.board.take_output())
         if len(self._rx) < n:
@@ -150,11 +149,11 @@ class TcpSession:
             except OSError as exc:
                 raise SessionClosedError(f"send failed: {exc}") from exc
 
-    def read_bytes(self, n: int, timeout: float | None = None) -> bytes:
+    def read_bytes(self, n: int) -> bytes:
         """Exactly ``n`` bytes or a timeout error; never partial success.
         Bytes received before a timeout stay buffered for the next read."""
         self._require_open()
-        deadline = time.monotonic() + (timeout if timeout is not None else self._timeout)
+        deadline = time.monotonic() + self._timeout
         with self._guard():
             while len(self._rx) < n:
                 remaining = deadline - time.monotonic()
@@ -218,5 +217,5 @@ def open_session(config: SessionConfig, simulator: SimulatorHost | None = None):
     if config.endpoint == "sim":
         if simulator is None:
             raise ValueError("in-process endpoint requires a SimulatorHost")
-        return simulator.open(config.read_timeout)
+        return simulator.open()
     return TcpSession.connect(config.host, config.port, config.read_timeout)

@@ -64,9 +64,9 @@ class CountingSession:
         self.written.clear()
         self.write_sizes.clear()
 
-    def read_bytes(self, n, timeout=None):
+    def read_bytes(self, n):
         self.reads += 1
-        return self.inner.read_bytes(n, timeout)
+        return self.inner.read_bytes(n)
 
     def close(self):
         self.inner.close()

@@ -1,9 +1,11 @@
-"""Independent reference implementations for checking the planners.
+"""Independent reference implementations for checking the planners and the
+register map.
 
 Everything here deliberately takes a different route from the package code:
 stdlib ``Fraction.limit_denominator`` instead of the hand-rolled mediant
 descent, exhaustive scans instead of analytic inversion, brute-force sweeps
-instead of staged search.  Expected test values are computed from these, not
+instead of staged search, per-call probing and bit-at-a-time packing instead
+of precomputed field layouts.  Expected test values are computed from these, not
 from the code under test.
 """
 
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from clockgen.power import WIPER_STEPS
 
 
 def exact_plans(f_in, f_target, cons):
@@ -116,7 +120,7 @@ def phase_steps(offset: Fraction, quantum: Fraction, limit: int = 127) -> int:
 
 def supply_code(rail, v_target: Fraction) -> int:
     """Exhaustive 256-point argmin; ties to the lower code."""
-    return min(range(rail.steps),
+    return min(range(WIPER_STEPS),
                key=lambda code: (abs(rail.predict(code) - v_target), code))
 
 
@@ -139,3 +143,43 @@ def band_targets(rng, count: int, cons) -> list[Fraction]:
             q = rng.choice(rough_denominators)
             targets.append(Fraction(rng.randint(lo * q, hi * q), q))
     return targets
+
+
+def probing_group(fields, name):
+    """Resolve a field name or composite base name by probing ``fields``
+    (name -> BitField): the plain field first, else ``<name>_b0``,
+    ``<name>_b1``, ... up to the first missing index.  Least significant
+    first; raises ``KeyError`` when neither exists."""
+    if name in fields:
+        return [fields[name]]
+    parts = []
+    while f"{name}_b{len(parts)}" in fields:
+        parts.append(fields[f"{name}_b{len(parts)}"])
+    if not parts:
+        raise KeyError(name)
+    return parts
+
+
+def bitwise_pack(parts, value):
+    """(address, placed-bits, bit-mask) per field of ``parts``, placing
+    ``value`` one bit at a time, least significant field first."""
+    writes = []
+    bit = 0
+    for field in parts:
+        placed = mask = 0
+        for position in range(field.lsb, field.msb + 1):
+            placed |= (value >> bit & 1) << position
+            mask |= 1 << position
+            bit += 1
+        writes.append((field.address, placed, mask))
+    return writes
+
+
+def bitwise_unpack(parts, read):
+    """The value ``parts`` hold, gathered one bit at a time via ``read``."""
+    value = bit = 0
+    for field in parts:
+        for position in range(field.lsb, field.msb + 1):
+            value |= (read(field.address) >> position & 1) << bit
+            bit += 1
+    return value

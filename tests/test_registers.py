@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clockgen import (
+    BitField,
+    MapEntry,
     RegisterFile,
     RegisterMap,
     RegisterMapError,
@@ -10,6 +13,9 @@ from clockgen import (
     load_synth_map,
     parse_register_map,
 )
+from clockgen.readout import field_registers
+
+import oracles
 
 
 def test_parse_single_entry():
@@ -35,6 +41,12 @@ def test_parse_reports_correct_line_past_comments():
 def test_parse_duplicate_address():
     with pytest.raises(RegisterMapError, match="duplicate"):
         parse_register_map("0x10, 0x00, 0xFF\n0x10, 0x01, 0xFF\n")
+
+
+def test_parse_duplicate_field_name():
+    text = "0x04, 0x00, 0xFF\na = 0x04[0:0]\na = 0x04[1:1]\n"
+    with pytest.raises(RegisterMapError, match="duplicate field name a"):
+        parse_register_map(text)
 
 
 def test_parse_field_binding():
@@ -172,3 +184,63 @@ def test_empty_map_defaults():
     regmap = RegisterMap.empty()
     assert regmap.reset_value(0x80) == 0x00
     assert regmap.write_mask(0x80) == 0xFF
+
+
+# gapped runs, a plain field that is also a run base, look-alike suffixes
+_NAMES = ("x", "x_b0", "x_b1", "x_b2", "x_b3", "x_b01", "x_b00", "x_b10",
+          "x_b0_b0", "y_b0", "y_b1", "y_b2", "_b0", "b0")
+_QUERIES = _NAMES + ("y", "", "x_b", "x_b4", "z")
+
+
+@st.composite
+def _maps(draw):
+    """Maps over a subset of ``_NAMES``, fields listed in shuffled order,
+    each in its own half-register slot with a random bit range."""
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    slots = draw(st.permutations([(a, half) for a in range(8) for half in (0, 4)]))
+    fields = []
+    for name, (address, half) in zip(names, slots):
+        lsb = draw(st.integers(0, 3))
+        msb = draw(st.integers(lsb, 3))
+        fields.append(BitField(name, address, half + msb, half + lsb))
+    fields = draw(st.permutations(fields))
+    return RegisterMap([MapEntry(a, 0x00, 0xFF) for a in range(8)], fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regmap=_maps(), data=st.data())
+def test_layouts_match_the_probing_rule(regmap, data):
+    """group, pack, unpack and field_registers resolve every name as the
+    probing reference does, and pack/unpack round-trip through registers."""
+    registers = RegisterFile()
+    for address in range(8):
+        registers.write(address, data.draw(st.integers(0, 0xFF)))
+    resolved = []
+    for name in _QUERIES:
+        try:
+            parts = oracles.probing_group(regmap.fields, name)
+        except KeyError:
+            with pytest.raises(RegisterMapError):
+                regmap.group(name)
+            with pytest.raises(RegisterMapError):
+                regmap.pack(name, 0)
+            with pytest.raises(RegisterMapError):
+                regmap.unpack(name, registers.read)
+            continue
+        resolved.append(name)
+        assert list(regmap.group(name)) == parts
+        assert regmap.unpack(name, registers.read) == \
+            oracles.bitwise_unpack(parts, registers.read)
+        width = sum(f.width for f in parts)
+        value = data.draw(st.integers(0, (1 << width) - 1))
+        writes = regmap.pack(name, value)
+        assert writes == oracles.bitwise_pack(parts, value)
+        for address, placed, mask in writes:
+            registers.write(address, (registers.read(address) & ~mask) | placed)
+        assert regmap.unpack(name, registers.read) == value
+        for oversized in (-1, 1 << width):
+            with pytest.raises(ValueError, match=f"{width}-bit field"):
+                regmap.pack(name, oversized)
+    names = data.draw(st.lists(st.sampled_from(resolved))) if resolved else []
+    assert field_registers(regmap, names) == sorted(
+        {f.address for name in names for f in oracles.probing_group(regmap.fields, name)})
