@@ -128,10 +128,8 @@ class RationalDivider:
     @classmethod
     def from_fraction(cls, value: Fraction) -> "RationalDivider":
         a, rem = divmod(value.numerator, value.denominator)
-        if rem == 0:
-            return cls(a, 0, 1)
-        frac = Fraction(rem, value.denominator)
-        return cls(a, frac.numerator, frac.denominator)
+        # rem/denominator of a reduced fraction is already in lowest terms
+        return cls(a, rem, value.denominator) if rem else cls(a, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -471,15 +469,12 @@ def decode_divider(
     if total % 128:
         raise InconsistentEncodingError("parameters are not a divider image")
     numerator = total // 128
-    a, rem = divmod(numerator, p3)
+    a = numerator // p3
     if int_range is not None and not int_range[0] <= a <= int_range[1]:
         raise InconsistentEncodingError(
             f"integer part {a} outside legal range {int_range}"
         )
-    if rem == 0:
-        return RationalDivider(a, 0, 1)
-    frac = Fraction(rem, p3)  # normalizes unreduced b/c, value unchanged
-    return RationalDivider(a, frac.numerator, frac.denominator)
+    return RationalDivider.from_fraction(Fraction(numerator, p3))
 
 
 def phase_step_byte(steps: int) -> int:

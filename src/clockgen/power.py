@@ -3,9 +3,17 @@
 Each rail is an adjustable regulator whose output is set by a digital
 potentiometer in the upper feedback position::
 
-    v_out(code) = v_ref * (1 + R_wb(code) / r_fixed)
-    R_wb(code)  = code/256 * r_ab + r_wiper
+    v_out(code) = v_ref * (1 + (code/256 * r_ab + r_wiper) / r_fixed)
 
+which is one exact line in the code::
+
+    v_out(code) = v_zero + code * volts_per_step
+    v_zero = v_ref * (1 + r_wiper / r_fixed)
+    volts_per_step = v_ref * r_ab / (256 * r_fixed)
+
+A target's exact position on that line, ``(target - v_zero) /
+volts_per_step``, is feasible within half a step of 0..255, and its nearest
+code (ties to the lower one) is ``ceil(position - 1/2)``, clamped to 0.
 Rail parameters are per-rail configuration with conventional defaults; the
 arithmetic is exact rational so the planned code provably equals the
 exhaustive argmin.
@@ -16,11 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfeasibleVoltageError
 from .planner import FrequencyLike, as_fraction
 
 WIPER_STEPS = 256
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -46,18 +56,20 @@ class RailModel:
         if not 0 <= self.pot_channel <= 3:
             raise ValueError("pot channel must be 0..3")
 
-    def wiper_resistance(self, code: int) -> Fraction:
-        return Fraction(code, WIPER_STEPS) * self.r_ab + self.r_wiper
+    @cached_property
+    def v_zero(self) -> Fraction:
+        """Exact output voltage at code 0."""
+        return self.v_ref * (1 + self.r_wiper / self.r_fixed)
+
+    @cached_property
+    def volts_per_step(self) -> Fraction:
+        return self.v_ref * self.r_ab / (WIPER_STEPS * self.r_fixed)
 
     def predict(self, code: int) -> Fraction:
         """Exact output voltage for one wiper code."""
         if not 0 <= code < WIPER_STEPS:
             raise ValueError(f"wiper code {code} outside 0..{WIPER_STEPS - 1}")
-        return self.v_ref * (1 + self.wiper_resistance(code) / self.r_fixed)
-
-    @property
-    def volts_per_step(self) -> Fraction:
-        return self.v_ref * self.r_ab / (WIPER_STEPS * self.r_fixed)
+        return self.v_zero + code * self.volts_per_step
 
 
 @dataclass(frozen=True)
@@ -73,31 +85,23 @@ def plan_voltage(rail: RailModel, v_target: FrequencyLike) -> SupplySetting:
     """Pick the wiper code minimizing |predicted - target|, ties to the
     lower code.
 
-    The predicted voltage is linear and strictly increasing in the code, so
-    the argmin is the floor or ceiling of the exact inversion; both are
-    evaluated exactly.  Targets more than half a step outside the reachable
-    band are infeasible.
+    The predicted voltage is a strictly increasing line in the code, so the
+    argmin is the code nearest the target's exact position on it.  Targets
+    more than half a step outside the reachable band are infeasible.
     """
     target = as_fraction(v_target)
     if target <= 0:
         raise ValueError("target voltage must be positive")
-    half_step = rail.volts_per_step / 2
-    v_lo, v_hi = rail.predict(0), rail.predict(WIPER_STEPS - 1)
-    if not v_lo - half_step <= target <= v_hi + half_step:
+    position = (target - rail.v_zero) / rail.volts_per_step
+    if not -HALF <= position <= WIPER_STEPS - HALF:
         raise InfeasibleVoltageError(
             f"rail {rail.rail_id}: {float(target):.4g} V outside reachable band "
-            f"[{float(v_lo):.6g}, {float(v_hi):.6g}] V"
+            f"[{float(rail.predict(0)):.6g}, {float(rail.predict(WIPER_STEPS - 1)):.6g}] V"
         )
-    exact_code = (rail.r_fixed * (target / rail.v_ref - 1) - rail.r_wiper) \
-        * WIPER_STEPS / rail.r_ab
-    floor_code = max(0, min(WIPER_STEPS - 1, math.floor(exact_code)))
-    ceil_code = max(0, min(WIPER_STEPS - 1, math.ceil(exact_code)))
-    best = floor_code
-    if ceil_code != floor_code:
-        if abs(rail.predict(ceil_code) - target) < abs(rail.predict(floor_code) - target):
-            best = ceil_code
-    predicted = rail.predict(best)
-    return SupplySetting(code=best, v_predicted=predicted, v_error=abs(predicted - target))
+    # only position -1/2 itself rounds below code 0
+    code = max(0, math.ceil(position - HALF))
+    predicted = rail.predict(code)
+    return SupplySetting(code=code, v_predicted=predicted, v_error=abs(predicted - target))
 
 
 def apply_supply(bridge, rail: RailModel, setting: SupplySetting, pot_map) -> None:

@@ -33,7 +33,6 @@ from .protocol import (
     BridgeCommand,
     COMMAND_LENGTH,
     decode_command,
-    encode_read_response,
 )
 from .readout import (
     ChannelStatus,
@@ -70,9 +69,7 @@ class FirmwareState:
     """Flags, buffers, and queues of the simulated MCU."""
 
     phase: Phase = Phase.STARTUP
-    flag_write: bool = False
-    flag_read: bool = False
-    pending: BridgeCommand | None = None
+    pending: BridgeCommand | None = None  # the raised flag's command
     rx_buffer: bytearray = field(default_factory=bytearray)
     tx_queue: bytearray = field(default_factory=bytearray)
     step_counter: int = 0
@@ -80,10 +77,17 @@ class FirmwareState:
 
     @property
     def flag_raised(self) -> bool:
-        return self.flag_write or self.flag_read
+        return self.pending is not None
+
+    @property
+    def flag_write(self) -> bool:
+        return self.pending is not None and self.pending.action is Action.WRITE
+
+    @property
+    def flag_read(self) -> bool:
+        return self.pending is not None and self.pending.action is Action.READ
 
     def clear_queues(self) -> None:
-        self.flag_write = self.flag_read = False
         self.pending = None
         self.rx_buffer.clear()
         self.tx_queue.clear()
@@ -167,7 +171,7 @@ class BoardState:
         fw = self.firmware
         if fw.phase is not Phase.MAIN_LOOP:
             return
-        while not fw.flag_raised and len(fw.rx_buffer) >= COMMAND_LENGTH:
+        while fw.pending is None and len(fw.rx_buffer) >= COMMAND_LENGTH:
             frame = bytes(fw.rx_buffer[:COMMAND_LENGTH])
             del fw.rx_buffer[:COMMAND_LENGTH]
             try:
@@ -177,10 +181,6 @@ class BoardState:
                 continue
             fw.pending = command
             fw.flag_set_tick = fw.step_counter
-            if command.action is Action.WRITE:
-                fw.flag_write = True
-            else:
-                fw.flag_read = True
 
     def step(self) -> None:
         """One main-loop iteration: serve a raised flag, if any."""
@@ -188,28 +188,27 @@ class BoardState:
         if fw.phase is not Phase.MAIN_LOOP:
             raise RuntimeError("step() requires the firmware main loop (boot first)")
         fw.step_counter += 1
-        if not fw.flag_raised:
+        if fw.pending is None:
             self._frame()
-        if not fw.flag_raised:
-            return
         command = fw.pending
-        device = self.devices.get(command.i2c_address)
-        if fw.flag_write:
-            if device is not None:
-                device.write(command.register, command.payload)
-            fw.flag_write = False
-        else:
-            value = device.read(command.register) if device is not None \
-                else ABSENT_DEVICE_VALUE
-            fw.tx_queue.extend(encode_read_response(value))
-            fw.flag_read = False
+        if command is None:
+            return
+        self._serve(command, fw.flag_set_tick, fw.step_counter)
         fw.pending = None
-        self._record(command, fw.flag_set_tick, fw.step_counter)
 
-    def _record(self, command: BridgeCommand, flag_set_tick: int,
-                dispatch_tick: int) -> None:
-        """Count a served command and keep its record; past
-        ``DISPATCH_HISTORY`` records the older half is dropped."""
+    def _serve(self, command: BridgeCommand, flag_set_tick: int,
+               dispatch_tick: int) -> None:
+        """Dispatch one command: access its device (reads of an absent
+        device answer ``ABSENT_DEVICE_VALUE``), queue a read's response,
+        then count it and keep its record; past ``DISPATCH_HISTORY``
+        records the older half is dropped."""
+        device = self.devices.get(command.i2c_address)
+        if command.action is Action.READ:
+            self.firmware.tx_queue.append(
+                device.read(command.register) if device is not None
+                else ABSENT_DEVICE_VALUE)
+        elif device is not None:
+            device.write(command.register, command.payload)
         log = self.dispatch_log
         log.append(DispatchRecord(command, flag_set_tick, dispatch_tick))
         if len(log) > DISPATCH_HISTORY:
@@ -237,8 +236,7 @@ class BoardState:
             steps += 1
         pos, end = 0, len(buf) - COMMAND_LENGTH
         tick = fw.step_counter
-        devices, tx, record = self.devices, fw.tx_queue, self._record
-        read = Action.READ
+        serve = self._serve
         try:
             while pos <= end and steps < limit:
                 steps += 1
@@ -251,14 +249,8 @@ class BoardState:
                         self.frames_dropped += 1
                         continue
                     pos += COMMAND_LENGTH
-                    device = devices.get(command.i2c_address)
-                    if command.action is read:
-                        tx.append(device.read(command.register) if device is not None
-                                  else ABSENT_DEVICE_VALUE)
-                    elif device is not None:
-                        device.write(command.register, command.payload)
                     fw.flag_set_tick = tick
-                    record(command, tick, tick)
+                    serve(command, tick, tick)
                     break
         finally:
             del buf[:pos]

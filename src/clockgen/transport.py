@@ -41,17 +41,16 @@ class SessionConfig:
             raise ValueError("read_timeout must be positive")
 
     @classmethod
-    def parse(cls, text: str, read_timeout: float = 1.0) -> "SessionConfig":
+    def parse(cls, text: str) -> "SessionConfig":
         """Parse an endpoint string: ``sim`` or ``tcp:HOST:PORT``."""
         if text == "sim":
-            return cls(endpoint="sim", read_timeout=read_timeout)
+            return cls(endpoint="sim")
         if text.startswith("tcp:"):
             rest = text[4:]
             host, sep, port_s = rest.rpartition(":")
             if not sep or not host or not port_s.isdigit():
                 raise ValueError(f"bad tcp endpoint {text!r}, want tcp:HOST:PORT")
-            return cls(endpoint="tcp", host=host, port=int(port_s),
-                       read_timeout=read_timeout)
+            return cls(endpoint="tcp", host=host, port=int(port_s))
         raise ValueError(f"unknown transport {text!r}, want sim or tcp:HOST:PORT")
 
 

@@ -118,6 +118,13 @@ def phase_steps(offset: Fraction, quantum: Fraction, limit: int = 127) -> int:
                key=lambda s: (abs(offset - s * quantum), -abs(s)))
 
 
+def rail_volts(rail, code: int) -> Fraction:
+    """The regulator physics term by term, not the package's line:
+    ``v_ref * (1 + R_wb / r_fixed)`` with ``R_wb = code/256 * r_ab + r_wiper``."""
+    wiper = Fraction(code, WIPER_STEPS) * rail.r_ab + rail.r_wiper
+    return rail.v_ref * (1 + wiper / rail.r_fixed)
+
+
 def supply_code(rail, v_target: Fraction) -> int:
     """Exhaustive 256-point argmin; ties to the lower code."""
     return min(range(WIPER_STEPS),
