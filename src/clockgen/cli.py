@@ -19,7 +19,7 @@ from fractions import Fraction
 from .config import DEFAULT_TCP_PORT, load_config, load_pot_map, load_synth_map
 from .errors import ClockgenError
 from .host import DeviceHandle, bridge_init
-from .planner import FrequencyPlan, PhasePlan, RationalDivider, as_fraction
+from .planner import CHANNEL_COUNT, FrequencyPlan, PhasePlan, RationalDivider, as_fraction
 from .power import SupplySetting
 from .server import SimulatorServer
 from .sim import BoardState
@@ -63,7 +63,7 @@ def _add_global_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
                         help="synthesizer register map (default: shipped map)")
     parser.add_argument("--config", metavar="FILE",
                         default=None if top_level else argparse.SUPPRESS,
-                        help="constraints and rail config (default: shipped)")
+                        help="constraints and rail config (default: compiled-in)")
     parser.add_argument("--json", action="store_true",
                         default=False if top_level else argparse.SUPPRESS,
                         help="print one machine-readable JSON document")
@@ -88,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=DEFAULT_TCP_PORT)
 
     p = add_command("set-freq", "program one channel's frequency")
-    p.add_argument("--channel", type=int, required=True, choices=range(4))
+    p.add_argument("--channel", type=int, required=True, choices=range(CHANNEL_COUNT))
     p.add_argument("--hz", type=parse_frequency, required=True)
 
     p = add_command("set-phase", "program one channel's phase offset")
-    p.add_argument("--channel", type=int, required=True, choices=range(4))
+    p.add_argument("--channel", type=int, required=True, choices=range(CHANNEL_COUNT))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--seconds", type=_exact)
     group.add_argument("--degrees", type=_exact)
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("enable", "enable one output"),
                             ("disable", "disable one output")):
         p = add_command(name, help_text)
-        p.add_argument("--channel", type=int, required=True, choices=range(4))
+        p.add_argument("--channel", type=int, required=True, choices=range(CHANNEL_COUNT))
 
     p = add_command("set-rail", "program one supply rail voltage")
     p.add_argument("--rail", type=int, required=True)

@@ -1,4 +1,4 @@
-"""Key = value configuration files and access to the packaged defaults.
+"""Key = value configuration files and access to the packaged register maps.
 
 One file carries both the planner constraint parameters and the supply-rail
 models.  Lines look like::
@@ -8,7 +8,9 @@ models.  Lines look like::
     rail0_v_default = 3.3
 
 ``#`` starts a comment.  Unknown keys are rejected (they are almost always
-typos).  Omitted keys fall back to the compiled-in defaults.
+typos).  Omitted keys keep the compiled-in defaults (:class:`PlannerConstraints`,
+:data:`DEFAULT_SYNTH_ADDRESS`, the five default rails); any rail key replaces
+the default rails.  :class:`StackConfig` checks the whole-configuration rules.
 """
 
 from __future__ import annotations
@@ -78,11 +80,32 @@ _DEFAULT_RAIL_PLAN = (
 
 @dataclass(frozen=True)
 class StackConfig:
-    """Everything the host stack and the simulator share."""
+    """Everything the host stack and the simulator share.
+
+    Building one checks the rules that span the whole configuration: a 7-bit
+    synthesizer address, unique rail ids, one rail per pot slot and no pot on
+    the synthesizer's address.  A broken rule raises ``ValueError``.
+    """
 
     constraints: PlannerConstraints
     rails: tuple[RailModel, ...]
     synth_address: int = DEFAULT_SYNTH_ADDRESS
+
+    def __post_init__(self):
+        if not 0 <= self.synth_address <= 0x7F:
+            raise ValueError(f"synth_address 0x{self.synth_address:X} outside 7-bit range")
+        ids, slots = set(), set()
+        for rail in self.rails:
+            slot = (rail.pot_address, rail.pot_channel)
+            if rail.rail_id in ids:
+                raise ValueError(f"rail {rail.rail_id} is configured twice")
+            if slot in slots:
+                raise ValueError(f"two rails share pot 0x{slot[0]:02X} channel {slot[1]}")
+            if rail.pot_address == self.synth_address:
+                raise ValueError(f"rail {rail.rail_id}: pot shares the synthesizer's "
+                                 f"i2c address 0x{self.synth_address:02X}")
+            ids.add(rail.rail_id)
+            slots.add(slot)
 
     def rail(self, rail_id: int) -> RailModel:
         for rail in self.rails:
@@ -135,36 +158,18 @@ def parse_config(text: str) -> StackConfig:
                 continue
         raise ConfigError(f"unknown key {key!r}", line=lineno)
 
+    rails = []
+    for rail_id in sorted(rail_values):
+        try:
+            rails.append(RailModel(rail_id=rail_id, **rail_values[rail_id]))
+        except ValueError as exc:
+            raise ConfigError(f"rail {rail_id}: {exc}") from exc
     try:
-        constraints = PlannerConstraints(**constraint_values)
+        return StackConfig(constraints=PlannerConstraints(**constraint_values),
+                           rails=tuple(rails) or default_rails(),
+                           synth_address=synth_address)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if rail_values:
-        rails = []
-        for rail_id in sorted(rail_values):
-            try:
-                rails.append(RailModel(rail_id=rail_id, **rail_values[rail_id]))
-            except ValueError as exc:
-                raise ConfigError(f"rail {rail_id}: {exc}") from exc
-        rails = tuple(rails)
-    else:
-        rails = default_rails()
-
-    seen = set()
-    for rail in rails:
-        slot = (rail.pot_address, rail.pot_channel)
-        if slot in seen:
-            raise ConfigError(
-                f"two rails share pot 0x{slot[0]:02X} channel {slot[1]}"
-            )
-        seen.add(slot)
-
-    if not 0 <= synth_address <= 0x7F:
-        raise ConfigError(f"synth_address 0x{synth_address:X} outside 7-bit range")
-
-    return StackConfig(constraints=constraints, rails=rails,
-                       synth_address=synth_address)
 
 
 def _packaged(name: str) -> str:
@@ -172,9 +177,8 @@ def _packaged(name: str) -> str:
 
 
 def load_config(path: str | Path | None = None) -> StackConfig:
-    """Load a config file, or the packaged default when ``path`` is None."""
-    text = Path(path).read_text("utf-8") if path else _packaged("default.conf")
-    return parse_config(text)
+    """Load a config file, or :func:`default_config` when ``path`` is None."""
+    return parse_config(Path(path).read_text("utf-8")) if path else default_config()
 
 
 def load_synth_map(path: str | Path | None = None) -> RegisterMap:

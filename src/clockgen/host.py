@@ -22,6 +22,7 @@ from .planner import (
     PhasePlan,
     _build_plan,
     apply_plan,
+    check_channel,
     phase_step_byte,
     plan_frequency,
     plan_phase,
@@ -142,6 +143,7 @@ class DeviceHandle:
         degrees: FrequencyLike | None = None,
     ) -> PhasePlan:
         """Quantize and program a phase offset on a previously planned channel."""
+        check_channel(channel)
         phase = plan_phase(self._current_plan(channel), seconds=seconds,
                            degrees=degrees,
                            step_limit=self.constraints.phase_step_limit)
@@ -176,6 +178,7 @@ class DeviceHandle:
 
     def enable_output(self, channel: int, on: bool) -> None:
         """Toggle one channel's enable bit, leaving every other bit alone."""
+        check_channel(channel)
         write_fields(
             self.bridge,
             self.synth_address,

@@ -49,6 +49,12 @@ DENOMINATOR_HARD_CAP = (1 << P3_BITS) - 1
 CHANNEL_COUNT = 4
 
 
+def check_channel(channel: int) -> None:
+    """Raise ``ValueError`` unless ``channel`` names one of the outputs."""
+    if not 0 <= channel < CHANNEL_COUNT:
+        raise ValueError(f"channel must be 0..{CHANNEL_COUNT - 1}")
+
+
 def as_fraction(value: FrequencyLike) -> Fraction:
     """Exact conversion; floats are rejected to keep the rational contract."""
     if isinstance(value, float):
@@ -239,8 +245,7 @@ def plan_frequency(
     fin = as_fraction(f_in)
     target = as_fraction(f_target)
     cons = constraints
-    if not 0 <= channel < CHANNEL_COUNT:
-        raise ValueError(f"channel must be 0..{CHANNEL_COUNT - 1}")
+    check_channel(channel)
     if not cons.f_in_min <= fin <= cons.f_in_max:
         raise ValueError(
             f"reference input {fin} Hz outside supported window "
@@ -496,15 +501,14 @@ def apply_plan(
     plan: FrequencyPlan,
     phase: PhasePlan | None,
     channel: int,
-    synth_address: int = 0x70,
+    synth_address: int,
 ) -> None:
     """Program one channel: feedback and channel dividers, phase step, and
     the channel enable bit.  Registers named for other channels are never
     touched; shared registers are updated read-modify-write so only this
     channel's bits change.
     """
-    if not 0 <= channel < CHANNEL_COUNT:
-        raise ValueError(f"channel must be 0..{CHANNEL_COUNT - 1}")
+    check_channel(channel)
     steps = phase.steps if phase is not None else 0
     writes: list[tuple[int, int, int]] = []
     for prefix, divider in (("fb", plan.feedback), (f"ms{channel}", plan.output)):

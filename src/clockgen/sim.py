@@ -117,8 +117,6 @@ class BoardState:
             self.config.synth_address: RegisterFile.from_map(self.synth_map)
         }
         for rail in self.config.rails:
-            if rail.pot_address == self.config.synth_address:
-                raise ValueError("pot shares the synthesizer's i2c address")
             self.devices.setdefault(rail.pot_address, RegisterFile.from_map(self.pot_map))
         self._rail_registers = rail_registers(self.config.rails, self.pot_map)
 

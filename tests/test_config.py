@@ -2,7 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from clockgen import ConfigError, default_config, load_config, parse_config
+from clockgen import (
+    ConfigError,
+    PlannerConstraints,
+    RailModel,
+    SessionConfig,
+    StackConfig,
+    bridge_init,
+    default_config,
+    load_config,
+    parse_config,
+)
+
+# the default rails put a pot at 0x2C, so this file breaks a whole-config rule
+SYNTH_ON_POT = "synth_address = 0x2C\n"
 
 
 def test_packaged_default_loads():
@@ -136,3 +149,66 @@ def test_custom_map_drives_the_cli(tmp_path, capsys):
     assert run(["--map", str(custom), "--json", "reg", "read", "0x00"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 0x77
+
+
+# -- whole-configuration rules, checked by StackConfig however it is built ------
+
+def rails(*slots):
+    return tuple(RailModel(rail_id=rid, pot_address=addr, pot_channel=ch)
+                 for rid, addr, ch in slots)
+
+
+@pytest.mark.parametrize("synth_address, rail_slots, message", [
+    (0x80, [(0, 0x2C, 0)], "synth_address 0x80 outside 7-bit range"),
+    (0x70, [(0, 0x2C, 0), (1, 0x2C, 0)], "two rails share pot 0x2C channel 0"),
+    (0x2C, [(0, 0x2D, 0), (1, 0x2C, 3)], "rail 1: pot shares the synthesizer's"),
+    (0x70, [(0, 0x2C, 0), (0, 0x2D, 0)], "rail 0 is configured twice"),
+], ids=["synth-address-range", "pot-slot", "pot-on-synth", "rail-id"])
+def test_stack_config_refuses_a_broken_rule(synth_address, rail_slots, message):
+    with pytest.raises(ValueError, match=message):
+        StackConfig(constraints=PlannerConstraints(), rails=rails(*rail_slots),
+                    synth_address=synth_address)
+
+
+def test_default_config_reads_no_package_resource(monkeypatch):
+    import clockgen.config as config_module
+
+    def refuse(name):
+        raise AssertionError(f"read packaged {name}")
+
+    monkeypatch.setattr(config_module, "_packaged", refuse)
+    assert load_config() == load_config(None) == default_config()
+
+
+def test_parse_refuses_a_pot_on_the_synth_address():
+    with pytest.raises(ConfigError, match="synthesizer's i2c address 0x2C"):
+        parse_config(SYNTH_ON_POT)
+
+
+def test_bridge_init_over_tcp_checks_the_config_before_connecting(tmp_path,
+                                                                 monkeypatch):
+    import clockgen.host as host_module
+
+    conf = tmp_path / "clash.conf"
+    conf.write_text(SYNTH_ON_POT)
+    opened = []
+    monkeypatch.setattr(host_module, "open_session",
+                        lambda *args: opened.append(args))
+    with pytest.raises(ConfigError, match="synthesizer's i2c address"):
+        bridge_init(SessionConfig.parse("tcp:127.0.0.1:1"), config_path=conf)
+    assert opened == []
+
+
+def test_config_clash_fails_alike_on_both_endpoints(tmp_path, capsys, tcp_server):
+    from clockgen.cli import run
+
+    conf = tmp_path / "clash.conf"
+    conf.write_text(SYNTH_ON_POT)
+    errors = []
+    for transport in ("sim", f"tcp:127.0.0.1:{tcp_server.port}"):
+        assert run(["--transport", transport, "--config", str(conf),
+                    "enable", "--channel", "0"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "pot shares the synthesizer's i2c address" in errors[0]
+    assert tcp_server.board.commands_served == 0

@@ -393,6 +393,21 @@ def test_enable_leaves_other_channels_alone(device, host):
     assert before[enable_register] & ~mask == after[enable_register] & ~mask
 
 
+@pytest.mark.parametrize("channel", [-1, 4])
+@pytest.mark.parametrize("operation", [
+    lambda device, channel: device.set_frequency(channel, 100 * MHZ),
+    lambda device, channel: device.set_phase(channel, degrees=0),
+    lambda device, channel: device.enable_output(channel, True),
+], ids=["set_frequency", "set_phase", "enable_output"])
+def test_channel_out_of_range_is_refused_before_the_wire(counting_device,
+                                                          operation, channel):
+    device, counting = counting_device
+    counting.reset()
+    with pytest.raises(ValueError, match=r"channel must be 0\.\.3"):
+        operation(device, channel)
+    assert counting.writes == counting.reads == 0
+
+
 # -- device layer: rails -----------------------------------------------------------------
 
 def test_set_rail_voltage_matches_oracle(device, host):
