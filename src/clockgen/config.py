@@ -8,9 +8,12 @@ models.  Lines look like::
     rail0_v_default = 3.3
 
 ``#`` starts a comment.  Unknown keys are rejected (they are almost always
-typos).  Omitted keys keep the compiled-in defaults (:class:`PlannerConstraints`,
-:data:`DEFAULT_SYNTH_ADDRESS`, the five default rails); any rail key replaces
-the default rails.  :class:`StackConfig` checks the whole-configuration rules.
+typos), and so is a key set twice or a rail id written with a leading
+zero, since either would let one line silently override another.  Omitted
+keys keep the compiled-in defaults (:class:`PlannerConstraints`,
+:data:`DEFAULT_SYNTH_ADDRESS`, the five default rails); any rail key
+replaces the default rails.  :class:`StackConfig` checks the
+whole-configuration rules.
 """
 
 from __future__ import annotations
@@ -131,6 +134,7 @@ def parse_config(text: str) -> StackConfig:
     constraint_values: dict[str, object] = {}
     rail_values: dict[int, dict[str, object]] = {}
     synth_address = DEFAULT_SYNTH_ADDRESS
+    seen: dict[str, int] = {}  # key -> line that set it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,6 +146,9 @@ def parse_config(text: str) -> StackConfig:
         key, value = key.strip(), value.strip()
         if not value:
             raise ConfigError(f"missing value for {key}", line=lineno)
+        if key in seen:
+            raise ConfigError(f"{key} is already set on line {seen[key]}", line=lineno)
+        seen[key] = lineno
         if key == "synth_address":
             synth_address = _parse_int(value, lineno)
             continue
@@ -151,8 +158,13 @@ def parse_config(text: str) -> StackConfig:
             continue
         if key.startswith("rail"):
             head, _, param = key.partition("_")
-            if param in _RAIL_KEYS and head[4:].isdigit():
-                rail_id = int(head[4:])
+            digits = head[4:]
+            if param in _RAIL_KEYS and digits.isascii() and digits.isdigit():
+                if digits != str(int(digits)):
+                    # rail01_* would silently alias rail1_*
+                    raise ConfigError(f"rail id {digits} has a leading zero",
+                                      line=lineno)
+                rail_id = int(digits)
                 rail_values.setdefault(rail_id, {})[param] = \
                     _RAIL_KEYS[param](value, lineno)
                 continue

@@ -12,18 +12,21 @@ synchronous and idempotent; repeating one leaves identical register state.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
-from .errors import InconsistentEncodingError, NoPlanError
+from .errors import InconsistentEncodingError, NoPlanError, UnsatisfiableFrequencyError
 from .planner import (
+    CHANNEL_COUNT,
     FrequencyLike,
     FrequencyPlan,
     PhasePlan,
     _build_plan,
-    apply_plan,
     check_channel,
+    fold_fields,
+    partial_registers,
     phase_step_byte,
+    plan_fields,
     plan_frequency,
     plan_phase,
     write_fields,
@@ -32,11 +35,13 @@ from .power import SupplySetting, apply_supply, plan_voltage
 from .protocol import RESPONSE_LENGTH, Action, BridgeCommand, encode_command
 from .readout import (
     ChannelStatus,
+    channel_enabled,
     decode_feedback,
     decode_output_divider,
     decode_outputs,
     decode_rails,
     divider_fields,
+    enable_fields,
     field_registers,
     output_registers,
     rail_registers,
@@ -103,6 +108,7 @@ class DeviceHandle:
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
         self._output_registers = output_registers(synth_map)
+        self._retune_registers = retune_registers(synth_map)
         self._rail_reads = [BridgeCommand.read(*where)
                             for where in rail_registers(config.rails, pot_map)]
 
@@ -122,15 +128,43 @@ class DeviceHandle:
     def set_frequency(self, channel: int, f_target: FrequencyLike) -> FrequencyPlan:
         """Plan and program ``channel`` to ``f_target`` Hz; returns the plan.
 
-        Re-plans and rewrites the feedback registers even when unchanged;
-        the phase step returns to zero because a retune changes the step
-        quantum.  A new feedback divider moves every channel's VCO, so the
-        cached plans of other channels built on the old one are dropped.
+        Every output divides the one VCO.  While another channel is enabled
+        (by the registers, read first in the same round trip), its VCO is
+        kept: only this channel's output divider is planned and written,
+        and the other channels' frequencies and phases do not move.  A
+        target no legal output divider of that VCO reaches within 1e-9
+        raises :class:`UnsatisfiableFrequencyError` before any register is
+        written.  With no other channel enabled (or no usable feedback
+        divider), the VCO and both dividers are planned afresh and written,
+        which drops the cached plans built on the old VCO.
+        The phase step returns to zero, because a retune changes the step
+        quantum.
         """
-        plan = plan_frequency(self.constraints.f_in, f_target, channel,
-                              self.constraints)
-        apply_plan(self.bridge, self.synth_map, plan, None, channel,
-                   self.synth_address)
+        check_channel(channel)
+        cons, regmap = self.constraints, self.synth_map
+        current = self._snapshot(self._retune_registers[channel])
+        read = current.__getitem__
+        running = [k for k in range(CHANNEL_COUNT)
+                   if k != channel and channel_enabled(read, regmap, k)]
+        feedback = None
+        if running:
+            try:
+                feedback, _f_vco = decode_feedback(read, regmap, cons)
+            except InconsistentEncodingError:
+                pass  # no usable VCO to keep
+        try:
+            plan = plan_frequency(cons.f_in, f_target, channel, cons,
+                                  feedback=feedback)
+        except UnsatisfiableFrequencyError as exc:
+            if feedback is None:
+                raise
+            raise UnsatisfiableFrequencyError(
+                f"{exc}; channels {', '.join(map(str, running))} run on that VCO"
+            ) from None
+        writes = plan_fields(regmap, plan, None, channel,
+                             rewrite_feedback=feedback is None)
+        self.bridge.exchange([BridgeCommand.write(self.synth_address, a, v)
+                              for a, v in fold_fields(writes, current).items()])
         self._plans = {k: p for k, p in self._plans.items()
                        if p.feedback == plan.feedback}
         self._plans[channel] = plan
@@ -163,7 +197,8 @@ class DeviceHandle:
             return plan
         cons = self.constraints
         read = self._snapshot(field_registers(
-            self.synth_map, divider_fields("fb") + divider_fields(f"ms{channel}")))
+            self.synth_map, divider_fields("fb") + divider_fields(f"ms{channel}"))
+        ).__getitem__
         try:
             feedback, f_vco = decode_feedback(read, self.synth_map, cons)
             output = decode_output_divider(read, self.synth_map, cons, channel)
@@ -199,7 +234,7 @@ class DeviceHandle:
     def read_outputs(self) -> list[ChannelStatus]:
         """Per-channel status decoded from one snapshot of the synthesizer
         registers, read over the bridge in one exchange."""
-        return decode_outputs(self._snapshot(self._output_registers),
+        return decode_outputs(self._snapshot(self._output_registers).__getitem__,
                               self.synth_map, self.constraints)
 
     def read_rails(self) -> dict[int, Fraction]:
@@ -208,12 +243,27 @@ class DeviceHandle:
         return decode_rails(self.bridge.exchange(self._rail_reads),
                             self.config.rails)
 
-    def _snapshot(self, registers: list[int]) -> Callable[[int], int]:
-        """Read synthesizer ``registers`` in one exchange; returns a lookup
-        over the values read."""
+    def _snapshot(self, registers: list[int]) -> dict[int, int]:
+        """Read synthesizer ``registers`` in one exchange; returns the
+        values read, by address."""
         values = self.bridge.exchange(
             [BridgeCommand.read(self.synth_address, r) for r in registers])
-        return dict(zip(registers, values)).__getitem__
+        return dict(zip(registers, values))
+
+
+def retune_registers(regmap: RegisterMap) -> list[list[int]]:
+    """Per channel, what a retune of it reads, in address order: the
+    registers its field writes cover only in part, the feedback divider
+    (the VCO to keep) and every channel's enable state (whether another
+    one runs)."""
+    state = set(field_registers(regmap, divider_fields("fb") + enable_fields()))
+    reads = []
+    for k in range(CHANNEL_COUNT):
+        names = divider_fields("fb") + divider_fields(f"ms{k}") + [
+            f"ms{k}_phstep", f"clk{k}_en"]
+        partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
+        reads.append(sorted(state.union(partial)))
+    return reads
 
 
 def bridge_init(

@@ -16,9 +16,15 @@ divider is fractional (the lowest valid VCO wins, so each scan stops at its
 first valid candidate), then a minimal-error approximation built from
 Stern-Brocot (Farey mediant) neighbors with the denominator capped, its
 relative errors compared by cross-multiplication.  Ties are broken by
-lowest VCO frequency, then smallest feedback denominator.  Each plan logs
-one DEBUG record on the ``clockgen.planner`` logger naming the stage, the
-chosen VCO frequency and the number of candidates examined.
+lowest VCO frequency, then smallest feedback denominator.
+
+Every output divides the one VCO, so while another output runs the VCO is
+fixed: given its feedback divider, only the output divider is planned, as
+the better of the two bounded-denominator neighbors of ``f_vco / target``
+(stage ``pinned``).
+
+Each plan logs one DEBUG record on the ``clockgen.planner`` logger naming
+the stage, the chosen VCO frequency and the number of candidates examined.
 """
 
 from __future__ import annotations
@@ -232,6 +238,8 @@ def plan_frequency(
     f_target: FrequencyLike,
     channel: int = 0,
     constraints: PlannerConstraints = DEFAULT_CONSTRAINTS,
+    *,
+    feedback: RationalDivider | None = None,
 ) -> FrequencyPlan:
     """Find divider settings realizing ``f_target`` from reference ``f_in``.
 
@@ -241,6 +249,11 @@ def plan_frequency(
     Otherwise returns the minimal-error plan over that family, guaranteed
     within a relative error of 1e-9.  Deterministic: identical inputs always
     produce the identical plan.
+
+    With ``feedback`` given, the VCO it sets is kept (other outputs run on
+    it) and only the output divider is chosen: the legal one nearest the
+    target, ties to the lower divider.  Raises
+    :class:`UnsatisfiableFrequencyError` when none is within 1e-9.
     """
     fin = as_fraction(f_in)
     target = as_fraction(f_target)
@@ -256,6 +269,9 @@ def plan_frequency(
             f"target {float(target):.6g} Hz outside the supported band "
             f"[{float(cons.f_out_min):.6g}, {float(cons.f_out_max):.6g}] Hz"
         )
+
+    if feedback is not None:
+        return _pinned(fin, target, feedback, channel, cons)
 
     fn, fd = fin.numerator, fin.denominator
     tn, td = target.numerator, target.denominator
@@ -322,6 +338,39 @@ def plan_frequency(
             f"{error_n / (kd * error_d):.3g} relative"
         )
     return _chosen("approx", fin, target, best[:2], best[2:], channel, examined)
+
+
+def _pinned(fin, target, feedback, channel, cons):
+    """The output divider alone, for the VCO that ``feedback`` sets."""
+    f_vco = fin * feedback.value
+    if not cons.vco_min <= f_vco <= cons.vco_max:
+        raise ValueError(f"pinned VCO {f_vco} Hz outside the VCO window")
+    cap, lo, hi = cons.max_denominator, cons.ms_int_min, cons.ms_int_max + 1
+    # the ideal output divider f_vco / target = xn / xd, clamped into the
+    # legal range, whose top is the largest capped fraction below hi
+    xn = f_vco.numerator * target.denominator
+    xd = f_vco.denominator * target.numerator
+    if xn < lo * xd:
+        candidates = [(lo, 1)]
+    elif xn >= hi * xd:
+        candidates = [(hi * cap - 1, cap)]
+    else:
+        candidates = _bracket(xn, xd, cap)
+    best = best_error = None
+    for p, q in candidates:  # lower neighbor first, so it keeps a tie
+        if not _fits(p, q, lo, hi - 1, cap):
+            continue
+        # rel_error = |xn*q - xd*p| / (xd*p); xd is shared by both
+        error_n = abs(xn * q - xd * p)
+        if best is None or error_n * best_error[1] < best_error[0] * p:
+            best, best_error = (p, q), (error_n, p)
+    if best is None or best_error[0] * 10**9 > xd * best_error[1]:
+        raise UnsatisfiableFrequencyError(
+            f"no output divider of the shared VCO at {f_vco} Hz reaches "
+            f"{float(target):.6g} Hz within 1e-9 relative"
+        )
+    fb = (feedback.a * feedback.c + feedback.b, feedback.c)
+    return _chosen("pinned", fin, target, fb, best, channel, len(candidates))
 
 
 def _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
@@ -509,31 +558,58 @@ def apply_plan(
     channel's bits change.
     """
     check_channel(channel)
+    write_fields(bridge, synth_address, plan_fields(regmap, plan, phase, channel))
+
+
+def plan_fields(regmap, plan: FrequencyPlan, phase: PhasePlan | None,
+                channel: int, rewrite_feedback: bool = True
+                ) -> list[tuple[int, int, int]]:
+    """The packed field writes that program ``plan`` on ``channel``: the
+    feedback divider (unless ``rewrite_feedback`` is false), the channel's
+    output divider and phase step, and its enable bit."""
     steps = phase.steps if phase is not None else 0
+    dividers = [(f"ms{channel}", plan.output)]
+    if rewrite_feedback:
+        dividers.insert(0, ("fb", plan.feedback))
     writes: list[tuple[int, int, int]] = []
-    for prefix, divider in (("fb", plan.feedback), (f"ms{channel}", plan.output)):
+    for prefix, divider in dividers:
         p1, p2, p3 = encode_divider(divider)
         writes += regmap.pack(f"{prefix}_p1", p1)
         writes += regmap.pack(f"{prefix}_p2", p2)
         writes += regmap.pack(f"{prefix}_p3", p3)
     writes += regmap.pack(f"ms{channel}_phstep", phase_step_byte(steps))
     writes += regmap.pack(f"clk{channel}_en", 1)
-    write_fields(bridge, synth_address, writes)
+    return writes
 
 
 def write_fields(bridge, device: int, writes: list[tuple[int, int, int]]) -> None:
     """Issue packed field writes in at most two bridge exchanges.
 
     Partial-byte fields go read-modify-write: the first exchange reads each
-    register they live in, once.  Every field written to one register is
-    then folded onto that value, and the second exchange writes each
-    register once, in the order the fields first name it.
+    register they live in, once (:func:`partial_registers`).  The second
+    writes the registers :func:`fold_fields` gives.
     """
-    shared = list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
+    shared = partial_registers(writes)
     current = dict(zip(shared, bridge.exchange(
         [BridgeCommand.read(device, a) for a in shared])))
+    bridge.exchange([BridgeCommand.write(device, a, v)
+                     for a, v in fold_fields(writes, current).items()])
+
+
+def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
+    """Registers that ``writes`` cover only in part, each once, in the
+    order the fields first name them: their other bits must be read."""
+    return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
+
+
+def fold_fields(writes: list[tuple[int, int, int]],
+                current: dict[int, int]) -> dict[int, int]:
+    """Register values after ``writes``: every field written to one
+    register is folded onto its ``current`` value (0 where it is fully
+    overwritten), one value per register, in the order the fields first
+    name it."""
     folded: dict[int, int] = {}
     for address, bits, mask in writes:
         value = folded.get(address, current.get(address, 0))
         folded[address] = (value & ~mask) | bits
-    bridge.exchange([BridgeCommand.write(device, a, v) for a, v in folded.items()])
+    return folded

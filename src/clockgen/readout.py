@@ -72,6 +72,17 @@ def decode_output_divider(read: Read, regmap: RegisterMap,
                     "invalid output divider")
 
 
+def channel_enabled(read: Read, regmap: RegisterMap, channel: int) -> bool:
+    """Whether the channel runs: its enable bit set, its power-down clear."""
+    return (regmap.unpack(f"clk{channel}_en", read) == 1
+            and regmap.unpack(f"clk{channel}_pdn", read) == 0)
+
+
+def enable_fields() -> list[str]:
+    """The fields :func:`channel_enabled` reads, for every channel."""
+    return [f"clk{k}_{bit}" for k in range(CHANNEL_COUNT) for bit in ("en", "pdn")]
+
+
 def field_registers(regmap: RegisterMap, names: Iterable[str]) -> list[int]:
     """Addresses holding the named fields or composites, each once, in
     address order: the registers to read before decoding them."""
@@ -89,10 +100,9 @@ def output_registers(regmap: RegisterMap) -> list[int]:
     The host reads exactly these as one snapshot and the simulator's oracle
     decodes from the same set, so a register missing here fails both.
     """
-    names = divider_fields("fb")
+    names = divider_fields("fb") + enable_fields()
     for k in range(CHANNEL_COUNT):
-        names += [f"clk{k}_en", f"clk{k}_pdn", f"ms{k}_phstep",
-                  *divider_fields(f"ms{k}")]
+        names += [f"ms{k}_phstep", *divider_fields(f"ms{k}")]
     return field_registers(regmap, names)
 
 
@@ -110,10 +120,7 @@ def decode_outputs(
 
     channels = []
     for k in range(CHANNEL_COUNT):
-        enabled = (
-            regmap.unpack(f"clk{k}_en", read) == 1
-            and regmap.unpack(f"clk{k}_pdn", read) == 0
-        )
+        enabled = channel_enabled(read, regmap, k)
         problem = feedback_problem
         f_out = phase_offset = None
         if problem is None:

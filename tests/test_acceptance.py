@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from clockgen import (
     BoardState,
     BridgeClient,
@@ -184,6 +186,92 @@ def test_criterion_5_channel_isolation():
             checks += 1
     assert violations == 0
     print(f"\nACCEPTANCE 5 PASS: {checks} programmings, 0 isolation violations")
+
+
+def test_criterion_5_retune_leaves_the_other_channels_running():
+    """200 band targets on random channels while the others run phased: no
+    other enabled channel's exact frequency or phase moves."""
+    rng = random.Random(SEED + 55)
+    board, device = _sim_device()
+    for channel in range(4):
+        device.set_frequency(channel, rng.randint(5 * MHZ, 200 * MHZ))
+        device.set_phase(channel, degrees=rng.randint(-90, 90))
+    checks = 0
+    for target in oracles.band_targets(rng, 200, CONS):
+        channel = rng.randrange(4)
+        before = board.query_outputs()
+        plan = device.set_frequency(channel, target)
+        after = board.query_outputs()
+        assert after[channel].f_out == plan.f_achieved
+        assert plan.rel_error <= Fraction(1, 10**9), target
+        for k in range(4):
+            if k != channel and before[k].enabled:
+                assert (after[k].f_out, after[k].phase_offset) == \
+                    (before[k].f_out, before[k].phase_offset), (target, k)
+                checks += 1
+        if rng.random() < 0.5:
+            device.set_phase(channel, degrees=rng.randint(-90, 90))
+    assert checks == 600
+    print(f"\nACCEPTANCE 5 PASS: {checks} running channels read back unchanged "
+          "across 200 retunes")
+
+
+def test_criterion_5_reproduced_shared_vco_case():
+    """Channel 1 at 100 MHz, then channel 0 at a rough rational: channel 1
+    still reads exactly 100 MHz."""
+    board, device = _sim_device()
+    device.set_frequency(1, 100 * MHZ)
+    plan = device.set_frequency(0, Fraction(6608629685309, 40000))
+    outputs = board.query_outputs()
+    assert outputs[1].f_out == 100 * MHZ
+    assert outputs[0].f_out == plan.f_achieved
+    assert plan.rel_error <= Fraction(1, 10**9)
+
+
+def _pinned_feedbacks():
+    """Feedback dividers whose VCO lies in the window, fractional parts up
+    to the denominator cap."""
+    cap = CONS.max_denominator
+
+    def divider(a, c, b):
+        b %= c
+        g = math.gcd(b, c)
+        return RationalDivider(a, b // g, c // g) if b else RationalDivider(a, 0, 1)
+
+    low = math.ceil(CONS.vco_min / F_IN)
+    high = math.floor(CONS.vco_max / F_IN)
+    return st.builds(divider, st.integers(low, high), st.integers(1, cap),
+                     st.integers(0, cap - 1)).filter(
+        lambda fb: CONS.vco_min <= F_IN * fb.value <= CONS.vco_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feedback=_pinned_feedbacks(),
+       target=st.fractions(min_value=CONS.f_out_min, max_value=CONS.f_out_max,
+                           max_denominator=10**7))
+def test_criterion_5_pinned_plan_matches_the_limit_denominator_oracle(feedback, target):
+    """A pinned plan keeps the feedback, stays within 1e-9, and its error is
+    that of the nearest capped output divider."""
+    plan = plan_frequency(F_IN, target, feedback=feedback)
+    assert plan.feedback == feedback
+    assert plan.rel_error <= Fraction(1, 10**9)
+    f_vco = F_IN * feedback.value
+    output = (f_vco / target).limit_denominator(CONS.max_denominator)
+    assert plan.rel_error == abs(f_vco / output - target) / target
+    oracles.assert_plan_valid(plan, CONS)
+
+
+def test_criterion_5_alone_on_the_board_the_plan_is_joint():
+    """With no other channel enabled, set_frequency programs exactly the
+    joint plan of plan_frequency."""
+    rng = random.Random(SEED + 56)
+    board, device = _sim_device()
+    for target in oracles.band_targets(rng, 40, CONS):
+        channel = rng.randrange(4)
+        for k in range(4):
+            device.enable_output(k, False)
+        assert device.set_frequency(channel, target) == \
+            plan_frequency(F_IN, target, channel, CONS)
 
 
 def test_criterion_6_phase_quantization():

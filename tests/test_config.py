@@ -88,6 +88,35 @@ def test_line_without_equals_rejected():
         parse_config("just some words\n")
 
 
+def test_repeated_key_names_the_first_line():
+    with pytest.raises(ConfigError, match="f_in_hz is already set on line 1") as info:
+        parse_config("f_in_hz = 10000000\n# comment\nf_in_hz = 20000000\n")
+    assert info.value.line == 3
+    with pytest.raises(ConfigError, match="already set on line 2") as info:
+        parse_config("\nrail1_pot_channel = 1\nrail1_pot_channel = 2\n")
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("head", ["rail01", "rail00", "rail007"])
+def test_rail_id_with_leading_zero_rejected(head):
+    text = f"rail1_pot_channel = 1\n{head}_pot_channel = 2\n"
+    with pytest.raises(ConfigError, match="leading zero") as info:
+        parse_config(text)
+    assert info.value.line == 2
+
+
+def test_non_ascii_rail_digits_are_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("rail\u00b2_pot_channel = 1\n")
+
+
+def test_rail_zero_and_repeated_free_file_still_parse():
+    config = parse_config("rail0_pot_channel = 1\nrail10_pot_channel = 2\n"
+                          "f_in_hz = 20000000\n")
+    assert [r.rail_id for r in config.rails] == [0, 10]
+    assert config.constraints.f_in == 20_000_000
+
+
 def test_duplicate_pot_slot_rejected():
     text = (
         "rail0_pot_address = 0x2C\nrail0_pot_channel = 0\n"

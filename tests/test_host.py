@@ -16,10 +16,13 @@ from clockgen import (
     InfeasibleVoltageError,
     NoPlanError,
     PhaseRangeError,
+    PlannerConstraints,
     RationalDivider,
     ReadTimeoutError,
     RegisterMapError,
     SessionConfig,
+    SimulatorHost,
+    StackConfig,
     UnsatisfiableFrequencyError,
     apply_plan,
     bridge_init,
@@ -29,10 +32,12 @@ from clockgen import (
     plan_frequency,
     plan_voltage,
 )
+from clockgen.config import default_rails
 from clockgen.planner import write_fields
 from clockgen.transport import TcpSession
 
 import oracles
+from conftest import CountingSession
 
 MHZ = 10**6
 
@@ -211,6 +216,37 @@ def test_set_frequency_idempotent(device, host):
     assert synth_snapshot(device, host) == once
 
 
+def test_retune_off_the_shared_vco_is_refused_before_any_write(host):
+    """Under a denominator cap of 1, 111.25 MHz is reachable jointly
+    (feedback 89, output 20) but not from the 2.2 GHz VCO channel 1 runs on."""
+    config = StackConfig(PlannerConstraints(max_denominator=1), default_rails())
+    board = BoardState(host.board.synth_map, config, host.board.pot_map)
+    counting = CountingSession(SimulatorHost(board).open())
+    device = DeviceHandle(BridgeClient(counting), board.synth_map, config, board.pot_map)
+    target = Fraction(11125, 100) * MHZ
+    assert plan_frequency(config.constraints.f_in, target, 0, config.constraints) \
+        .rel_error == 0
+    device.set_frequency(1, 100 * MHZ)
+    before = board.devices[device.synth_address].snapshot()
+    counting.reset()
+    with pytest.raises(UnsatisfiableFrequencyError,
+                       match=r"shared VCO at 2200000000 Hz.*channels 1 run on"):
+        device.set_frequency(0, target)
+    assert all(c.action is Action.READ for c in frames(counting.written))
+    assert board.devices[device.synth_address].snapshot() == before
+    assert board.query_outputs()[1].f_out == 100 * MHZ
+    device.close()
+
+
+def test_retune_plans_jointly_when_the_running_feedback_is_unusable(device, host):
+    device.set_frequency(0, 100 * MHZ)
+    _write_divider(device, "fb", RationalDivider(device.constraints.fb_int_min, 0, 1))
+    plan = device.set_frequency(1, 75 * MHZ)
+    assert plan == plan_frequency(device.constraints.f_in, 75 * MHZ, 1,
+                                  device.constraints)
+    assert host.board.query_outputs()[1].f_out == 75 * MHZ
+
+
 # -- device layer: phase ------------------------------------------------------------
 
 def test_set_phase_zero(device, host):
@@ -332,7 +368,10 @@ def test_set_phase_recovery_reads_each_divider_register_once(counting_device):
 def test_set_phase_after_the_feedback_moved_uses_the_registers(counting_device, host):
     device, counting = counting_device
     first = device.set_frequency(1, 100 * MHZ)
+    # with channel 1 off the retune is joint, so it moves the feedback
+    device.enable_output(1, False)
     moved = device.set_frequency(0, Fraction(6608629685309, 40000))
+    device.enable_output(1, True)
     assert moved.feedback != first.feedback
     counting.reset()
     phase = device.set_phase(1, degrees=45)
@@ -473,12 +512,17 @@ def test_device_layer_only_talks_in_whole_commands(counting_device, host):
 # -- wire cost: commands and round trips per operation ---------------------------------
 
 @pytest.mark.parametrize("prepare, operation, cost", [
-    (None, lambda d: d.set_frequency(0, 100 * MHZ), (31, 1)),
+    (None, lambda d: d.set_frequency(0, 100 * MHZ), (40, 1)),
+    (lambda d: d.set_frequency(1, 100 * MHZ),
+     lambda d: d.set_frequency(0, 75 * MHZ), (29, 1)),
     (lambda d: d.set_frequency(2, 100 * MHZ),
      lambda d: d.set_phase(2, degrees=45), (1, 0)),
+    (lambda d: (d.set_frequency(1, 100 * MHZ), d.set_frequency(0, 75 * MHZ)),
+     lambda d: d.set_phase(1, degrees=45), (1, 0)),
     (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.read_outputs(), (61, 1)),
     (None, lambda d: d.read_rails(), (5, 1)),
-], ids=["set_frequency", "set_phase-cached-plan", "read_outputs", "read_rails"])
+], ids=["set_frequency", "set_frequency-pinned", "set_phase-cached-plan",
+        "set_phase-after-pinned-retune", "read_outputs", "read_rails"])
 def test_wire_cost_commands_and_read_calls(counting_device, prepare, operation, cost):
     device, counting = counting_device
     if prepare is not None:

@@ -515,6 +515,62 @@ def test_unsatisfiable_when_family_is_empty():
         plan_frequency(F_IN, target, constraints=cons)
 
 
+# -- pinned VCO: the output divider alone -----------------------------------------
+
+
+def test_pinned_plan_keeps_the_feedback_and_is_exact_when_it_can_be():
+    feedback = RationalDivider(88, 0, 1)  # 2.2 GHz
+    plan = plan_frequency(F_IN, 100 * MHZ, 2, feedback=feedback)
+    assert (plan.feedback, plan.output, plan.channel) == \
+        (feedback, RationalDivider(22, 0, 1), 2)
+    assert plan.rel_error == 0
+
+
+def test_pinned_plan_clamps_to_the_output_range():
+    """Past either end of the output range the nearest legal divider is
+    that end: ``ms_int_min``, or the largest capped fraction below
+    ``ms_int_max + 1``."""
+    feedback = RationalDivider(88, 0, 1)
+    cap = DEFAULT_CONSTRAINTS.max_denominator
+    above = PlannerConstraints(ms_int_max=21)
+    plan = plan_frequency(F_IN, 2_200 * MHZ / (22 + Fraction(1, 10**12)),
+                          constraints=above, feedback=feedback)
+    assert plan.output == RationalDivider(21, cap - 1, cap)
+    assert 0 < plan.rel_error <= Fraction(1, 10**9)
+    below = PlannerConstraints(ms_int_min=22)
+    plan = plan_frequency(F_IN, 2_200 * MHZ / (22 - Fraction(1, 10**12)),
+                          constraints=below, feedback=feedback)
+    assert plan.output == RationalDivider(22, 0, 1)
+    assert 0 < plan.rel_error <= Fraction(1, 10**9)
+
+
+def test_pinned_plan_ties_go_to_the_lower_divider():
+    # 22 and 22 + 1/cap are neighbors under the cap; at their harmonic mean
+    # x both miss f_vco / x by the same relative error, 1/(44*cap + 1)
+    cap = DEFAULT_CONSTRAINTS.max_denominator
+    lo, hi = Fraction(22), 22 + Fraction(1, cap)
+    x = 2 * lo * hi / (lo + hi)
+    plan = plan_frequency(F_IN, 2_200 * MHZ / x, feedback=RationalDivider(88, 0, 1))
+    assert plan.output == RationalDivider(22, 0, 1)
+    assert plan.rel_error == (hi - x) / hi == Fraction(1, 44 * cap + 1)
+
+
+def test_pinned_plan_refuses_a_feedback_outside_the_vco_window():
+    with pytest.raises(ValueError, match="VCO window"):
+        plan_frequency(F_IN, 100 * MHZ, feedback=RationalDivider(80, 0, 1))
+
+
+def test_pinned_unsatisfiable_names_the_shared_vco():
+    cons = PlannerConstraints(max_denominator=1)
+    with pytest.raises(UnsatisfiableFrequencyError, match="shared VCO at 2200000000 Hz"):
+        plan_frequency(F_IN, Fraction(11125, 100) * MHZ, constraints=cons,
+                       feedback=RationalDivider(88, 0, 1))
+    # jointly the same target is exact: feedback 89, output 20
+    plan = plan_frequency(F_IN, Fraction(11125, 100) * MHZ, constraints=cons)
+    assert (plan.feedback, plan.output, plan.rel_error) == \
+        (RationalDivider(89, 0, 1), RationalDivider(20, 0, 1), 0)
+
+
 # -- observability --------------------------------------------------------------
 
 
@@ -537,3 +593,16 @@ def test_one_debug_record_per_plan_names_its_stage(caplog):
         assert examined >= 1
         assert stage in record.getMessage()
         assert str(plan.f_vco) in record.getMessage()
+
+
+def test_pinned_plan_debug_record_names_its_stage_and_the_kept_vco(caplog):
+    caplog.set_level(logging.DEBUG, logger="clockgen.planner")
+    feedback = RationalDivider(100, 3, 7)
+    plan = plan_frequency(F_IN, Fraction(146728095418128, 999983), feedback=feedback)
+    (record,) = caplog.records
+    picked, f_vco, examined = record.args
+    assert (picked, f_vco) == ("pinned", F_IN * feedback.value)
+    assert plan.f_vco == f_vco and plan.feedback == feedback
+    assert examined in (1, 2)
+    assert "stage pinned" in record.getMessage()
+    assert str(f_vco) in record.getMessage()
