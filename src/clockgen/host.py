@@ -259,8 +259,8 @@ def retune_registers(regmap: RegisterMap) -> list[list[int]]:
     state = set(field_registers(regmap, divider_fields("fb") + enable_fields()))
     reads = []
     for k in range(CHANNEL_COUNT):
-        names = divider_fields("fb") + divider_fields(f"ms{k}") + [
-            f"ms{k}_phstep", f"clk{k}_en"]
+        # the fb_* and clk{k}_en writes land in registers already in state
+        names = divider_fields(f"ms{k}") + [f"ms{k}_phstep"]
         partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
         reads.append(sorted(state.union(partial)))
     return reads

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clockgen import (
     BoardState,
@@ -249,16 +249,38 @@ def _pinned_feedbacks():
 @given(feedback=_pinned_feedbacks(),
        target=st.fractions(min_value=CONS.f_out_min, max_value=CONS.f_out_max,
                            max_denominator=10**7))
+# f_vco/target between the harmonic and arithmetic means of 25 and
+# 25 + 1/cap: the nearest divider (25) has the larger relative error
+@example(feedback=RationalDivider(100, 0, 1),
+         target=Fraction(576460751240419082730000000000, 5764607512511565009601))
 def test_criterion_5_pinned_plan_matches_the_limit_denominator_oracle(feedback, target):
     """A pinned plan keeps the feedback, stays within 1e-9, and its error is
-    that of the nearest capped output divider."""
+    the smaller of the two capped output dividers either side of
+    f_vco/target: the nearest one (``limit_denominator``) and its Farey
+    neighbour on the other side."""
     plan = plan_frequency(F_IN, target, feedback=feedback)
     assert plan.feedback == feedback
     assert plan.rel_error <= Fraction(1, 10**9)
     f_vco = F_IN * feedback.value
-    output = (f_vco / target).limit_denominator(CONS.max_denominator)
-    assert plan.rel_error == abs(f_vco / output - target) / target
+    cap = CONS.max_denominator
+    ideal = f_vco / target
+    nearest = ideal.limit_denominator(cap)
+    candidates = [nearest, _farey_partner(nearest, cap, above=nearest < ideal)]
+    assert plan.rel_error == min(abs(f_vco / d - target) / target for d in candidates)
     oracles.assert_plan_valid(plan, CONS)
+
+
+def _farey_partner(x: Fraction, cap: int, above: bool) -> Fraction:
+    """The neighbour of ``x`` in the Farey sequence of order ``cap``, above
+    or below it: the fraction r/s with the largest s <= cap such that
+    r·q - p·s = 1 (above) or p·s - r·q = 1 (below), for x = p/q."""
+    p, q = x.numerator, x.denominator
+    s = (-pow(p, -1, q) if above else pow(p, -1, q)) % q
+    s += (cap - s) // q * q
+    r = (1 + p * s) // q if above else (p * s - 1) // q
+    partner = Fraction(r, s)
+    assert (partner > x) == above and partner.denominator <= cap
+    return partner
 
 
 def test_criterion_5_alone_on_the_board_the_plan_is_joint():
