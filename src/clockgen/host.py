@@ -206,8 +206,9 @@ class DeviceHandle:
             raise NoPlanError(
                 f"channel {channel} registers hold no usable plan ({exc})"
             ) from None
-        plan = _build_plan(cons.f_in, f_vco / output.value, feedback.value,
-                           output.value, channel)
+        plan = _build_plan(cons.f_in, f_vco / output.value,
+                           (feedback.a * feedback.c + feedback.b, feedback.c),
+                           (output.a * output.c + output.b, output.c), channel)
         self._plans[channel] = plan
         return plan
 

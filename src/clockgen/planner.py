@@ -7,16 +7,22 @@ output frequency is::
     f_out = f_in * feedback / output        with  vco_min <= f_in * feedback <= vco_max
 
 All planning arithmetic is exact; floating point never enters a frequency
-or error computation.  The search runs on exact integer numerator and
-denominator pairs; :class:`fractions.Fraction` appears only where inputs
-are converted and where the chosen plan is built.
+or error computation.  The search and the plan's dividers run on exact
+integer numerator and denominator pairs; :class:`fractions.Fraction`
+appears only where inputs are converted and in the three values of a built
+plan (``f_vco``, ``f_achieved`` and ``rel_error``).
 
 Search order: exact integer/integer plans first, then exact plans where one
 divider is fractional (the lowest valid VCO wins, so each scan stops at its
 first valid candidate), then a minimal-error approximation built from
-Stern-Brocot (Farey mediant) neighbors with the denominator capped, its
-relative errors compared by cross-multiplication.  Ties are broken by
-lowest VCO frequency, then smallest feedback denominator.
+Stern-Brocot (Farey mediant) neighbors with the denominator capped, whose
+relative errors come from the descent's Euclidean remainders and are
+compared by cross-multiplication.  With ``f_in / target = kn / kd`` in
+lowest terms, an integer feedback ``a`` needs an output divider of
+denominator at least ``kd / a``, and an integer output ``o`` a feedback of
+denominator at least ``kn / o``: stage 1 visits only multiples of ``kd``,
+and stage 2 skips a family whose best case is over the cap.  Ties are
+broken by lowest VCO frequency, then smallest feedback denominator.
 
 Every output divides the one VCO, so while another output runs the VCO is
 fixed: given its feedback divider, only the output divider is planned, as
@@ -139,9 +145,7 @@ class RationalDivider:
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "RationalDivider":
-        a, rem = divmod(value.numerator, value.denominator)
-        # rem/denominator of a reduced fraction is already in lowest terms
-        return cls(a, rem, value.denominator) if rem else cls(a, 0, 1)
+        return _divider(value.numerator, value.denominator)
 
 
 @dataclass(frozen=True)
@@ -175,34 +179,40 @@ def farey_neighbors(value: Fraction, max_denominator: int) -> tuple[Fraction, Fr
     the continued-fraction convergent/semiconvergent construction).  When
     ``value`` itself fits the bound both neighbors equal ``value``.
     """
-    lo_n, lo_d, hi_n, hi_d = _neighbors(value.numerator, value.denominator,
-                                        max_denominator)
+    neighbors = _descent(value.numerator, value.denominator, max_denominator)
+    (lo_n, lo_d, _), (hi_n, hi_d, _) = neighbors[0], neighbors[-1]
     return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
-def _neighbors(n: int, d: int, cap: int) -> tuple[int, int, int, int]:
-    """Integer core of :func:`farey_neighbors`: ``(lo_n, lo_d, hi_n, hi_d)``
-    for the value ``n/d``, which must be in lowest terms with ``d >= 1``."""
+def _descent(n: int, d: int, cap: int) -> list[tuple[int, int, int]]:
+    """The distinct bounded-denominator neighbors of ``n/d``, lower first,
+    each as ``(p, q, |d*p - n*q|)`` with ``p/q`` in lowest terms and
+    ``q <= cap``: one when ``n/d`` fits the cap, else one on each side.
+
+    ``n/d`` need not be in lowest terms (``d >= 1``).  Euclid on ``(n, d)``
+    leaves ``x`` and ``y`` the errors ``|d*p - n*q|`` of the last two
+    convergents, so the convergent's error is ``y`` and the
+    semiconvergent's ``x - k*y``.  Only denominators are tracked: a
+    neighbor below is ``floor(n*q/d)/q``, one above the ceiling.
+    """
     if cap < 1:
         raise ValueError("max_denominator must be >= 1")
-    if d <= cap:
-        return n, d, n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    x, y = n, d
-    while True:
+    q0, q1, x, y = 1, 0, n, d
+    below = False  # the convergent of denominator q1 lies below n/d
+    while y:
         a = x // y
         q2 = q0 + a * q1
         if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        x, y = y, x - a * y
-    # consecutive convergents have determinant +-1, so the semiconvergent
-    # is in lowest terms as well
-    k = (cap - q0) // q1
-    semi_n, semi_d = p0 + k * p1, q0 + k * q1
-    if p1 * d <= n * q1:
-        return p1, q1, semi_n, semi_d
-    return semi_n, semi_d, p1, q1
+            # the semiconvergent q lies on the other side of n/d; both are
+            # inexact, so the ceiling above is the floor plus one
+            k = (cap - q0) // q1
+            q, e = q0 + k * q1, x - k * y
+            if below:
+                return [(n * q1 // d, q1, y), (n * q // d + 1, q, e)]
+            return [(n * q // d, q, e), (n * q1 // d + 1, q1, y)]
+        q0, q1, x, y = q1, q2, y, x - a * y
+        below = not below
+    return [(n * q1 // d, q1, 0)]
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -275,56 +285,57 @@ def plan_frequency(
 
     fn, fd = fin.numerator, fin.denominator
     tn, td = target.numerator, target.denominator
-    # r = f_in / target = kn / kd: integer feedback a needs the output
-    # divider r*a, integer output o needs the feedback divider o/r
-    kn, kd = fn * td, fd * tn
+    # r = f_in / target = kn / kd in lowest terms: integer feedback a needs
+    # the output divider r*a, integer output o needs the feedback divider o/r
+    kn, kd = _reduced(fn * td, fd * tn)
     cap = cons.max_denominator
     fb_ints = _int_points(cons, fn, fd, cons.fb_int_min, cons.fb_int_max)
     ms_ints = _int_points(cons, tn, td, cons.ms_int_min, cons.ms_int_max)
     examined = 0
 
-    # stage 1: exact integer feedback + integer output; ascending f_vco
-    for a in fb_ints:
+    # stage 1: exact integer feedback + integer output; ascending f_vco.
+    # kn*a/kd is an integer exactly when kd divides a
+    for a in range(-(-fb_ints.start // kd) * kd, fb_ints.stop, kd):
         examined += 1
-        out, rem = divmod(kn * a, kd)
-        if not rem and cons.ms_int_min <= out <= cons.ms_int_max:
+        out = kn * (a // kd)
+        if cons.ms_int_min <= out <= cons.ms_int_max:
             return _chosen("int", fin, target, (a, 1), (out, 1), channel, examined)
 
     # stage 2: exact plans with one fractional divider.  f_vco fixes both
     # dividers, so no two candidates share an f_vco and the lowest valid one
     # wins: each family is scanned up in f_vco to its first valid candidate,
     # integer outputs only below the integer-feedback winner (and past
-    # integer feedbacks, which stage 1 covered).
+    # integer feedbacks, which stage 1 covered).  A family whose smallest
+    # denominator, kd/a_max or kn/o_max, is over the cap is not scanned.
     best, a_bound = None, math.inf
-    for a in fb_ints:
-        examined += 1
-        p, q = _reduced(kn * a, kd)
-        if _fits(p, q, cons.ms_int_min, cons.ms_int_max, cap):
-            best, a_bound = ((a, 1), (p, q)), a * kn
-            break
-    for o in ms_ints:
-        if o * kd > a_bound:  # target * o > f_in * a
-            break
-        examined += 1
-        p, q = _reduced(kd * o, kn)
-        if q != 1 and _fits(p, q, cons.fb_int_min, cons.fb_int_max, cap):
-            best = (p, q), (o, 1)
-            break
+    if kd <= cap * (fb_ints.stop - 1):
+        for a in fb_ints:
+            examined += 1
+            p, q = _reduced(kn * a, kd)
+            if _fits(p, q, cons.ms_int_min, cons.ms_int_max, cap):
+                best, a_bound = ((a, 1), (p, q)), a * kn
+                break
+    if kn <= cap * (ms_ints.stop - 1):
+        for o in ms_ints:
+            if o * kd > a_bound:  # target * o > f_in * a
+                break
+            examined += 1
+            p, q = _reduced(kd * o, kn)
+            if q != 1 and _fits(p, q, cons.fb_int_min, cons.fb_int_max, cap):
+                best = (p, q), (o, 1)
+                break
     if best:
         return _chosen("exactfrac", fin, target, *best, channel, examined)
 
     # stage 3: minimal-error approximation via bounded-denominator neighbors
     best = best_error = None
-    for candidate in _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
+    for candidate, error_n, error_d in _neighbor_candidates(
+            fin, kn, kd, fb_ints, ms_ints, cons):
         examined += 1
-        fb_n, fb_d, out_n, out_d = candidate
         # rel_error = error_n / (kd * error_d); kd is shared by every candidate
-        error_n = abs(kn * fb_n * out_d - kd * fb_d * out_n)
-        error_d = fb_d * out_n
         if best is not None:
             lhs, rhs = error_n * best_error[1], best_error[0] * error_d
-            if lhs > rhs or (lhs == rhs and
-                             _tie_key(candidate) >= _tie_key(best)):
+            if lhs > rhs or (lhs == rhs and not _precedes(candidate, best)):
                 continue
         best, best_error = candidate, (error_n, error_d)
     if best is None:
@@ -342,78 +353,79 @@ def plan_frequency(
 
 def _pinned(fin, target, feedback, channel, cons):
     """The output divider alone, for the VCO that ``feedback`` sets."""
-    f_vco = fin * feedback.value
-    if not cons.vco_min <= f_vco <= cons.vco_max:
-        raise ValueError(f"pinned VCO {f_vco} Hz outside the VCO window")
+    fb = (feedback.a * feedback.c + feedback.b, feedback.c)
+    vn, vd = fin.numerator * fb[0], fin.denominator * fb[1]  # f_vco = vn / vd
+    v_lo, v_hi = cons.vco_min, cons.vco_max
+    if not (v_lo.numerator * vd <= vn * v_lo.denominator
+            and vn * v_hi.denominator <= v_hi.numerator * vd):
+        raise ValueError(f"pinned VCO {Fraction(vn, vd)} Hz outside the VCO window")
     cap, lo, hi = cons.max_denominator, cons.ms_int_min, cons.ms_int_max + 1
     # the ideal output divider f_vco / target = xn / xd, clamped into the
     # legal range, whose top is the largest capped fraction below hi
-    xn = f_vco.numerator * target.denominator
-    xd = f_vco.denominator * target.numerator
+    xn, xd = vn * target.denominator, vd * target.numerator
     if xn < lo * xd:
-        candidates = [(lo, 1)]
+        candidates = [(lo, 1, lo * xd - xn)]
     elif xn >= hi * xd:
-        candidates = [(hi * cap - 1, cap)]
+        candidates = [(hi * cap - 1, cap, xn * cap - xd * (hi * cap - 1))]
     else:
-        candidates = _bracket(xn, xd, cap)
+        candidates = _descent(xn, xd, cap)
     best = best_error = None
-    for p, q in candidates:  # lower neighbor first, so it keeps a tie
+    for p, q, error_n in candidates:  # lower neighbor first, so it keeps a tie
         if not _fits(p, q, lo, hi - 1, cap):
             continue
         # rel_error = |xn*q - xd*p| / (xd*p); xd is shared by both
-        error_n = abs(xn * q - xd * p)
         if best is None or error_n * best_error[1] < best_error[0] * p:
             best, best_error = (p, q), (error_n, p)
     if best is None or best_error[0] * 10**9 > xd * best_error[1]:
         raise UnsatisfiableFrequencyError(
-            f"no output divider of the shared VCO at {f_vco} Hz reaches "
+            f"no output divider of the shared VCO at {Fraction(vn, vd)} Hz reaches "
             f"{float(target):.6g} Hz within 1e-9 relative"
         )
-    fb = (feedback.a * feedback.c + feedback.b, feedback.c)
     return _chosen("pinned", fin, target, fb, best, channel, len(candidates))
 
 
 def _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
-    """Stage-3 candidates ``(fb_n, fb_d, out_n, out_d)``, all legal: for each
-    integer divider in range, the bounded-denominator neighbors of the exact
-    partner divider."""
+    """Stage-3 candidates ``((fb_n, fb_d, out_n, out_d), error_n, error_d)``,
+    all legal: for each integer divider in range, the bounded-denominator
+    neighbors of the exact partner divider, with the relative error
+    ``error_n / (kd * error_d)`` taken from the descent."""
     cap = cons.max_denominator
     fn, fd = fin.numerator, fin.denominator
     # the VCO window in feedback units, vco / f_in
     lo_n, lo_d = _reduced(cons.vco_min.numerator * fd, cons.vco_min.denominator * fn)
     hi_n, hi_d = _reduced(cons.vco_max.numerator * fd, cons.vco_max.denominator * fn)
+    # the descent keeps q <= cap, so of :func:`_fits` only the range is left
+    fb_lo, fb_hi = max(cons.fb_int_min, 1), cons.fb_int_max + 1
+    ms_lo, ms_hi = max(cons.ms_int_min, 1), cons.ms_int_max + 1
     for o in ms_ints:
-        inside = [(p, q) for p, q in _bracket(kd * o, kn, cap)
-                  if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q]
+        # feedback p/q for output o misses by |kn*p - kd*o*q| / (kd*o*q)
+        inside = [c for c in _descent(kd * o, kn, cap)
+                  if lo_n * c[1] <= c[0] * lo_d and c[0] * hi_d <= hi_n * c[1]]
         if not inside:
             # window edges are valid fallbacks when both neighbors overshoot it
-            inside = [e for e in ((lo_n, lo_d), (hi_n, hi_d)) if e[1] <= cap]
-        for p, q in inside:
-            if _fits(p, q, cons.fb_int_min, cons.fb_int_max, cap):
-                yield p, q, o, 1
+            inside = [(p, q, abs(kn * p - kd * o * q))
+                      for p, q in ((lo_n, lo_d), (hi_n, hi_d)) if q <= cap]
+        for p, q, error in inside:
+            if fb_lo * q <= p < fb_hi * q:
+                yield (p, q, o, 1), error, q * o
     for a in fb_ints:
-        for p, q in _bracket(kn * a, kd, cap):
-            if _fits(p, q, cons.ms_int_min, cons.ms_int_max, cap):
-                yield a, 1, p, q
+        # output p/q for feedback a misses by |kd*p - kn*a*q| / (kd*p)
+        for p, q, error in _descent(kn * a, kd, cap):
+            if ms_lo * q <= p < ms_hi * q:
+                yield (a, 1, p, q), error, p
 
 
-def _bracket(n: int, d: int, cap: int) -> list[tuple[int, int]]:
-    """The distinct bounded-denominator neighbors bracketing ``n/d``."""
-    p_lo, q_lo, p_hi, q_hi = _neighbors(*_reduced(n, d), cap)
-    if (p_lo, q_lo) == (p_hi, q_hi):
-        return [(p_lo, q_lo)]
-    return [(p_lo, q_lo), (p_hi, q_hi)]
-
-
-def _tie_key(candidate: tuple[int, int, int, int]):
-    """Order among equal errors: lowest f_vco (the feedback value, for one
-    f_in), then feedback denominator, output denominator, output value."""
-    fb_n, fb_d, out_n, out_d = candidate
-    return Fraction(fb_n, fb_d), fb_d, out_d, Fraction(out_n, out_d)
+def _precedes(c: tuple[int, int, int, int], d: tuple[int, int, int, int]) -> bool:
+    """Whether candidate ``c`` goes before ``d`` among equal errors: lowest
+    f_vco (the feedback value, for one f_in), then feedback denominator,
+    output denominator, output value; values compared cross-multiplied."""
+    (c_fn, c_fd, c_on, c_od), (d_fn, d_fd, d_on, d_od) = c, d
+    return ((c_fn * d_fd, c_fd, c_od, c_on * d_od)
+            < (d_fn * c_fd, d_fd, d_od, d_on * c_od))
 
 
 def _chosen(stage, fin, target, feedback, output, channel, examined):
-    plan = _build_plan(fin, target, Fraction(*feedback), Fraction(*output), channel)
+    plan = _build_plan(fin, target, feedback, output, channel)
     # A DEBUG record is seen only where the application has set up logging,
     # which imports it.  The planner does not import it itself: that import
     # would add several ms to every start of the command-line tool.
@@ -428,23 +440,33 @@ def _chosen(stage, fin, target, feedback, output, channel, examined):
 def _build_plan(
     fin: Fraction,
     target: Fraction,
-    feedback: Fraction,
-    output: Fraction,
+    feedback: tuple[int, int],
+    output: tuple[int, int],
     channel: int,
 ) -> FrequencyPlan:
-    f_vco = fin * feedback
-    f_achieved = f_vco / output
-    rel_error = abs(f_achieved - target) / target
+    """The plan for the dividers ``feedback`` and ``output``, each given
+    as a ``(numerator, denominator)`` pair in lowest terms."""
+    (fb_n, fb_d), (out_n, out_d) = feedback, output
+    vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
+    ach_n, ach_d = vco_n * out_d, vco_d * out_n
+    tn, td = target.numerator, target.denominator
     return FrequencyPlan(
         f_in=fin,
         f_target=target,
-        feedback=RationalDivider.from_fraction(feedback),
-        output=RationalDivider.from_fraction(output),
-        f_vco=f_vco,
-        f_achieved=f_achieved,
-        rel_error=rel_error,
+        feedback=_divider(fb_n, fb_d),
+        output=_divider(out_n, out_d),
+        f_vco=Fraction(vco_n, vco_d),
+        f_achieved=Fraction(ach_n, ach_d),
+        rel_error=Fraction(abs(ach_n * td - tn * ach_d), ach_d * tn),
         channel=channel,
     )
+
+
+def _divider(n: int, d: int) -> RationalDivider:
+    """``a + b/c`` for ``n/d`` in lowest terms."""
+    a, b = divmod(n, d)
+    # b/d of a reduced n/d is already in lowest terms
+    return RationalDivider(a, b, d) if b else RationalDivider(a, 0, 1)
 
 
 def plan_phase(

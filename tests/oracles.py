@@ -48,7 +48,30 @@ def exact_plans(f_in, f_target, cons):
     return plans
 
 
-def approximate_plans(f_in, f_target, cons):
+def farey_partner(x: Fraction, cap: int, above: bool) -> Fraction:
+    """The neighbour of ``x`` in the Farey sequence of order ``cap``, above
+    or below it: the fraction r/s with the largest s <= cap such that
+    r·q - p·s = 1 (above) or p·s - r·q = 1 (below), for x = p/q."""
+    p, q = x.numerator, x.denominator
+    s = (-pow(p, -1, q) if above else pow(p, -1, q)) % q
+    s += (cap - s) // q * q
+    r = (1 + p * s) // q if above else (p * s - 1) // q
+    partner = Fraction(r, s)
+    assert (partner > x) == above and partner.denominator <= cap
+    return partner
+
+
+def capped_neighbors(value: Fraction, cap: int) -> list[Fraction]:
+    """The fractions with denominator at most ``cap`` nearest ``value`` on
+    either side, lower first: ``value`` alone when it fits the cap, else
+    ``limit_denominator``'s result and its Farey partner across ``value``."""
+    nearest = value.limit_denominator(cap)
+    if nearest == value:
+        return [value]
+    return sorted([nearest, farey_partner(nearest, cap, above=nearest < value)])
+
+
+def approximate_plans(f_in, f_target, cons, both_neighbors=False):
     """Candidates of the searched family for a target with no exact plan,
     by a route independent of the planner's neighbor search.
 
@@ -56,11 +79,19 @@ def approximate_plans(f_in, f_target, cons):
     best bounded-denominator approximation of the exact feedback divider,
     or the window edges (vco / f_in) within the cap when that approximation
     leaves the window; for every integer feedback in window, the best
-    approximation of the exact output divider.  Returns
-    (rel_error, f_vco, feedback, output) for each legal one.
+    approximation of the exact output divider.  With ``both_neighbors``,
+    both capped neighbors (:func:`capped_neighbors`) stand in for the best
+    approximation, those inside the window for the feedback: the planner's
+    whole stage-3 family.  Returns (rel_error, f_vco, feedback, output) for
+    each legal one.
     """
     cap = cons.max_denominator
     plans = []
+
+    def near(value):
+        if both_neighbors:
+            return capped_neighbors(value, cap)
+        return [value.limit_denominator(cap)]
 
     def legal(value, int_min, int_max):
         return (value.denominator <= cap and value >= 1
@@ -74,9 +105,9 @@ def approximate_plans(f_in, f_target, cons):
     o = math.ceil(cons.vco_min / f_target)
     while f_target * o <= cons.vco_max:
         if cons.ms_int_min <= o <= cons.ms_int_max:
-            fb = (f_target * o / f_in).limit_denominator(cap)
-            choices = ([fb] if window[0] <= fb <= window[1]
-                       else [e for e in window if e.denominator <= cap])
+            choices = ([fb for fb in near(f_target * o / f_in)
+                        if window[0] <= fb <= window[1]]
+                       or [e for e in window if e.denominator <= cap])
             for fb in choices:
                 if legal(fb, cons.fb_int_min, cons.fb_int_max):
                     add(fb, Fraction(o))
@@ -84,9 +115,9 @@ def approximate_plans(f_in, f_target, cons):
     a = math.ceil(cons.vco_min / f_in)
     while f_in * a <= cons.vco_max:
         if cons.fb_int_min <= a <= cons.fb_int_max:
-            out = (f_in * a / f_target).limit_denominator(cap)
-            if legal(out, cons.ms_int_min, cons.ms_int_max):
-                add(Fraction(a), out)
+            for out in near(f_in * a / f_target):
+                if legal(out, cons.ms_int_min, cons.ms_int_max):
+                    add(Fraction(a), out)
         a += 1
     return plans
 

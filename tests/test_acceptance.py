@@ -264,23 +264,9 @@ def test_criterion_5_pinned_plan_matches_the_limit_denominator_oracle(feedback, 
     f_vco = F_IN * feedback.value
     cap = CONS.max_denominator
     ideal = f_vco / target
-    nearest = ideal.limit_denominator(cap)
-    candidates = [nearest, _farey_partner(nearest, cap, above=nearest < ideal)]
+    candidates = oracles.capped_neighbors(ideal, cap)
     assert plan.rel_error == min(abs(f_vco / d - target) / target for d in candidates)
     oracles.assert_plan_valid(plan, CONS)
-
-
-def _farey_partner(x: Fraction, cap: int, above: bool) -> Fraction:
-    """The neighbour of ``x`` in the Farey sequence of order ``cap``, above
-    or below it: the fraction r/s with the largest s <= cap such that
-    r·q - p·s = 1 (above) or p·s - r·q = 1 (below), for x = p/q."""
-    p, q = x.numerator, x.denominator
-    s = (-pow(p, -1, q) if above else pow(p, -1, q)) % q
-    s += (cap - s) // q * q
-    r = (1 + p * s) // q if above else (p * s - 1) // q
-    partner = Fraction(r, s)
-    assert (partner > x) == above and partner.denominator <= cap
-    return partner
 
 
 def test_criterion_5_alone_on_the_board_the_plan_is_joint():

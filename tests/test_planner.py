@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from clockgen import (
     DEFAULT_CONSTRAINTS,
@@ -22,6 +23,7 @@ from clockgen import (
     plan_phase,
     plan_voltage,
 )
+from clockgen.planner import _descent
 
 import oracles
 
@@ -148,6 +150,15 @@ def exact_targets(rng, f_in, count):
     return targets
 
 
+def exact_rank(plan):
+    """Order of the exact plans of ``oracles.exact_plans``: integer/integer
+    plans first (stage 1), then by (f_vco, feedback denominator, output
+    denominator)."""
+    f_vco, fb, out = plan
+    return (fb.denominator != 1 or out.denominator != 1,
+            f_vco, fb.denominator, out.denominator)
+
+
 @pytest.mark.parametrize("cons, f_ins", [
     (CONS, (F_IN,)),
     (CONS, (Fraction(10 * MHZ), Fraction(48 * MHZ), Fraction(50 * MHZ))),
@@ -155,13 +166,6 @@ def exact_targets(rng, f_in, count):
      (F_IN, Fraction(48 * MHZ), Fraction(10 * MHZ))),
 ], ids=["default", "other-references", "small-cap"])
 def test_lowest_vco_tie_rule_against_oracle(cons, f_ins):
-    # integer/integer plans rank first (stage 1), then every exact plan by
-    # (f_vco, feedback denominator, output denominator)
-    def rank(p):
-        f_vco, fb, out = p
-        return (fb.denominator != 1 or out.denominator != 1,
-                f_vco, fb.denominator, out.denominator)
-
     rng = random.Random(18)
     small_cap = cons.max_denominator < CONS.max_denominator
     skipped_invalid_first = 0
@@ -177,9 +181,9 @@ def test_lowest_vco_tie_rule_against_oracle(cons, f_ins):
                 assert plan.rel_error > 0, target
                 continue
             oracles.assert_plan_valid(plan, cons)
-            best = min(plans, key=rank)
+            best = min(plans, key=exact_rank)
             assert (plan.f_vco, plan.feedback.value, plan.output.value) == best
-            if small_cap and rank(best)[0]:  # a stage-2 plan
+            if small_cap and exact_rank(best)[0]:  # a stage-2 plan
                 uncapped = oracles.exact_plans(f_in, target, CONS)
                 if min(p[0] for p in uncapped) < plan.f_vco:
                     skipped_invalid_first += 1
@@ -187,6 +191,65 @@ def test_lowest_vco_tie_rule_against_oracle(cons, f_ins):
         # the cap must invalidate the lowest-VCO fractional candidate of
         # some targets, or the early exit past it goes untested
         assert skipped_invalid_first >= 5
+
+
+SMALL_CAP = PlannerConstraints(max_denominator=113)
+
+
+@pytest.mark.parametrize("target, cons, edge", [
+    # f_in/target = 3/7: stage 1 visits multiples of 7 only, the first
+    # inside the feedback window (88..113) being 91, with output 39
+    (F_IN * 7 / 3, CONS, "first multiple of kd above the window start"),
+    # kd = 113 * 113 = cap * a_max: the only exact plan has feedback 113 and
+    # output 2261/113, denominator exactly the cap
+    (F_IN * 12769 / 2261, SMALL_CAP, "kd at cap * a_max"),
+    # kd one past cap * a_max: no integer feedback can give an output
+    # divider within the cap, so the family is skipped
+    (F_IN * 12770 / 2261, SMALL_CAP, "kd over cap * a_max"),
+    # kn = 113 * 20 = cap * o_max: the only exact plan has output 20 and
+    # feedback 12829/113, denominator exactly the cap
+    (F_IN * 12829 / 2260, SMALL_CAP, "kn at cap * o_max"),
+])
+def test_skipped_scans_never_skip_an_exact_plan(target, cons, edge, caplog):
+    """Stage 1 steps by kd and stage 2 skips a family whose smallest
+    denominator (kd/a_max, kn/o_max, with f_in/target = kn/kd in lowest
+    terms) is over the cap; at each edge the plan is the oracle's best,
+    from the stage that should find it.  Stage 3 would find an exact plan
+    too, so only the stage its DEBUG record names shows a wrong skip."""
+    caplog.set_level(logging.DEBUG, logger="clockgen.planner")
+    plans = oracles.exact_plans(F_IN, target, cons)
+    try:
+        plan = plan_frequency(F_IN, target, constraints=cons)
+    except UnsatisfiableFrequencyError:
+        assert not plans, edge
+        return
+    if not plans:
+        assert plan.rel_error > 0, edge
+        return
+    oracles.assert_plan_valid(plan, cons)
+    best = min(plans, key=exact_rank)
+    assert (plan.f_vco, plan.feedback.value, plan.output.value) == best, edge
+    (record,) = caplog.records
+    assert record.args[0] == ("exactfrac" if exact_rank(best)[0] else "int"), edge
+
+
+def test_skip_edge_targets_sit_on_their_edges():
+    """The targets above are where their comments say: the bounds are
+    recomputed here from the constraints."""
+    cap = SMALL_CAP.max_denominator
+    a_max = math.floor(CONS.vco_max / F_IN)
+    assert a_max == 113
+    r = F_IN / (F_IN * 12769 / 2261)
+    assert r.denominator == cap * a_max
+    r = F_IN / (F_IN * 12770 / 2261)
+    assert r.denominator == cap * a_max + 1
+    target = F_IN * 12829 / 2260
+    o_max = math.floor(CONS.vco_max / target)
+    assert (F_IN / target).numerator == cap * o_max == 2260
+    assert F_IN / (F_IN * 7 / 3) == Fraction(3, 7)
+    assert math.ceil(CONS.vco_min / F_IN) == 88
+    best = min(oracles.exact_plans(F_IN, F_IN * 7 / 3, CONS), key=exact_rank)
+    assert best[1:] == (91, 39)
 
 
 def test_alternate_reference_inputs():
@@ -210,6 +273,36 @@ def test_farey_neighbors_match_stdlib():
         best = value.limit_denominator(cap)
         assert best in (lo, hi)
         assert min(abs(value - lo), abs(value - hi)) == abs(value - best)
+
+
+@st.composite
+def descent_inputs(draw):
+    """``n/d`` with a common factor, and a cap: 1, any, or one the value
+    fits exactly, in lowest terms or as given."""
+    g = draw(st.integers(2, 10**6))
+    n, d = g * draw(st.integers(0, 10**12)), g * draw(st.integers(1, 10**12))
+    reduced = Fraction(n, d).denominator
+    cap = draw(st.one_of(st.just(1), st.integers(1, 2**30 - 1),
+                         st.integers(reduced, reduced + 3), st.integers(d, d + 3)))
+    return n, d, cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(descent_inputs())
+@example((6, 4, 1))            # 3/2 under cap 1: neighbors 1 and 2
+@example((6, 4, 2))            # fits once reduced, though d = 4 > cap
+@example((0, 10, 1))           # zero
+@example((10**12, 10**12 - 1, 10**6))
+def test_descent_gives_both_capped_neighbors_and_their_errors(args):
+    n, d, cap = args
+    value = Fraction(n, d)
+    neighbors = _descent(n, d, cap)
+    for p, q, error in neighbors:
+        assert 1 <= q <= cap and math.gcd(p, q) == 1
+        assert error == abs(d * p - n * q)
+    expected = oracles.capped_neighbors(value, cap)
+    assert [Fraction(p, q) for p, q, _ in neighbors] == expected
+    assert farey_neighbors(value, cap) == (expected[0], expected[-1])
 
 
 def test_farey_neighbors_exact_when_representable():
@@ -468,6 +561,33 @@ def test_approximation_no_worse_than_stdlib_candidates(f_in):
         assert plan.rel_error <= min(c[0] for c in candidates), target
 
 
+@pytest.mark.parametrize("f_in", [F_IN, Fraction(10 * MHZ), Fraction(48 * MHZ)])
+def test_approximation_is_the_first_of_both_capped_neighbors(f_in):
+    """On rough targets the plan is exactly the minimum over both capped
+    neighbors of every integer divider's exact partner: smallest relative
+    error, then lowest f_vco, feedback denominator, output denominator,
+    output value."""
+    def order(c):
+        error, f_vco, fb, out = c
+        return error, f_vco, fb.denominator, out.denominator, out
+
+    rng = random.Random(22)
+    lo, hi = int(CONS.f_out_min), int(CONS.f_out_max)
+    ties = 0
+    for _ in range(40):
+        q = rng.choice((999983, 1048573, 10**6 + 3))
+        target = Fraction(rng.randint(lo * q, hi * q), q)
+        plan = plan_frequency(f_in, target)
+        candidates = oracles.approximate_plans(f_in, target, CONS, both_neighbors=True)
+        best = min(candidates, key=order)
+        assert (plan.rel_error, plan.f_vco, plan.feedback.value,
+                plan.output.value) == best, target
+        ties += sum(c[0] == best[0] and c[2:] != best[2:] for c in candidates) > 0
+    # equal errors from distinct divider pairs are common on these targets,
+    # so the tie order is exercised
+    assert ties >= 5
+
+
 def test_equal_approximation_errors_resolve_to_lowest_vco():
     # a 10 MHz reference and a small cap give approximate plans whose error
     # another candidate matches exactly; the lower VCO must win
@@ -503,6 +623,20 @@ def test_degenerate_single_point_vco_window():
     assert plan.f_vco == Fraction(2_500_000_000)
     assert plan.feedback == RationalDivider(100, 0, 1)
     assert 0 < plan.rel_error <= Fraction(1, 10**9)
+
+
+def test_equal_approximation_errors_on_one_vco_go_to_the_lower_output_denominator():
+    # one VCO (2.2 GHz, feedback 88) and x = f_vco/target at the harmonic
+    # mean of the neighbors 22 and 22 + 1/cap: both miss by 1/(44*cap + 1)
+    cons = PlannerConstraints(vco_min=Fraction(2_200_000_000),
+                              vco_max=Fraction(2_200_000_000))
+    cap = cons.max_denominator
+    lo, hi = Fraction(22), 22 + Fraction(1, cap)
+    plan = plan_frequency(F_IN, 2_200 * MHZ / (2 * lo * hi / (lo + hi)),
+                          constraints=cons)
+    assert (plan.feedback, plan.output) == (RationalDivider(88, 0, 1),
+                                            RationalDivider(22, 0, 1))
+    assert plan.rel_error == Fraction(1, 44 * cap + 1)
 
 
 def test_unsatisfiable_when_family_is_empty():
