@@ -55,14 +55,7 @@ from .planner import (
     plan_phase,
 )
 from .power import RailModel, SupplySetting, apply_supply, plan_voltage
-from .protocol import (
-    Action,
-    BridgeCommand,
-    decode_command,
-    decode_read_response,
-    encode_command,
-    encode_read_response,
-)
+from .protocol import Action, BridgeCommand, decode_command, encode_command
 from .readout import ChannelStatus
 from .registers import BitField, MapEntry, RegisterFile, RegisterMap, parse_register_map
 from .server import SimulatorServer
@@ -123,11 +116,9 @@ __all__ = [
     "bridge_init",
     "decode_command",
     "decode_divider",
-    "decode_read_response",
     "default_config",
     "encode_command",
     "encode_divider",
-    "encode_read_response",
     "farey_neighbors",
     "load_config",
     "load_pot_map",

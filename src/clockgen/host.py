@@ -21,15 +21,12 @@ from .planner import (
     FrequencyLike,
     FrequencyPlan,
     PhasePlan,
-    _build_plan,
+    build_plan,
     check_channel,
-    fold_fields,
-    partial_registers,
     phase_step_byte,
     plan_fields,
     plan_frequency,
     plan_phase,
-    write_fields,
 )
 from .power import SupplySetting, apply_supply, plan_voltage
 from .protocol import RESPONSE_LENGTH, Action, BridgeCommand, encode_command
@@ -88,6 +85,24 @@ class BridgeClient:
 
     def read_register(self, device: int, register: int) -> int:
         return self.exchange([BridgeCommand.read(device, register)])[0]
+
+    def write_fields(self, device: int, writes: list[tuple[int, int, int]],
+                     current: dict[int, int] | None = None) -> None:
+        """Write packed field ``writes`` to ``device``: one exchange
+        writes each register they touch, once.
+
+        Fields sharing a register are folded onto its ``current`` value
+        (:func:`fold_fields`).  Without ``current``, an exchange before it
+        reads each register the writes cover only in part, once
+        (:func:`partial_registers`); a caller that has read them already
+        passes them as ``current``.
+        """
+        if current is None:
+            shared = partial_registers(writes)
+            current = dict(zip(shared, self.exchange(
+                [BridgeCommand.read(device, a) for a in shared])))
+        self.exchange([BridgeCommand.write(device, a, v)
+                       for a, v in fold_fields(writes, current).items()])
 
     def close(self) -> None:
         self._session.close()
@@ -163,8 +178,7 @@ class DeviceHandle:
             ) from None
         writes = plan_fields(regmap, plan, None, channel,
                              rewrite_feedback=feedback is None)
-        self.bridge.exchange([BridgeCommand.write(self.synth_address, a, v)
-                              for a, v in fold_fields(writes, current).items()])
+        self.bridge.write_fields(self.synth_address, writes, current)
         self._plans = {k: p for k, p in self._plans.items()
                        if p.feedback == plan.feedback}
         self._plans[channel] = plan
@@ -181,8 +195,7 @@ class DeviceHandle:
         phase = plan_phase(self._current_plan(channel), seconds=seconds,
                            degrees=degrees,
                            step_limit=self.constraints.phase_step_limit)
-        write_fields(
-            self.bridge,
+        self.bridge.write_fields(
             self.synth_address,
             self.synth_map.pack(f"ms{channel}_phstep", phase_step_byte(phase.steps)),
         )
@@ -206,17 +219,16 @@ class DeviceHandle:
             raise NoPlanError(
                 f"channel {channel} registers hold no usable plan ({exc})"
             ) from None
-        plan = _build_plan(cons.f_in, f_vco / output.value,
-                           (feedback.a * feedback.c + feedback.b, feedback.c),
-                           (output.a * output.c + output.b, output.c), channel)
+        plan = build_plan(cons.f_in, f_vco / output.value,
+                          (feedback.a * feedback.c + feedback.b, feedback.c),
+                          (output.a * output.c + output.b, output.c), channel)
         self._plans[channel] = plan
         return plan
 
     def enable_output(self, channel: int, on: bool) -> None:
         """Toggle one channel's enable bit, leaving every other bit alone."""
         check_channel(channel)
-        write_fields(
-            self.bridge,
+        self.bridge.write_fields(
             self.synth_address,
             self.synth_map.pack(f"clk{channel}_en", 1 if on else 0),
         )
@@ -250,6 +262,25 @@ class DeviceHandle:
         values = self.bridge.exchange(
             [BridgeCommand.read(self.synth_address, r) for r in registers])
         return dict(zip(registers, values))
+
+
+def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
+    """Registers that ``writes`` cover only in part, each once, in the
+    order the fields first name them: their other bits must be read."""
+    return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
+
+
+def fold_fields(writes: list[tuple[int, int, int]],
+                current: dict[int, int]) -> dict[int, int]:
+    """Register values after ``writes``: every field written to one
+    register is folded onto its ``current`` value (0 where it is fully
+    overwritten), one value per register, in the order the fields first
+    name it."""
+    folded: dict[int, int] = {}
+    for address, bits, mask in writes:
+        value = folded.get(address, current.get(address, 0))
+        folded[address] = (value & ~mask) | bits
+    return folded
 
 
 def retune_registers(regmap: RegisterMap) -> list[list[int]]:

@@ -47,7 +47,6 @@ from .errors import (
     PhaseRangeError,
     UnsatisfiableFrequencyError,
 )
-from .protocol import BridgeCommand
 
 FrequencyLike = Union[int, str, Fraction]
 
@@ -102,8 +101,8 @@ class PlannerConstraints:
     f_in_max: Fraction = Fraction(50_000_000)
 
     def __post_init__(self):
-        if self.max_denominator > DENOMINATOR_HARD_CAP:
-            raise ValueError(f"max_denominator cannot exceed {DENOMINATOR_HARD_CAP}")
+        if not 1 <= self.max_denominator <= DENOMINATOR_HARD_CAP:
+            raise ValueError(f"max_denominator must be 1..{DENOMINATOR_HARD_CAP}")
         if not 1 <= self.phase_step_limit <= 127:
             raise ValueError("phase_step_limit must fit the signed 8-bit register")
         if self.vco_min > self.vco_max or self.f_out_min > self.f_out_max:
@@ -425,7 +424,7 @@ def _precedes(c: tuple[int, int, int, int], d: tuple[int, int, int, int]) -> boo
 
 
 def _chosen(stage, fin, target, feedback, output, channel, examined):
-    plan = _build_plan(fin, target, feedback, output, channel)
+    plan = build_plan(fin, target, feedback, output, channel)
     # A DEBUG record is seen only where the application has set up logging,
     # which imports it.  The planner does not import it itself: that import
     # would add several ms to every start of the command-line tool.
@@ -437,7 +436,7 @@ def _chosen(stage, fin, target, feedback, output, channel, examined):
     return plan
 
 
-def _build_plan(
+def build_plan(
     fin: Fraction,
     target: Fraction,
     feedback: tuple[int, int],
@@ -445,7 +444,11 @@ def _build_plan(
     channel: int,
 ) -> FrequencyPlan:
     """The plan for the dividers ``feedback`` and ``output``, each given
-    as a ``(numerator, denominator)`` pair in lowest terms."""
+    as an integer ``(numerator, denominator)`` pair in lowest terms.
+
+    Nothing is searched or range-checked: ``f_vco``, ``f_achieved`` and
+    ``rel_error`` against ``target`` are worked out exactly for the
+    dividers given."""
     (fb_n, fb_d), (out_n, out_d) = feedback, output
     vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
     ach_n, ach_d = vco_n * out_d, vco_d * out_n
@@ -575,12 +578,15 @@ def apply_plan(
     synth_address: int,
 ) -> None:
     """Program one channel: feedback and channel dividers, phase step, and
-    the channel enable bit.  Registers named for other channels are never
-    touched; shared registers are updated read-modify-write so only this
-    channel's bits change.
+    the channel enable bit, through ``bridge.write_fields``.
+
+    The feedback divider sets the one VCO every output divides, and this
+    always rewrites it, so it moves every other running channel.
+    :meth:`clockgen.DeviceHandle.set_frequency` keeps the running VCO and
+    is the safe call.
     """
     check_channel(channel)
-    write_fields(bridge, synth_address, plan_fields(regmap, plan, phase, channel))
+    bridge.write_fields(synth_address, plan_fields(regmap, plan, phase, channel))
 
 
 def plan_fields(regmap, plan: FrequencyPlan, phase: PhasePlan | None,
@@ -602,36 +608,3 @@ def plan_fields(regmap, plan: FrequencyPlan, phase: PhasePlan | None,
     writes += regmap.pack(f"ms{channel}_phstep", phase_step_byte(steps))
     writes += regmap.pack(f"clk{channel}_en", 1)
     return writes
-
-
-def write_fields(bridge, device: int, writes: list[tuple[int, int, int]]) -> None:
-    """Issue packed field writes in at most two bridge exchanges.
-
-    Partial-byte fields go read-modify-write: the first exchange reads each
-    register they live in, once (:func:`partial_registers`).  The second
-    writes the registers :func:`fold_fields` gives.
-    """
-    shared = partial_registers(writes)
-    current = dict(zip(shared, bridge.exchange(
-        [BridgeCommand.read(device, a) for a in shared])))
-    bridge.exchange([BridgeCommand.write(device, a, v)
-                     for a, v in fold_fields(writes, current).items()])
-
-
-def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
-    """Registers that ``writes`` cover only in part, each once, in the
-    order the fields first name them: their other bits must be read."""
-    return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
-
-
-def fold_fields(writes: list[tuple[int, int, int]],
-                current: dict[int, int]) -> dict[int, int]:
-    """Register values after ``writes``: every field written to one
-    register is folded onto its ``current`` value (0 where it is fully
-    overwritten), one value per register, in the order the fields first
-    name it."""
-    folded: dict[int, int] = {}
-    for address, bits, mask in writes:
-        value = folded.get(address, current.get(address, 0))
-        folded[address] = (value & ~mask) | bits
-    return folded

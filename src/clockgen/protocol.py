@@ -1,4 +1,4 @@
-"""Bit-exact codec for the 4-byte bridge command and the 1-byte read response.
+"""Bit-exact codec for the 4-byte bridge command.
 
 Every transaction crossing the bridge is a fixed 4-byte frame:
 
@@ -99,16 +99,3 @@ def decode_command(data: bytes) -> BridgeCommand:
     if opcode == READ_OPCODE:
         return BridgeCommand.read(address, register)
     return BridgeCommand(Action.WRITE, address, register, payload)
-
-
-def encode_read_response(value: int) -> bytes:
-    """Serialize the 1-byte answer to a read command."""
-    if not 0 <= value <= 0xFF:
-        raise ValueError(f"response value {value} outside 0..255")
-    return bytes((value,))
-
-
-def decode_read_response(data: bytes) -> int:
-    if len(data) != RESPONSE_LENGTH:
-        raise FramingError(f"read response must be {RESPONSE_LENGTH} byte, got {len(data)}")
-    return data[0]

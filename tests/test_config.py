@@ -78,6 +78,12 @@ def test_bad_number_reports_line():
     assert info.value.line == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_denominator_cap_below_one_rejected(cap):
+    with pytest.raises(ConfigError, match="max_denominator"):
+        parse_config(f"max_denominator = {cap}\n")
+
+
 def test_missing_value_rejected():
     with pytest.raises(ConfigError):
         parse_config("f_in_hz =\n")

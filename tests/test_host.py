@@ -33,7 +33,6 @@ from clockgen import (
     plan_voltage,
 )
 from clockgen.config import default_rails
-from clockgen.planner import write_fields
 from clockgen.transport import TcpSession
 
 import oracles
@@ -303,7 +302,7 @@ def _write_divider(device, prefix, divider):
     writes = []
     for suffix, value in zip(("p1", "p2", "p3"), encode_divider(divider)):
         writes += device.synth_map.pack(f"{prefix}_{suffix}", value)
-    write_fields(device.bridge, device.synth_address, writes)
+    device.bridge.write_fields(device.synth_address, writes)
 
 
 def _fractional_plan(device, channel):
@@ -320,9 +319,9 @@ def _vco_below_window(device, channel):
 
 def _output_p2_not_below_p3(device, channel):
     plan = device.set_frequency(channel, 100 * MHZ)
-    write_fields(device.bridge, device.synth_address,
-                 device.synth_map.pack(f"ms{channel}_p2", 7)
-                 + device.synth_map.pack(f"ms{channel}_p3", 7))
+    device.bridge.write_fields(device.synth_address,
+                               device.synth_map.pack(f"ms{channel}_p2", 7)
+                               + device.synth_map.pack(f"ms{channel}_p3", 7))
     return plan
 
 
@@ -540,14 +539,30 @@ def test_write_fields_folds_fields_sharing_a_register(counting_device, host):
     device.bridge.write_register(device.synth_address, address, 0b1000)
     before = synth_snapshot(device, host)
     counting.reset()
-    write_fields(device.bridge, device.synth_address,
-                 regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1))
+    device.bridge.write_fields(device.synth_address,
+                               regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1))
     after = synth_snapshot(device, host)
     assert after[address] == 0b1011
     assert {a for a in range(256) if before[a] != after[a]} == {address}
     assert [(c.action, c.register) for c in frames(counting.written)] == \
         [(Action.READ, address), (Action.WRITE, address)]
     assert counting.reads == 1
+
+
+def test_write_fields_folds_onto_current_without_reading(counting_device, host):
+    device, counting = counting_device
+    regmap = device.synth_map
+    address = regmap.field("clk0_en").address
+    device.bridge.write_register(device.synth_address, address, 0b0100)
+    counting.reset()
+    device.bridge.write_fields(device.synth_address,
+                               regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1),
+                               current={address: 0b1000})
+    # the other bits come from current, not from the board
+    assert synth_snapshot(device, host)[address] == 0b1011
+    assert [(c.action, c.register) for c in frames(counting.written)] == \
+        [(Action.WRITE, address)]
+    assert (counting.writes, counting.reads) == (1, 0)
 
 
 def test_readback_matches_simulator_view(device, host):

@@ -474,6 +474,13 @@ def test_constraints_validation():
         PlannerConstraints(phase_step_limit=128)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_constraints_refuse_a_denominator_cap_below_one(cap):
+    # every divider has a denominator of at least 1, so no plan keeps such a cap
+    with pytest.raises(ValueError, match="max_denominator"):
+        PlannerConstraints(max_denominator=cap)
+
+
 # -- approximation stage, adversarial ------------------------------------------------
 
 

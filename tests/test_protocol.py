@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import clockgen
 from clockgen import (
     Action,
     BridgeCommand,
@@ -9,9 +12,7 @@ from clockgen import (
     InvalidOpcodeError,
     ProtocolError,
     decode_command,
-    decode_read_response,
     encode_command,
-    encode_read_response,
 )
 
 
@@ -106,10 +107,22 @@ def test_decode_is_total_over_four_byte_inputs():
         assert cmd.action in (Action.READ, Action.WRITE)
 
 
-def test_read_response_codec():
-    assert encode_read_response(0xAB) == b"\xab"
-    assert decode_read_response(b"\xab") == 0xAB
-    with pytest.raises(ValueError):
-        encode_read_response(0x100)
-    with pytest.raises(FramingError):
-        decode_read_response(b"\xab\xcd")
+def _imported(tree):
+    """Every module a parsed ``clockgen`` module imports, or may import
+    as a name, fully qualified."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["clockgen" if node.level else "",
+                                          node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_host_and_sim_speak_the_wire():
+    # planning, readout and power build no wire commands
+    package = Path(clockgen.__file__).parent
+    importers = {path.name for path in package.glob("*.py")
+                 if "clockgen.protocol" in _imported(ast.parse(path.read_text("utf-8")))}
+    assert importers == {"host.py", "sim.py", "__init__.py"}

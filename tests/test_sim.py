@@ -33,22 +33,11 @@ def feed(board, cmd):
     board.ingest(encode_command(cmd))
 
 
-class DirectBridge:
+class DirectBridge(BridgeClient):
     """Drives the board through its byte interface, pumping steps itself."""
 
     def __init__(self, board):
         self.board = board
-
-    def write_register(self, device, register, value):
-        feed(self.board, BridgeCommand.write(device, register, value))
-        self.board.run_until_idle()
-
-    def read_register(self, device, register):
-        feed(self.board, BridgeCommand.read(device, register))
-        self.board.run_until_idle()
-        out = self.board.take_output()
-        assert len(out) == 1
-        return out[0]
 
     def exchange(self, commands):
         for cmd in commands:
