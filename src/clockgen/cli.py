@@ -260,8 +260,13 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             board = BoardState(load_synth_map(args.map), load_config(args.config),
                                load_pot_map())
-            server = SimulatorServer(board, args.host, args.port)
-            print(f"simulator listening on {args.host}:{args.port}", file=sys.stderr)
+            try:
+                server = SimulatorServer(board, args.host, args.port)
+            except ValueError as exc:
+                print(f"usage error: {exc}", file=sys.stderr)
+                return 2
+            server.start()
+            print(f"simulator listening on {args.host}:{server.port}", file=sys.stderr)
             server.serve_forever()
             return 0
 
@@ -276,7 +281,7 @@ def run(argv: list[str] | None = None) -> int:
             payload, text = dispatch(device, args)
         finally:
             device.close()
-    except (ClockgenError, ValueError) as exc:
+    except (ClockgenError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,6 @@ from .planner import (
     FrequencyLike,
     FrequencyPlan,
     PhasePlan,
-    build_plan,
     check_channel,
     phase_step_byte,
     plan_fields,
@@ -34,8 +33,8 @@ from .readout import (
     ChannelStatus,
     channel_enabled,
     decode_feedback,
-    decode_output_divider,
     decode_outputs,
+    decode_plan,
     decode_rails,
     divider_fields,
     enable_fields,
@@ -98,11 +97,14 @@ class BridgeClient:
         passes them as ``current``.
         """
         if current is None:
-            shared = partial_registers(writes)
-            current = dict(zip(shared, self.exchange(
-                [BridgeCommand.read(device, a) for a in shared])))
+            current = self.read_registers(device, partial_registers(writes))
         self.exchange([BridgeCommand.write(device, a, v)
                        for a, v in fold_fields(writes, current).items()])
+
+    def read_registers(self, device: int, registers: list[int]) -> dict[int, int]:
+        """The values of ``registers`` of ``device``, by address, read in one exchange."""
+        return dict(zip(registers, self.exchange(
+            [BridgeCommand.read(device, r) for r in registers])))
 
     def close(self) -> None:
         self._session.close()
@@ -157,14 +159,15 @@ class DeviceHandle:
         """
         check_channel(channel)
         cons, regmap = self.constraints, self.synth_map
-        current = self._snapshot(self._retune_registers[channel])
+        current = self.bridge.read_registers(self.synth_address,
+                                             self._retune_registers[channel])
         read = current.__getitem__
         running = [k for k in range(CHANNEL_COUNT)
                    if k != channel and channel_enabled(read, regmap, k)]
         feedback = None
         if running:
             try:
-                feedback, _f_vco = decode_feedback(read, regmap, cons)
+                feedback = decode_feedback(read, regmap, cons)
             except InconsistentEncodingError:
                 pass  # no usable VCO to keep
         try:
@@ -208,20 +211,17 @@ class DeviceHandle:
         plan = self._plans.get(channel)
         if plan is not None:
             return plan
-        cons = self.constraints
-        read = self._snapshot(field_registers(
-            self.synth_map, divider_fields("fb") + divider_fields(f"ms{channel}"))
+        cons, regmap = self.constraints, self.synth_map
+        read = self.bridge.read_registers(self.synth_address, field_registers(
+            regmap, divider_fields("fb") + divider_fields(f"ms{channel}"))
         ).__getitem__
         try:
-            feedback, f_vco = decode_feedback(read, self.synth_map, cons)
-            output = decode_output_divider(read, self.synth_map, cons, channel)
+            plan = decode_plan(read, regmap, cons,
+                               decode_feedback(read, regmap, cons), channel)
         except InconsistentEncodingError as exc:
             raise NoPlanError(
                 f"channel {channel} registers hold no usable plan ({exc})"
             ) from None
-        plan = build_plan(cons.f_in, f_vco / output.value,
-                          (feedback.a * feedback.c + feedback.b, feedback.c),
-                          (output.a * output.c + output.b, output.c), channel)
         self._plans[channel] = plan
         return plan
 
@@ -247,21 +247,14 @@ class DeviceHandle:
     def read_outputs(self) -> list[ChannelStatus]:
         """Per-channel status decoded from one snapshot of the synthesizer
         registers, read over the bridge in one exchange."""
-        return decode_outputs(self._snapshot(self._output_registers).__getitem__,
-                              self.synth_map, self.constraints)
+        snapshot = self.bridge.read_registers(self.synth_address, self._output_registers)
+        return decode_outputs(snapshot.__getitem__, self.synth_map, self.constraints)
 
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
         one exchange."""
         return decode_rails(self.bridge.exchange(self._rail_reads),
                             self.config.rails)
-
-    def _snapshot(self, registers: list[int]) -> dict[int, int]:
-        """Read synthesizer ``registers`` in one exchange; returns the
-        values read, by address."""
-        values = self.bridge.exchange(
-            [BridgeCommand.read(self.synth_address, r) for r in registers])
-        return dict(zip(registers, values))
 
 
 def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:

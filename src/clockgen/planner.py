@@ -136,15 +136,16 @@ class RationalDivider:
 
     @property
     def value(self) -> Fraction:
-        return self.a + Fraction(self.b, self.c)
+        return Fraction(*self.pair)
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        """``(numerator, denominator)`` of the value, in lowest terms."""
+        return self.a * self.c + self.b, self.c
 
     @property
     def is_integer(self) -> bool:
         return self.b == 0
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "RationalDivider":
-        return _divider(value.numerator, value.denominator)
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,7 @@ def plan_frequency(
 
 def _pinned(fin, target, feedback, channel, cons):
     """The output divider alone, for the VCO that ``feedback`` sets."""
-    fb = (feedback.a * feedback.c + feedback.b, feedback.c)
+    fb = feedback.pair
     vn, vd = fin.numerator * fb[0], fin.denominator * fb[1]  # f_vco = vn / vd
     v_lo, v_hi = cons.vco_min, cons.vco_max
     if not (v_lo.numerator * vd <= vn * v_lo.denominator
@@ -553,7 +554,7 @@ def decode_divider(
         raise InconsistentEncodingError(
             f"integer part {a} outside legal range {int_range}"
         )
-    return RationalDivider.from_fraction(Fraction(numerator, p3))
+    return _divider(*_reduced(numerator, p3))
 
 
 def phase_step_byte(steps: int) -> int:

@@ -1,8 +1,8 @@
 """Decode register state into output and rail status.
 
-Shared by the simulator's query operations (reading its own register files)
-and the host's readback (reading over the wire); both views therefore agree
-by construction.
+One channel decoder (:func:`decode_feedback`, then :func:`decode_plan`) turns
+registers into the plan they hold: host status, the host's phase recovery and
+the simulator's oracle views all read a channel through it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from typing import Callable, Iterable, Sequence
 from .errors import InconsistentEncodingError
 from .planner import (
     CHANNEL_COUNT,
+    FrequencyPlan,
     PlannerConstraints,
     RationalDivider,
+    build_plan,
     decode_divider,
     phase_steps_from_byte,
 )
@@ -45,7 +47,7 @@ def _divider(read: Read, regmap: RegisterMap, prefix: str,
              int_range: tuple[int, int], problem: str) -> RationalDivider:
     try:
         return decode_divider(
-            *(regmap.unpack(name, read) for name in divider_fields(prefix)),
+            *[regmap.unpack(name, read) for name in divider_fields(prefix)],
             int_range=int_range,
         )
     except InconsistentEncodingError:
@@ -53,23 +55,27 @@ def _divider(read: Read, regmap: RegisterMap, prefix: str,
 
 
 def decode_feedback(read: Read, regmap: RegisterMap, cons: PlannerConstraints
-                    ) -> tuple[RationalDivider, Fraction]:
-    """The feedback divider and the VCO frequency it sets; raises
+                    ) -> RationalDivider:
+    """The feedback divider, whose VCO lies in the window; raises
     :class:`InconsistentEncodingError` naming the problem."""
     feedback = _divider(read, regmap, "fb", (cons.fb_int_min, cons.fb_int_max),
                         "invalid feedback divider")
-    f_vco = cons.f_in * feedback.value
-    if not cons.vco_min <= f_vco <= cons.vco_max:
+    if not cons.vco_min <= cons.f_in * feedback.value <= cons.vco_max:
         raise InconsistentEncodingError("vco frequency outside window")
-    return feedback, f_vco
+    return feedback
 
 
-def decode_output_divider(read: Read, regmap: RegisterMap,
-                          cons: PlannerConstraints, channel: int) -> RationalDivider:
-    """One channel's output divider; raises
+def decode_plan(read: Read, regmap: RegisterMap, cons: PlannerConstraints,
+                feedback: RationalDivider, channel: int) -> FrequencyPlan:
+    """The plan ``channel``'s output divider holds on the VCO of ``feedback``,
+    aimed at the frequency it achieves; raises
     :class:`InconsistentEncodingError` naming the problem."""
-    return _divider(read, regmap, f"ms{channel}", (cons.ms_int_min, cons.ms_int_max),
-                    "invalid output divider")
+    output = _divider(read, regmap, f"ms{channel}", (cons.ms_int_min, cons.ms_int_max),
+                      "invalid output divider")
+    fb, out = feedback.pair, output.pair
+    fin = cons.f_in
+    achieved = Fraction(fin.numerator * fb[0] * out[1], fin.denominator * fb[1] * out[0])
+    return build_plan(fin, achieved, fb, out, channel)
 
 
 def channel_enabled(read: Read, regmap: RegisterMap, channel: int) -> bool:
@@ -112,28 +118,25 @@ def decode_outputs(
     constraints: PlannerConstraints,
 ) -> list[ChannelStatus]:
     """Compute per-channel status from synthesizer registers via ``read``."""
-    feedback_problem = None
     try:
-        _, f_vco = decode_feedback(read, regmap, constraints)
+        feedback = decode_feedback(read, regmap, constraints)
     except InconsistentEncodingError as exc:
-        feedback_problem = str(exc)
-
+        return [ChannelStatus(k, channel_enabled(read, regmap, k), None, None, str(exc))
+                for k in range(CHANNEL_COUNT)]
     channels = []
     for k in range(CHANNEL_COUNT):
         enabled = channel_enabled(read, regmap, k)
-        problem = feedback_problem
-        f_out = phase_offset = None
-        if problem is None:
-            try:
-                divider = decode_output_divider(read, regmap, constraints, k)
-            except InconsistentEncodingError as exc:
-                problem = str(exc)
-            else:
-                if enabled:
-                    steps = phase_steps_from_byte(regmap.unpack(f"ms{k}_phstep", read))
-                    f_out = f_vco / divider.value
-                    phase_offset = steps * (1 / f_vco)
-        channels.append(ChannelStatus(k, enabled, f_out, phase_offset, problem))
+        try:
+            plan = decode_plan(read, regmap, constraints, feedback, k)
+        except InconsistentEncodingError as exc:
+            channels.append(ChannelStatus(k, enabled, None, None, str(exc)))
+            continue
+        if enabled:
+            steps = phase_steps_from_byte(regmap.unpack(f"ms{k}_phstep", read))
+            phase = Fraction(steps * plan.f_vco.denominator, plan.f_vco.numerator)
+            channels.append(ChannelStatus(k, True, plan.f_achieved, phase, None))
+        else:
+            channels.append(ChannelStatus(k, False, None, None, None))
     return channels
 
 

@@ -23,6 +23,8 @@ class SimulatorServer:
 
     def __init__(self, board: BoardState, host: str = "127.0.0.1",
                  port: int = DEFAULT_TCP_PORT):
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port {port} outside 0..65535")
         self.board = board
         self.host = host
         self.port = port
@@ -36,10 +38,7 @@ class SimulatorServer:
             raise RuntimeError("server already running")
         if self.board.firmware.phase is not Phase.MAIN_LOOP:
             self.board.boot()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(1)
+        listener = socket.create_server((self.host, self.port), backlog=1)
         listener.settimeout(_POLL_S)
         self.port = listener.getsockname()[1]
         self._listener = listener
@@ -58,8 +57,7 @@ class SimulatorServer:
             self._listener = None
 
     def serve_forever(self) -> None:
-        """Run until interrupted; convenience for the command line."""
-        self.start()
+        """After :meth:`start`, serve until interrupted; for the command line."""
         try:
             while True:
                 self._thread.join(_POLL_S)

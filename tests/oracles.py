@@ -5,7 +5,8 @@ Everything here deliberately takes a different route from the package code:
 stdlib ``Fraction.limit_denominator`` instead of the hand-rolled mediant
 descent, exhaustive scans instead of analytic inversion, brute-force sweeps
 instead of staged search, per-call probing and bit-at-a-time packing instead
-of precomputed field layouts.  Expected test values are computed from these, not
+of precomputed field layouts, divider images inverted as ``Fraction``s
+instead of on integer pairs.  Expected test values are computed from these, not
 from the code under test.
 """
 
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 
 from clockgen.power import WIPER_STEPS
+from clockgen.readout import ChannelStatus
 
 
 def exact_plans(f_in, f_target, cons):
@@ -221,3 +223,64 @@ def bitwise_unpack(parts, read):
             value |= (read(field.address) >> position & 1) << bit
             bit += 1
     return value
+
+
+def divider_from_image(p1, p2, p3, int_min, int_max):
+    """The divider whose register image is ``(p1, p2, p3)``, as a
+    ``Fraction``, or ``None`` when no legal divider has that image.
+
+    The encoder stores ``P1 = floor(128*d) - 512``, ``P2 = (128*d*P3) mod
+    P3`` and ``P3``, the denominator, so ``128*d = P1 + 512 + P2/P3``.  An
+    image is legal when its fields fit their 18/30/30 bits, ``0 <= P2 < P3``,
+    ``d*P3`` is a whole number and ``floor(d)`` is in range.
+    """
+    if not (p1 < 2**18 and p2 < 2**30 and p3 < 2**30):
+        return None
+    if p3 == 0 or p2 >= p3:
+        return None
+    d = (p1 + 512 + Fraction(p2, p3)) / 128
+    if (d * p3).denominator != 1:
+        return None
+    if not int_min <= math.floor(d) <= int_max:
+        return None
+    return d
+
+
+def decode_outputs(read, regmap, cons):
+    """The four channels' :class:`ChannelStatus` from the synthesizer registers
+    via ``read``: every field gathered bit by bit (:func:`probing_group`,
+    :func:`bitwise_unpack`), every divider inverted by
+    :func:`divider_from_image`, and the status in ``Fraction`` arithmetic,
+    ``f_out = f_vco / output`` and ``phase = steps * (1 / f_vco)``.
+    A bad feedback divider or VCO is every channel's problem; otherwise a
+    bad output divider is its own channel's."""
+    def field(name):
+        return bitwise_unpack(probing_group(regmap.fields, name), read)
+
+    def divider(prefix, int_min, int_max):
+        return divider_from_image(*(field(f"{prefix}_{p}") for p in ("p1", "p2", "p3")),
+                                  int_min, int_max)
+
+    feedback_problem = f_vco = None
+    feedback = divider("fb", cons.fb_int_min, cons.fb_int_max)
+    if feedback is None:
+        feedback_problem = "invalid feedback divider"
+    else:
+        f_vco = cons.f_in * feedback
+        if not cons.vco_min <= f_vco <= cons.vco_max:
+            feedback_problem = "vco frequency outside window"
+    statuses = []
+    for k in range(4):
+        enabled = field(f"clk{k}_en") == 1 and field(f"clk{k}_pdn") == 0
+        problem, f_out, phase = feedback_problem, None, None
+        if problem is None:
+            output = divider(f"ms{k}", cons.ms_int_min, cons.ms_int_max)
+            if output is None:
+                problem = "invalid output divider"
+            elif enabled:
+                steps = int.from_bytes(bytes([field(f"ms{k}_phstep")]), "big",
+                                       signed=True)
+                f_out = f_vco / output
+                phase = steps * (1 / f_vco)
+        statuses.append(ChannelStatus(k, enabled, f_out, phase, problem))
+    return statuses

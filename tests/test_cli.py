@@ -1,7 +1,14 @@
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clockgen
 from clockgen.cli import build_parser, dispatch, parse_frequency, run
 
 
@@ -172,6 +179,45 @@ def test_simulate_subcommand_serves_the_protocol():
         sock.sendall(encode_command(BridgeCommand.read(0x70, 0x06)))
         sock.settimeout(2.0)
         assert sock.recv(1) == b"\x77"
+
+
+def test_unreadable_map_file_exits_1(capsys, tmp_path):
+    assert run(["--map", str(tmp_path / "missing.map"), "status"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_simulate_on_a_busy_port_exits_1(capsys, tcp_server):
+    assert run(["simulate", "--port", str(tcp_server.port)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "listening" not in err
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_simulate_port_out_of_range_exits_2(capsys, port):
+    assert run(["simulate", "--port", port]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and port in err
+    assert "listening" not in err
+
+
+def test_simulate_port_0_reports_the_bound_port(capsys):
+    src = str(Path(clockgen.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "clockgen.cli", "simulate", "--port", "0"],
+                            stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        line = proc.stderr.readline()
+        match = re.fullmatch(r"simulator listening on 127\.0\.0\.1:(\d+)\n", line)
+        assert match and int(match.group(1)) != 0, line
+        assert run(["--transport", f"tcp:127.0.0.1:{match.group(1)}", "status"]) == 0
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(10) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 # -- thin-shell property ----------------------------------------------------------------

@@ -32,6 +32,11 @@ F_IN = Fraction(25 * MHZ)
 CONS = DEFAULT_CONSTRAINTS
 
 
+def divider_of(value: Fraction) -> RationalDivider:
+    whole, rest = divmod(value, 1)
+    return RationalDivider(whole, rest.numerator, rest.denominator)
+
+
 def make_plan(feedback: Fraction, output: Fraction,
               f_in: Fraction = F_IN) -> FrequencyPlan:
     """Hand-build a plan for phase tests without going through the search."""
@@ -40,8 +45,8 @@ def make_plan(feedback: Fraction, output: Fraction,
     return FrequencyPlan(
         f_in=f_in,
         f_target=f_achieved,
-        feedback=RationalDivider.from_fraction(feedback),
-        output=RationalDivider.from_fraction(output),
+        feedback=divider_of(feedback),
+        output=divider_of(output),
         f_vco=f_vco,
         f_achieved=f_achieved,
         rel_error=Fraction(0),

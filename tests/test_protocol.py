@@ -126,3 +126,22 @@ def test_only_host_and_sim_speak_the_wire():
     importers = {path.name for path in package.glob("*.py")
                  if "clockgen.protocol" in _imported(ast.parse(path.read_text("utf-8")))}
     assert importers == {"host.py", "sim.py", "__init__.py"}
+
+
+def _called(tree):
+    """The name of every function a parsed module calls, plain or as an
+    attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr
+
+
+def test_only_readout_decodes_divider_images():
+    # status, phase recovery and the retune all read a channel through readout
+    package = Path(clockgen.__file__).parent
+    callers = {path.name for path in package.glob("*.py")
+               if "decode_divider" in _called(ast.parse(path.read_text("utf-8")))}
+    assert callers == {"readout.py"}

@@ -1,4 +1,7 @@
+import gc
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,8 +22,11 @@ from clockgen import (
     plan_phase,
     plan_voltage,
 )
+from clockgen.readout import decode_outputs, output_registers
 from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND
 from clockgen.transport import TcpSession
+
+import oracles
 
 
 def booted():
@@ -262,6 +268,89 @@ def test_query_phase_offset_exact():
     assert status.f_out == plan.f_achieved
 
 
+# register images for the readout property: each divider is drawn legal or
+# broken in one of the ways the decoder names, then one register may be hit
+_BOARD = BoardState()
+_CONS, _REGMAP = _BOARD.config.constraints, _BOARD.synth_map
+_P1_LIMIT = 2**18
+_P23_LIMIT = 2**30
+
+
+@st.composite
+def divider_image(draw, int_range, legal_range, edges=()):
+    """``(p1, p2, p3)``: a legal divider with its integer part in
+    ``legal_range`` (P3 not always in lowest terms), one within 1e-6 of one
+    of the values ``edges``, one whose integer part is outside
+    ``int_range``, P2 >= P3, P3 = 0, or any field values."""
+    int_min, int_max = int_range
+    kinds = ["legal"] * 6 + ["int-out-of-range", "p2-not-below-p3", "p3-zero", "any"]
+    kind = draw(st.sampled_from(kinds + ["edge"] * bool(edges)))
+    if kind == "edge":
+        nudge = draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 10**6)
+        value = draw(st.sampled_from(edges)) + nudge
+        a, rest = divmod(value, 1)
+        b, c = rest.numerator, rest.denominator
+    elif kind in ("legal", "int-out-of-range"):
+        if kind == "legal":
+            a = draw(st.integers(*legal_range) | st.sampled_from(legal_range))
+        else:
+            # the smallest image is 4; past 2051 P1 overflows its 18 bits
+            a = draw(st.sampled_from([int_min - 1, int_max + 1])
+                     | st.integers(4, int_min - 1) | st.integers(int_max + 1, 2051))
+        c = draw(st.one_of(st.just(1), st.integers(1, 1000),
+                           st.integers(1, _P23_LIMIT - 1)))
+        b = draw(st.integers(0, c - 1))
+    else:
+        p3 = 0 if kind == "p3-zero" else draw(st.integers(1, _P23_LIMIT - 1))
+        p2 = draw(st.integers(p3 if kind == "p2-not-below-p3" else 0, _P23_LIMIT - 1))
+        return draw(st.integers(0, _P1_LIMIT - 1)), p2, p3
+    # the encoder's formulas on a + b/c, reduced or not
+    return (128 * (a * c + b)) // c - 512, (128 * b) % c, c
+
+
+@st.composite
+def register_image(draw, regmap):
+    """Every synthesizer register: the feedback and four output dividers,
+    enable and power-down bits and phase steps, then at most one output
+    register overwritten with any byte."""
+    image = {a: regmap.reset_value(a) for a in range(256)}
+
+    def put(name, value):
+        for address, bits, mask in oracles.bitwise_pack(
+                oracles.probing_group(regmap.fields, name), value):
+            image[address] = (image[address] & ~mask) | bits
+
+    fb_range = (_CONS.fb_int_min, _CONS.fb_int_max)
+    ms_range = (_CONS.ms_int_min, _CONS.ms_int_max)
+    # mostly a VCO inside the window, sometimes anywhere in range
+    in_window = (math.ceil(_CONS.vco_min / _CONS.f_in),
+                 math.floor(_CONS.vco_max / _CONS.f_in))
+    edges = (_CONS.vco_min / _CONS.f_in, _CONS.vco_max / _CONS.f_in)
+    images = [("fb", draw(divider_image(fb_range, draw(st.sampled_from(
+        [in_window, in_window, in_window, fb_range])), edges)))]
+    images += [(f"ms{k}", draw(divider_image(ms_range, ms_range))) for k in range(4)]
+    for prefix, values in images:
+        for suffix, value in zip(("p1", "p2", "p3"), values):
+            put(f"{prefix}_{suffix}", value)
+    for k in range(4):
+        put(f"clk{k}_en", draw(st.integers(0, 1)))
+        put(f"clk{k}_pdn", draw(st.sampled_from([0, 0, 0, 1])))
+        put(f"ms{k}_phstep", draw(st.integers(0, 255)))
+    hit = draw(st.none() | st.tuples(st.sampled_from(output_registers(regmap)),
+                                     st.integers(0, 255)))
+    if hit is not None:
+        image[hit[0]] = hit[1]
+    return image
+
+
+@settings(max_examples=400, deadline=None)
+@given(register_image(_REGMAP))
+def test_decode_outputs_matches_independent_oracle(image):
+    read = image.__getitem__
+    assert decode_outputs(read, _REGMAP, _CONS) == \
+        oracles.decode_outputs(read, _REGMAP, _CONS)
+
+
 def test_query_rails_formula_endpoint():
     board = booted()
     rail = board.config.rails[0]
@@ -473,3 +562,20 @@ def test_dispatch_history_stays_bounded_over_tcp():
         assert board.max_dispatch_steps <= DISPATCH_STEP_BOUND
     finally:
         server.stop()
+
+
+def test_server_start_on_a_busy_port_leaves_no_socket_open(tcp_server):
+    server = SimulatorServer(BoardState(), port=tcp_server.port)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError):
+            server.start()
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    server.stop()  # nothing to stop; must not raise
+
+
+@pytest.mark.parametrize("port", [-1, 65536])
+def test_server_refuses_a_port_outside_the_tcp_range(port):
+    with pytest.raises(ValueError, match="outside 0..65535"):
+        SimulatorServer(BoardState(), port=port)

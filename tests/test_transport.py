@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import pytest
 
 from clockgen import (
@@ -5,6 +8,7 @@ from clockgen import (
     BridgeCommand,
     ConnectError,
     ReadTimeoutError,
+    SessionBusyError,
     SessionClosedError,
     SessionConfig,
     TransportError,
@@ -208,3 +212,42 @@ def test_tcp_survives_undecodable_frames(tcp_server):
     session.write_bytes(WRITE_06 + READ_06)
     assert session.read_bytes(1) == b"\xab"
     session.close()
+
+
+class _SignallingSocket:
+    """A socket that sets ``receiving`` when a read starts to wait on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.receiving = threading.Event()
+
+    def recv(self, size):
+        self.receiving.set()
+        return self._sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_tcp_session_refuses_a_second_caller_while_one_reads():
+    ours, peer = socket.socketpair()
+    sock = _SignallingSocket(ours)
+    session = TcpSession(sock, read_timeout=5.0)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(session.read_bytes(1)))
+    reader.start()
+    try:
+        assert sock.receiving.wait(5.0)
+        with pytest.raises(SessionBusyError):
+            session.write_bytes(b"late")
+    finally:
+        peer.sendall(b"\x2a")
+        reader.join(5.0)
+    assert got == [b"\x2a"]
+    # the refused call left nothing behind: the session works again
+    session.write_bytes(b"ping")
+    assert peer.recv(4) == b"ping"
+    peer.sendall(b"\x07")
+    assert session.read_bytes(1) == b"\x07"
+    session.close()
+    peer.close()
