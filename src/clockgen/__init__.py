@@ -50,7 +50,6 @@ from .planner import (
     apply_plan,
     decode_divider,
     encode_divider,
-    farey_neighbors,
     plan_frequency,
     plan_phase,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "default_config",
     "encode_command",
     "encode_divider",
-    "farey_neighbors",
     "load_config",
     "load_pot_map",
     "load_synth_map",

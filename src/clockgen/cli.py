@@ -267,7 +267,9 @@ def run(argv: list[str] | None = None) -> int:
                 return 2
             server.start()
             print(f"simulator listening on {args.host}:{server.port}", file=sys.stderr)
-            server.serve_forever()
+            if not server.serve_forever():
+                print("error: simulator stopped serving", file=sys.stderr)
+                return 1
             return 0
 
         try:

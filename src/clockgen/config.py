@@ -199,7 +199,6 @@ def load_synth_map(path: str | Path | None = None) -> RegisterMap:
     return parse_register_map(text)
 
 
-def load_pot_map(path: str | Path | None = None) -> RegisterMap:
-    """Load the pot register map, defaulting to the shipped one."""
-    text = Path(path).read_text("utf-8") if path else _packaged("pot.map")
-    return parse_register_map(text)
+def load_pot_map() -> RegisterMap:
+    """Load the shipped pot register map."""
+    return parse_register_map(_packaged("pot.map"))

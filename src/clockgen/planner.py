@@ -143,10 +143,6 @@ class RationalDivider:
         """``(numerator, denominator)`` of the value, in lowest terms."""
         return self.a * self.c + self.b, self.c
 
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0
-
 
 @dataclass(frozen=True)
 class FrequencyPlan:
@@ -170,18 +166,6 @@ class PhasePlan:
     quantum: Fraction  # seconds, = 1 / f_vco
     offset_achieved: Fraction  # seconds
     residual: Fraction  # requested minus achieved, |residual| <= quantum/2
-
-
-def farey_neighbors(value: Fraction, max_denominator: int) -> tuple[Fraction, Fraction]:
-    """Tightest rationals ``lo <= value <= hi`` with denominators bounded.
-
-    Stern-Brocot mediant descent with run-length compression (equivalently,
-    the continued-fraction convergent/semiconvergent construction).  When
-    ``value`` itself fits the bound both neighbors equal ``value``.
-    """
-    neighbors = _descent(value.numerator, value.denominator, max_denominator)
-    (lo_n, lo_d, _), (hi_n, hi_d, _) = neighbors[0], neighbors[-1]
-    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
 def _descent(n: int, d: int, cap: int) -> list[tuple[int, int, int]]:

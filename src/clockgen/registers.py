@@ -132,11 +132,6 @@ class RegisterMap:
                 )
             occupied[field.address] = occupied.get(field.address, 0) | field.mask
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegisterMap):
-            return NotImplemented
-        return self.entries == other.entries and self.fields == other.fields
-
     def reset_value(self, address: int) -> int:
         entry = self.entries.get(address)
         return entry.reset if entry else 0x00
@@ -175,22 +170,6 @@ class RegisterMap:
         for address, mask, lsb, offset in self._layout(name).parts:
             value |= (read(address) & mask) >> lsb << offset
         return value
-
-    def serialize(self) -> str:
-        lines = ["# register entries: address, reset value, write mask"]
-        for entry in self.entries.values():
-            lines.append(f"0x{entry.address:02X}, 0x{entry.reset:02X}, 0x{entry.mask:02X}")
-        if self.fields:
-            lines.append("")
-            lines.append("# named fields: name = address[msb:lsb]")
-            for field in self.fields.values():
-                lines.append(f"{field.name} = 0x{field.address:02X}[{field.msb}:{field.lsb}]")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def empty(cls) -> "RegisterMap":
-        """A map with no entries: every register resets to 0x00, fully writable."""
-        return cls((), ())
 
 
 def parse_register_map(text: str) -> RegisterMap:

@@ -56,13 +56,15 @@ class SimulatorServer:
             self._listener.close()
             self._listener = None
 
-    def serve_forever(self) -> None:
-        """After :meth:`start`, serve until interrupted; for the command line."""
+    def serve_forever(self) -> bool:
+        """After :meth:`start`, serve until interrupted (True) or until
+        serving ends on its own (False); for the command line."""
         try:
-            while True:
+            while self._thread.is_alive():
                 self._thread.join(_POLL_S)
+            return False
         except KeyboardInterrupt:
-            pass
+            return True
         finally:
             self.stop()
 

@@ -106,7 +106,6 @@ class BoardState:
         self.config = config or default_config()
         self.synth_map = synth_map if synth_map is not None else load_synth_map()
         self.pot_map = pot_map if pot_map is not None else load_pot_map()
-        self.f_in: Fraction = self.config.constraints.f_in
         self.firmware = FirmwareState()
         # the last DISPATCH_HISTORY records at most, oldest first
         self.dispatch_log: list[DispatchRecord] = []
@@ -133,9 +132,8 @@ class BoardState:
         # startup: reset register state, drop half-processed work
         for device in self.devices.values():
             device.reset()
-        pending_rx = bytes(fw.rx_buffer)
-        fw.clear_queues()
-        fw.rx_buffer.extend(pending_rx)
+        fw.pending = None
+        fw.tx_queue.clear()
         fw.step_counter = 0
         self.dispatch_log.clear()
         self.commands_served = self.frames_dropped = self.max_dispatch_steps = 0

@@ -11,6 +11,7 @@ device.
 from __future__ import annotations
 
 import socket
+import threading
 import time
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ class SessionConfig:
     def __post_init__(self):
         if self.endpoint not in ("sim", "tcp"):
             raise ValueError(f"unknown endpoint {self.endpoint!r}")
+        if not self.host:
+            raise ValueError("host must not be empty")
+        if not 1 <= self.port <= 65535:
+            raise ValueError(f"port {self.port} outside 1..65535")
         if self.read_timeout <= 0:
             raise ValueError("read_timeout must be positive")
 
@@ -128,7 +133,7 @@ class TcpSession:
         self._sock = sock
         self._timeout = read_timeout
         self._open = True
-        self._busy = False
+        self._lock = threading.Lock()  # held by the one call using the socket
         self._rx = bytearray()
 
     @classmethod
@@ -142,18 +147,23 @@ class TcpSession:
 
     def write_bytes(self, data: bytes) -> None:
         self._require_open()
-        with self._guard():
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                raise SessionClosedError(f"send failed: {exc}") from exc
+        if not self._lock.acquire(blocking=False):
+            raise SessionBusyError("concurrent use of one session")
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise SessionClosedError(f"send failed: {exc}") from exc
+        finally:
+            self._lock.release()
 
     def read_bytes(self, n: int) -> bytes:
         """Exactly ``n`` bytes or a timeout error; never partial success.
         Bytes received before a timeout stay buffered for the next read."""
         self._require_open()
         deadline = time.monotonic() + self._timeout
-        with self._guard():
+        if not self._lock.acquire(blocking=False):
+            raise SessionBusyError("concurrent use of one session")
+        try:
             while len(self._rx) < n:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -173,6 +183,8 @@ class TcpSession:
             out = bytes(self._rx[:n])
             del self._rx[:n]
             return out
+        finally:
+            self._lock.release()
 
     def close(self) -> None:
         if self._open:
@@ -186,25 +198,6 @@ class TcpSession:
     def _require_open(self) -> None:
         if not self._open:
             raise SessionClosedError("session is closed")
-
-    def _guard(self):
-        return _BusyGuard(self)
-
-
-class _BusyGuard:
-    """Cheap detection of concurrent calls on one session."""
-
-    def __init__(self, session: TcpSession):
-        self._session = session
-
-    def __enter__(self):
-        if self._session._busy:
-            raise SessionBusyError("concurrent use of one session")
-        self._session._busy = True
-
-    def __exit__(self, *exc):
-        self._session._busy = False
-        return False
 
 
 def open_session(config: SessionConfig, simulator: SimulatorHost | None = None):

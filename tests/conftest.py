@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from clockgen import (
@@ -7,6 +9,14 @@ from clockgen import (
     SimulatorHost,
     SimulatorServer,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_simulator_server_outlives_the_session():
+    """Every test stops the simulator servers it starts."""
+    yield
+    alive = [t for t in threading.enumerate() if t.name == "clockgen-sim"]
+    assert not alive, f"{len(alive)} simulator server thread(s) still running"
 
 
 @pytest.fixture

@@ -92,7 +92,7 @@ def test_criterion_2_end_to_end_oracle_equivalence():
 def test_criterion_3_protocol_conformance():
     """Exhaustive write-then-read echo over all 256 addresses x 4 values on
     a full-mask device, plus 10,000 random command round-trips."""
-    board = BoardState(synth_map=RegisterMap.empty())
+    board = BoardState(synth_map=RegisterMap((), ()))
     board.boot()
     host = SimulatorHost(board)
     session = host.open()

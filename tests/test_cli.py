@@ -1,9 +1,11 @@
+import contextlib
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,18 @@ def test_enable_disable_over_tcp(capsys, tcp_server):
     assert payload["channels"][2]["f_out"] == "10000000"
 
 
+def test_transport_port_out_of_range_exits_2(capsys, monkeypatch):
+    import socket
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a connection was opened")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    assert run(["--transport", "tcp:127.0.0.1:99999", "status"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage error:") == 1 and "99999" in err
+
+
 def test_connection_refused_exits_1(capsys):
     assert run(["--transport", "tcp:127.0.0.1:1", "status"]) == 1
     assert "error" in capsys.readouterr().err
@@ -152,33 +166,16 @@ def test_connection_refused_exits_1(capsys):
 
 def test_simulate_subcommand_serves_the_protocol():
     import socket
-    import threading
-    import time
 
     from clockgen import BridgeCommand, encode_command
 
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    thread = threading.Thread(
-        target=run, args=(["simulate", "--port", str(port)],), daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 5.0
-    last_error = None
-    while time.monotonic() < deadline:
-        try:
-            sock = socket.create_connection(("127.0.0.1", port), timeout=0.2)
-            break
-        except OSError as exc:
-            last_error = exc
-            time.sleep(0.05)
-    else:
-        raise AssertionError(f"simulator never came up: {last_error}")
-    with sock:
-        sock.sendall(encode_command(BridgeCommand.write(0x70, 0x06, 0x77)))
-        sock.sendall(encode_command(BridgeCommand.read(0x70, 0x06)))
-        sock.settimeout(2.0)
-        assert sock.recv(1) == b"\x77"
+    with simulator_process() as (proc, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+            sock.sendall(encode_command(BridgeCommand.write(0x70, 0x06, 0x77)))
+            sock.sendall(encode_command(BridgeCommand.read(0x70, 0x06)))
+            assert sock.recv(1) == b"\x77"
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(10) == 0
 
 
 def test_unreadable_map_file_exits_1(capsys, tmp_path):
@@ -202,7 +199,10 @@ def test_simulate_port_out_of_range_exits_2(capsys, port):
     assert "listening" not in err
 
 
-def test_simulate_port_0_reports_the_bound_port(capsys):
+@contextlib.contextmanager
+def simulator_process():
+    """``clockgen simulate --port 0`` in a child process, and the port it
+    reports; the child is killed if the test leaves it running."""
     src = str(Path(clockgen.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -212,12 +212,30 @@ def test_simulate_port_0_reports_the_bound_port(capsys):
         line = proc.stderr.readline()
         match = re.fullmatch(r"simulator listening on 127\.0\.0\.1:(\d+)\n", line)
         assert match and int(match.group(1)) != 0, line
-        assert run(["--transport", f"tcp:127.0.0.1:{match.group(1)}", "status"]) == 0
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(10) == 0
+        yield proc, int(match.group(1))
     finally:
         proc.kill()
+        proc.wait()
         proc.stderr.close()
+
+
+def test_simulate_port_0_reports_the_bound_port(capsys):
+    with simulator_process() as (proc, port):
+        assert run(["--transport", f"tcp:127.0.0.1:{port}", "status"]) == 0
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(10) == 0
+
+
+def test_simulate_exits_1_when_serving_ends(capsys, monkeypatch):
+    monkeypatch.setattr(clockgen.SimulatorServer, "_serve", lambda self: None)
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(run(["simulate", "--port", "0"])),
+                              daemon=True)
+    runner.start()
+    runner.join(5.0)
+    assert codes == [1], "simulate kept waiting on a server that stopped serving"
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "stopped serving" in err
 
 
 # -- thin-shell property ----------------------------------------------------------------

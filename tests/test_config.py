@@ -176,10 +176,11 @@ def test_custom_map_drives_the_cli(tmp_path, capsys):
     from clockgen.cli import run
 
     custom = tmp_path / "custom.map"
-    # minimal but complete map: default synth layout with a different id
-    from clockgen import load_synth_map
-    text = load_synth_map().serialize().replace("0x00, 0x38, 0x00",
-                                                "0x00, 0x77, 0x00")
+    # the shipped synth map with a different device id
+    from importlib import resources
+    shipped = resources.files("clockgen").joinpath("data", "synth.map")
+    text = shipped.read_text("utf-8").replace("0x00, 0x38, 0x00",
+                                              "0x00, 0x77, 0x00")
     custom.write_text(text)
     assert run(["--map", str(custom), "--json", "reg", "read", "0x00"]) == 0
     payload = json.loads(capsys.readouterr().out)

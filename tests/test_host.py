@@ -307,7 +307,7 @@ def _write_divider(device, prefix, divider):
 
 def _fractional_plan(device, channel):
     plan = device.set_frequency(channel, Fraction(777777777, 7))
-    assert not (plan.feedback.is_integer and plan.output.is_integer)
+    assert not (plan.feedback.b == 0 and plan.output.b == 0)
     return plan
 
 

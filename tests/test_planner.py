@@ -18,7 +18,6 @@ from clockgen import (
     UnsatisfiableFrequencyError,
     decode_divider,
     encode_divider,
-    farey_neighbors,
     plan_frequency,
     plan_phase,
     plan_voltage,
@@ -265,7 +264,13 @@ def test_alternate_reference_inputs():
         assert plan.rel_error <= Fraction(1, 10**9)
 
 
-# -- farey_neighbors (the mediant-descent core) -------------------------------
+# -- _descent (the mediant-descent core) --------------------------------------
+
+def farey_neighbors(value: Fraction, cap: int) -> tuple[Fraction, Fraction]:
+    """The outer neighbors ``_descent`` gives for ``value``, as fractions."""
+    neighbors = _descent(value.numerator, value.denominator, cap)
+    return Fraction(*neighbors[0][:2]), Fraction(*neighbors[-1][:2])
+
 
 def test_farey_neighbors_match_stdlib():
     rng = random.Random(13)

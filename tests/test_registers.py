@@ -9,7 +9,6 @@ from clockgen import (
     RegisterFile,
     RegisterMap,
     RegisterMapError,
-    load_pot_map,
     load_synth_map,
     parse_register_map,
 )
@@ -77,13 +76,6 @@ def test_parse_bad_bit_range():
     with pytest.raises(RegisterMapError) as info:
         parse_register_map("0x04, 0x00, 0xFF\n0x05, 0x100, 0xFF\n")
     assert info.value.line == 2
-
-
-def test_serialize_roundtrip_shipped_maps():
-    for regmap in (load_synth_map(), load_pot_map()):
-        again = parse_register_map(regmap.serialize())
-        assert again == regmap
-        assert parse_register_map(again.serialize()) == again
 
 
 def test_shipped_map_fields_disjoint():
@@ -181,7 +173,7 @@ def test_unknown_field():
 
 
 def test_empty_map_defaults():
-    regmap = RegisterMap.empty()
+    regmap = RegisterMap((), ())
     assert regmap.reset_value(0x80) == 0x00
     assert regmap.write_mask(0x80) == 0xFF
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import threading
 import warnings
 from fractions import Fraction
 
@@ -224,7 +225,7 @@ def test_random_interleavings_never_lose_commands():
 def test_query_after_apply_plan_matches_exactly():
     board = booted()
     bridge = DirectBridge(board)
-    plan = plan_frequency(board.f_in, 200 * 10**6)
+    plan = plan_frequency(board.config.constraints.f_in, 200 * 10**6)
     apply_plan(bridge, board.synth_map, plan, None, channel=0,
                synth_address=board.config.synth_address)
     outputs = board.query_outputs()
@@ -259,7 +260,7 @@ def test_query_low_vco_reports_invalid_configuration():
 def test_query_phase_offset_exact():
     board = booted()
     bridge = DirectBridge(board)
-    plan = plan_frequency(board.f_in, 100 * 10**6)
+    plan = plan_frequency(board.config.constraints.f_in, 100 * 10**6)
     phase = plan_phase(plan, seconds=Fraction(5) / plan.f_vco)
     apply_plan(bridge, board.synth_map, plan, phase, channel=2,
                synth_address=0x70)
@@ -369,7 +370,7 @@ def test_query_rails_after_boot_match_defaults():
 
 
 def test_full_mask_board_echoes_every_register():
-    board = BoardState(synth_map=RegisterMap.empty())
+    board = BoardState(synth_map=RegisterMap((), ()))
     board.boot()
     bridge = DirectBridge(board)
     for address in (0, 1, 4, 0x10, 0x7F, 0xFF):
@@ -579,3 +580,16 @@ def test_server_start_on_a_busy_port_leaves_no_socket_open(tcp_server):
 def test_server_refuses_a_port_outside_the_tcp_range(port):
     with pytest.raises(ValueError, match="outside 0..65535"):
         SimulatorServer(BoardState(), port=port)
+
+
+def test_serve_forever_returns_once_serving_ends():
+    server = SimulatorServer(BoardState(), port=0)
+    server.start()
+    server._listener.close()  # accept fails, so the service thread ends
+    result = []
+    waiter = threading.Thread(target=lambda: result.append(server.serve_forever()),
+                              daemon=True)
+    waiter.start()
+    waiter.join(2.0)
+    assert not waiter.is_alive(), "serve_forever kept waiting on a dead server"
+    assert result == [False]

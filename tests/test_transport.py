@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 
@@ -38,6 +39,20 @@ def test_parse_tcp_endpoint():
 def test_parse_bad_endpoint(spec):
     with pytest.raises(ValueError):
         SessionConfig.parse(spec)
+
+
+@pytest.mark.parametrize("port", [0, -5, 99999])
+def test_port_outside_the_tcp_range_is_refused(port):
+    # the socket layer would wrap 99999 to 34463, another service's port
+    with pytest.raises(ValueError):  # -5 already fails the format check
+        SessionConfig.parse(f"tcp:127.0.0.1:{port}")
+    with pytest.raises(ValueError, match="outside 1..65535"):
+        SessionConfig(endpoint="tcp", port=port)
+
+
+def test_empty_host_is_refused():
+    with pytest.raises(ValueError, match="host"):
+        SessionConfig(endpoint="tcp", host="")
 
 
 def test_timeout_must_be_positive():
@@ -177,6 +192,23 @@ def test_tcp_register_state_persists_across_connections(tcp_server):
     second.write_bytes(READ_06)
     assert second.read_bytes(1) == b"\xab"
     second.close()
+
+
+def test_tcp_second_client_is_served_when_the_first_closes(tcp_server):
+    first = TcpSession.connect("127.0.0.1", tcp_server.port)
+    first.write_bytes(WRITE_06 + READ_06)
+    assert first.read_bytes(1) == b"\xab"
+    second = TcpSession.connect("127.0.0.1", tcp_server.port, read_timeout=5.0)
+    second.write_bytes(READ_06)
+    closer = threading.Timer(0.3, first.close)
+    start = time.monotonic()
+    closer.start()
+    try:
+        assert second.read_bytes(1) == b"\xab"
+        assert time.monotonic() - start >= 0.3  # it waited for its turn
+    finally:
+        closer.join()
+        second.close()
 
 
 def test_tcp_write_after_close(tcp_server):
