@@ -48,14 +48,12 @@ from .planner import (
     PlannerConstraints,
     RationalDivider,
     apply_plan,
-    decode_divider,
-    encode_divider,
     plan_frequency,
     plan_phase,
 )
 from .power import RailModel, SupplySetting, apply_supply, plan_voltage
 from .protocol import Action, BridgeCommand, decode_command, encode_command
-from .readout import ChannelStatus
+from .readout import ChannelStatus, decode_divider, encode_divider
 from .registers import BitField, MapEntry, RegisterFile, RegisterMap, parse_register_map
 from .server import SimulatorServer
 from .sim import BoardState, DispatchRecord, FirmwareState, Phase

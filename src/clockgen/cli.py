@@ -268,7 +268,8 @@ def run(argv: list[str] | None = None) -> int:
             server.start()
             print(f"simulator listening on {args.host}:{server.port}", file=sys.stderr)
             if not server.serve_forever():
-                print("error: simulator stopped serving", file=sys.stderr)
+                reason = f": {server.error}" if server.error else ""
+                print(f"error: simulator stopped serving{reason}", file=sys.stderr)
                 return 1
             return 0
 

@@ -7,6 +7,7 @@ costs at most one round trip however many registers it touches.  The
 device layer on top exposes the operator-facing operations: frequency,
 phase, output enables, and rail voltages.  All device operations are
 synchronous and idempotent; repeating one leaves identical register state.
+The device layer names no register field; :mod:`clockgen.readout` does.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .planner import (
     FrequencyPlan,
     PhasePlan,
     check_channel,
-    phase_step_byte,
-    plan_fields,
     plan_frequency,
     plan_phase,
 )
@@ -32,15 +31,16 @@ from .protocol import RESPONSE_LENGTH, Action, BridgeCommand, encode_command
 from .readout import (
     ChannelStatus,
     channel_enabled,
+    channel_writes,
     decode_feedback,
     decode_outputs,
     decode_plan,
     decode_rails,
-    divider_fields,
-    enable_fields,
-    field_registers,
     output_registers,
+    partial_registers,
+    plan_registers,
     rail_registers,
+    retune_registers,
 )
 from .registers import RegisterMap
 from .sim import BoardState
@@ -179,9 +179,9 @@ class DeviceHandle:
             raise UnsatisfiableFrequencyError(
                 f"{exc}; channels {', '.join(map(str, running))} run on that VCO"
             ) from None
-        writes = plan_fields(regmap, plan, None, channel,
-                             rewrite_feedback=feedback is None)
-        self.bridge.write_fields(self.synth_address, writes, current)
+        self.bridge.write_fields(self.synth_address, channel_writes(
+            regmap, channel, feedback=plan.feedback if feedback is None else None,
+            output=plan.output, steps=0, enable=True), current)
         self._plans = {k: p for k, p in self._plans.items()
                        if p.feedback == plan.feedback}
         self._plans[channel] = plan
@@ -199,9 +199,7 @@ class DeviceHandle:
                            degrees=degrees,
                            step_limit=self.constraints.phase_step_limit)
         self.bridge.write_fields(
-            self.synth_address,
-            self.synth_map.pack(f"ms{channel}_phstep", phase_step_byte(phase.steps)),
-        )
+            self.synth_address, channel_writes(self.synth_map, channel, steps=phase.steps))
         return phase
 
     def _current_plan(self, channel: int) -> FrequencyPlan:
@@ -212,9 +210,8 @@ class DeviceHandle:
         if plan is not None:
             return plan
         cons, regmap = self.constraints, self.synth_map
-        read = self.bridge.read_registers(self.synth_address, field_registers(
-            regmap, divider_fields("fb") + divider_fields(f"ms{channel}"))
-        ).__getitem__
+        read = self.bridge.read_registers(
+            self.synth_address, plan_registers(regmap, channel)).__getitem__
         try:
             plan = decode_plan(read, regmap, cons,
                                decode_feedback(read, regmap, cons), channel)
@@ -229,9 +226,7 @@ class DeviceHandle:
         """Toggle one channel's enable bit, leaving every other bit alone."""
         check_channel(channel)
         self.bridge.write_fields(
-            self.synth_address,
-            self.synth_map.pack(f"clk{channel}_en", 1 if on else 0),
-        )
+            self.synth_address, channel_writes(self.synth_map, channel, enable=on))
 
     # -- power rails -----------------------------------------------------------
 
@@ -257,12 +252,6 @@ class DeviceHandle:
                             self.config.rails)
 
 
-def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
-    """Registers that ``writes`` cover only in part, each once, in the
-    order the fields first name them: their other bits must be read."""
-    return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
-
-
 def fold_fields(writes: list[tuple[int, int, int]],
                 current: dict[int, int]) -> dict[int, int]:
     """Register values after ``writes``: every field written to one
@@ -274,21 +263,6 @@ def fold_fields(writes: list[tuple[int, int, int]],
         value = folded.get(address, current.get(address, 0))
         folded[address] = (value & ~mask) | bits
     return folded
-
-
-def retune_registers(regmap: RegisterMap) -> list[list[int]]:
-    """Per channel, what a retune of it reads, in address order: the
-    registers its field writes cover only in part, the feedback divider
-    (the VCO to keep) and every channel's enable state (whether another
-    one runs)."""
-    state = set(field_registers(regmap, divider_fields("fb") + enable_fields()))
-    reads = []
-    for k in range(CHANNEL_COUNT):
-        # the fb_* and clk{k}_en writes land in registers already in state
-        names = divider_fields(f"ms{k}") + [f"ms{k}_phstep"]
-        partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
-        reads.append(sorted(state.union(partial)))
-    return reads
 
 
 def bridge_init(

@@ -10,7 +10,8 @@ All planning arithmetic is exact; floating point never enters a frequency
 or error computation.  The search and the plan's dividers run on exact
 integer numerator and denominator pairs; :class:`fractions.Fraction`
 appears only where inputs are converted and in the three values of a built
-plan (``f_vco``, ``f_achieved`` and ``rel_error``).
+plan (``f_vco``, ``f_achieved`` and ``rel_error``).  Plans hold dividers, not
+registers: :mod:`clockgen.readout` maps them onto register fields and back.
 
 Search order: exact integer/integer plans first, then exact plans where one
 divider is fractional (the lowest valid VCO wins, so each scan stops at its
@@ -41,21 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    FieldOverflowError,
-    InconsistentEncodingError,
-    PhaseRangeError,
-    UnsatisfiableFrequencyError,
-)
+from .errors import PhaseRangeError, UnsatisfiableFrequencyError
 
 FrequencyLike = Union[int, str, Fraction]
 
-# register field widths of the divider parameters
-P1_BITS = 18
-P2_BITS = 30
-P3_BITS = 30
-
-DENOMINATOR_HARD_CAP = (1 << P3_BITS) - 1
+# a divider's denominator is its 30-bit P3 register parameter
+DENOMINATOR_HARD_CAP = (1 << 30) - 1
 
 CHANNEL_COUNT = 4
 
@@ -142,6 +134,13 @@ class RationalDivider:
     def pair(self) -> tuple[int, int]:
         """``(numerator, denominator)`` of the value, in lowest terms."""
         return self.a * self.c + self.b, self.c
+
+    @classmethod
+    def from_pair(cls, n: int, d: int) -> RationalDivider:
+        """``a + b/c`` for ``n/d`` in lowest terms; inverts :attr:`pair`."""
+        a, b = divmod(n, d)
+        # b/d of a reduced n/d is already in lowest terms
+        return cls(a, b, d) if b else cls(a, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -441,20 +440,13 @@ def build_plan(
     return FrequencyPlan(
         f_in=fin,
         f_target=target,
-        feedback=_divider(fb_n, fb_d),
-        output=_divider(out_n, out_d),
+        feedback=RationalDivider.from_pair(fb_n, fb_d),
+        output=RationalDivider.from_pair(out_n, out_d),
         f_vco=Fraction(vco_n, vco_d),
         f_achieved=Fraction(ach_n, ach_d),
         rel_error=Fraction(abs(ach_n * td - tn * ach_d), ach_d * tn),
         channel=channel,
     )
-
-
-def _divider(n: int, d: int) -> RationalDivider:
-    """``a + b/c`` for ``n/d`` in lowest terms."""
-    a, b = divmod(n, d)
-    # b/d of a reduced n/d is already in lowest terms
-    return RationalDivider(a, b, d) if b else RationalDivider(a, 0, 1)
 
 
 def plan_phase(
@@ -491,69 +483,6 @@ def plan_phase(
     )
 
 
-def encode_divider(divider: RationalDivider) -> tuple[int, int, int]:
-    """Map ``a + b/c`` onto its three register parameters::
-
-        P1 = floor(((a*c + b) * 128) / c) - 512
-        P2 = (b * 128) mod c
-        P3 = c
-    """
-    a, b, c = divider.a, divider.b, divider.c
-    p1 = ((a * c + b) * 128) // c - 512
-    p2 = (b * 128) % c
-    p3 = c
-    if p1 < 0 or p1 >= (1 << P1_BITS):
-        raise FieldOverflowError(f"P1 = {p1} outside {P1_BITS}-bit field")
-    if p2 >= (1 << P2_BITS) or p3 >= (1 << P3_BITS):
-        raise FieldOverflowError("P2/P3 outside 30-bit field")
-    return p1, p2, p3
-
-
-def decode_divider(
-    p1: int,
-    p2: int,
-    p3: int,
-    int_range: tuple[int, int] | None = None,
-) -> RationalDivider:
-    """Invert :func:`encode_divider`.
-
-    ``int_range`` optionally restricts the legal integer part (feedback and
-    output dividers have different ranges).  Raises
-    :class:`InconsistentEncodingError` when no legal divider maps to the
-    given parameters.
-    """
-    if not (0 <= p1 < (1 << P1_BITS) and 0 <= p2 < (1 << P2_BITS)
-            and 0 <= p3 < (1 << P3_BITS)):
-        raise InconsistentEncodingError("parameter outside its field width")
-    if p3 < 1:
-        raise InconsistentEncodingError("P3 must be at least 1")
-    if p2 >= p3:
-        raise InconsistentEncodingError("P2 must be smaller than P3")
-    total = p3 * (p1 + 512) + p2
-    if total % 128:
-        raise InconsistentEncodingError("parameters are not a divider image")
-    numerator = total // 128
-    a = numerator // p3
-    if int_range is not None and not int_range[0] <= a <= int_range[1]:
-        raise InconsistentEncodingError(
-            f"integer part {a} outside legal range {int_range}"
-        )
-    return _divider(*_reduced(numerator, p3))
-
-
-def phase_step_byte(steps: int) -> int:
-    """Two's-complement register image of a signed step count."""
-    if not -128 <= steps <= 127:
-        raise ValueError(f"steps {steps} outside signed 8-bit range")
-    return steps & 0xFF
-
-
-def phase_steps_from_byte(byte: int) -> int:
-    if not 0 <= byte <= 0xFF:
-        raise ValueError(f"byte {byte} outside 0..255")
-    return byte - 256 if byte >= 128 else byte
-
-
 def apply_plan(
     bridge,
     regmap,
@@ -570,26 +499,8 @@ def apply_plan(
     :meth:`clockgen.DeviceHandle.set_frequency` keeps the running VCO and
     is the safe call.
     """
+    from .readout import channel_writes  # not at the top: readout imports the planner
     check_channel(channel)
-    bridge.write_fields(synth_address, plan_fields(regmap, plan, phase, channel))
-
-
-def plan_fields(regmap, plan: FrequencyPlan, phase: PhasePlan | None,
-                channel: int, rewrite_feedback: bool = True
-                ) -> list[tuple[int, int, int]]:
-    """The packed field writes that program ``plan`` on ``channel``: the
-    feedback divider (unless ``rewrite_feedback`` is false), the channel's
-    output divider and phase step, and its enable bit."""
-    steps = phase.steps if phase is not None else 0
-    dividers = [(f"ms{channel}", plan.output)]
-    if rewrite_feedback:
-        dividers.insert(0, ("fb", plan.feedback))
-    writes: list[tuple[int, int, int]] = []
-    for prefix, divider in dividers:
-        p1, p2, p3 = encode_divider(divider)
-        writes += regmap.pack(f"{prefix}_p1", p1)
-        writes += regmap.pack(f"{prefix}_p2", p2)
-        writes += regmap.pack(f"{prefix}_p3", p3)
-    writes += regmap.pack(f"ms{channel}_phstep", phase_step_byte(steps))
-    writes += regmap.pack(f"clk{channel}_en", 1)
-    return writes
+    bridge.write_fields(synth_address, channel_writes(
+        regmap, channel, feedback=plan.feedback, output=plan.output,
+        steps=phase.steps if phase is not None else 0, enable=True))

@@ -1,30 +1,99 @@
-"""Decode register state into output and rail status.
+"""The synthesizer register image, both ways, and rail readback.
 
-One channel decoder (:func:`decode_feedback`, then :func:`decode_plan`) turns
-registers into the plan they hold: host status, the host's phase recovery and
-the simulator's oracle views all read a channel through it.
+Only this module names synthesizer register fields.  It holds the P1/P2/P3
+codec, the phase-step byte, the one writer (:func:`channel_writes`), the
+registers each operation reads, and the one channel decoder
+(:func:`decode_feedback`, then :func:`decode_plan`) that every reader uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import InconsistentEncodingError
+from .errors import FieldOverflowError, InconsistentEncodingError
 from .planner import (
     CHANNEL_COUNT,
     FrequencyPlan,
     PlannerConstraints,
     RationalDivider,
     build_plan,
-    decode_divider,
-    phase_steps_from_byte,
 )
 from .power import RailModel, wiper_register
 from .registers import RegisterMap
 
 Read = Callable[[int], int]
+
+# register field widths of the divider parameters
+P1_BITS = 18
+P2_BITS = 30
+P3_BITS = 30
+
+
+def encode_divider(divider: RationalDivider) -> tuple[int, int, int]:
+    """Map ``a + b/c`` onto its three register parameters::
+
+        P1 = floor(((a*c + b) * 128) / c) - 512
+        P2 = (b * 128) mod c
+        P3 = c
+    """
+    a, b, c = divider.a, divider.b, divider.c
+    p1 = ((a * c + b) * 128) // c - 512
+    p2 = (b * 128) % c
+    p3 = c
+    if p1 < 0 or p1 >= (1 << P1_BITS):
+        raise FieldOverflowError(f"P1 = {p1} outside {P1_BITS}-bit field")
+    if p2 >= (1 << P2_BITS) or p3 >= (1 << P3_BITS):
+        raise FieldOverflowError("P2/P3 outside 30-bit field")
+    return p1, p2, p3
+
+
+def decode_divider(
+    p1: int,
+    p2: int,
+    p3: int,
+    int_range: tuple[int, int] | None = None,
+) -> RationalDivider:
+    """Invert :func:`encode_divider`.
+
+    ``int_range`` optionally restricts the legal integer part (feedback and
+    output dividers have different ranges).  Raises
+    :class:`InconsistentEncodingError` when no legal divider maps to the
+    given parameters.
+    """
+    if not (0 <= p1 < (1 << P1_BITS) and 0 <= p2 < (1 << P2_BITS)
+            and 0 <= p3 < (1 << P3_BITS)):
+        raise InconsistentEncodingError("parameter outside its field width")
+    if p3 < 1:
+        raise InconsistentEncodingError("P3 must be at least 1")
+    if p2 >= p3:
+        raise InconsistentEncodingError("P2 must be smaller than P3")
+    total = p3 * (p1 + 512) + p2
+    if total % 128:
+        raise InconsistentEncodingError("parameters are not a divider image")
+    numerator = total // 128
+    a = numerator // p3
+    if int_range is not None and not int_range[0] <= a <= int_range[1]:
+        raise InconsistentEncodingError(
+            f"integer part {a} outside legal range {int_range}"
+        )
+    g = math.gcd(numerator, p3)
+    return RationalDivider.from_pair(numerator // g, p3 // g)
+
+
+def phase_step_byte(steps: int) -> int:
+    """Two's-complement register image of a signed step count."""
+    if not -128 <= steps <= 127:
+        raise ValueError(f"steps {steps} outside signed 8-bit range")
+    return steps & 0xFF
+
+
+def phase_steps_from_byte(byte: int) -> int:
+    if not 0 <= byte <= 0xFF:
+        raise ValueError(f"byte {byte} outside 0..255")
+    return byte - 256 if byte >= 128 else byte
 
 
 @dataclass(frozen=True)
@@ -41,6 +110,27 @@ class ChannelStatus:
     f_out: Fraction | None
     phase_offset: Fraction | None
     problem: str | None
+
+
+def channel_writes(regmap: RegisterMap, channel: int, *,
+                   feedback: RationalDivider | None = None,
+                   output: RationalDivider | None = None,
+                   steps: int | None = None,
+                   enable: bool | None = None) -> list[tuple[int, int, int]]:
+    """The packed field writes that set what is given for ``channel``, in
+    this order: the feedback divider (shared by every channel), the
+    channel's output divider, its phase step (a signed count of VCO
+    periods) and its enable bit."""
+    writes: list[tuple[int, int, int]] = []
+    for prefix, divider in (("fb", feedback), (f"ms{channel}", output)):
+        if divider is not None:
+            for name, value in zip(divider_fields(prefix), encode_divider(divider)):
+                writes += regmap.pack(name, value)
+    if steps is not None:
+        writes += regmap.pack(f"ms{channel}_phstep", phase_step_byte(steps))
+    if enable is not None:
+        writes += regmap.pack(f"clk{channel}_en", int(enable))
+    return writes
 
 
 def _divider(read: Read, regmap: RegisterMap, prefix: str,
@@ -98,6 +188,33 @@ def field_registers(regmap: RegisterMap, names: Iterable[str]) -> list[int]:
 def divider_fields(prefix: str) -> list[str]:
     """The P1/P2/P3 composites of the divider named ``prefix``."""
     return [f"{prefix}_{p}" for p in ("p1", "p2", "p3")]
+
+
+def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
+    """Registers that ``writes`` cover only in part, each once, in the
+    order the fields first name them: their other bits must be read."""
+    return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
+
+
+def plan_registers(regmap: RegisterMap, channel: int) -> list[int]:
+    """The registers :func:`decode_feedback` and :func:`decode_plan` read
+    for ``channel``, in address order."""
+    return field_registers(regmap, divider_fields("fb") + divider_fields(f"ms{channel}"))
+
+
+def retune_registers(regmap: RegisterMap) -> list[list[int]]:
+    """Per channel, what a retune of it reads, in address order: the
+    registers its field writes cover only in part, the feedback divider
+    (the VCO to keep) and every channel's enable state (whether another
+    one runs)."""
+    state = set(field_registers(regmap, divider_fields("fb") + enable_fields()))
+    reads = []
+    for k in range(CHANNEL_COUNT):
+        # the feedback and enable writes land in registers already in state
+        names = divider_fields(f"ms{k}") + [f"ms{k}_phstep"]
+        partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
+        reads.append(sorted(state.union(partial)))
+    return reads
 
 
 def output_registers(regmap: RegisterMap) -> list[int]:

@@ -31,6 +31,7 @@ class SimulatorServer:
         self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
         self._running = False
+        self.error: OSError | None = None  # why serving ended on its own
 
     def start(self) -> None:
         """Bind, listen, and serve from a background thread."""
@@ -58,7 +59,8 @@ class SimulatorServer:
 
     def serve_forever(self) -> bool:
         """After :meth:`start`, serve until interrupted (True) or until
-        serving ends on its own (False); for the command line."""
+        serving ends on its own (False, with the socket error that ended it
+        in ``error``); for the command line."""
         try:
             while self._thread.is_alive():
                 self._thread.join(_POLL_S)
@@ -74,7 +76,8 @@ class SimulatorServer:
                 conn, _peer = self._listener.accept()
             except socket.timeout:
                 continue
-            except OSError:
+            except OSError as exc:
+                self.error = exc
                 break
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

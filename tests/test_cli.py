@@ -238,6 +238,25 @@ def test_simulate_exits_1_when_serving_ends(capsys, monkeypatch):
     assert err.count("error:") == 1 and "stopped serving" in err
 
 
+def test_simulate_names_why_serving_ended(capsys, monkeypatch):
+    start = clockgen.SimulatorServer.start
+
+    def start_then_close_listener(server):
+        start(server)
+        server._listener.close()  # accept fails, so serving ends
+
+    monkeypatch.setattr(clockgen.SimulatorServer, "start", start_then_close_listener)
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(run(["simulate", "--port", "0"])),
+                              daemon=True)
+    runner.start()
+    runner.join(5.0)
+    assert codes == [1]
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert re.search(r"^error: simulator stopped serving: \[Errno \d+\] \w", err, re.M), err
+
+
 # -- thin-shell property ----------------------------------------------------------------
 
 class RecordingDevice:

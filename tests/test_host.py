@@ -518,10 +518,16 @@ def test_device_layer_only_talks_in_whole_commands(counting_device, host):
      lambda d: d.set_phase(2, degrees=45), (1, 0)),
     (lambda d: (d.set_frequency(1, 100 * MHZ), d.set_frequency(0, 75 * MHZ)),
      lambda d: d.set_phase(1, degrees=45), (1, 0)),
+    (lambda d: d.set_frequency(2, 100 * MHZ),
+     lambda d: DeviceHandle(d.bridge, d.synth_map, d.config, d.pot_map
+                            ).set_phase(2, degrees=45), (23, 1)),
+    (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.enable_output(0, False), (2, 1)),
     (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.read_outputs(), (61, 1)),
     (None, lambda d: d.read_rails(), (5, 1)),
+    (None, lambda d: d.set_rail_voltage(0, Fraction("2.5")), (1, 0)),
 ], ids=["set_frequency", "set_frequency-pinned", "set_phase-cached-plan",
-        "set_phase-after-pinned-retune", "read_outputs", "read_rails"])
+        "set_phase-after-pinned-retune", "set_phase-recovered-plan", "enable_output",
+        "read_outputs", "read_rails", "set_rail_voltage"])
 def test_wire_cost_commands_and_read_calls(counting_device, prepare, operation, cost):
     device, counting = counting_device
     if prepare is not None:
@@ -529,6 +535,14 @@ def test_wire_cost_commands_and_read_calls(counting_device, prepare, operation, 
     counting.reset()
     operation(device)
     assert (len(frames(counting.written)), counting.reads) == cost
+
+
+def test_set_frequency_writes_registers_in_field_order(counting_device):
+    # feedback divider, output divider, phase step, then the enable register
+    device, counting = counting_device
+    device.set_frequency(0, 100 * MHZ)
+    written = [c.register for c in frames(counting.written) if c.action is Action.WRITE]
+    assert written == [*range(0x10, 0x1B), *range(0x20, 0x2B), 0x60, 0x04]
 
 
 def test_write_fields_folds_fields_sharing_a_register(counting_device, host):

@@ -1,5 +1,8 @@
 import ast
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,59 @@ def test_only_readout_decodes_divider_images():
     callers = {path.name for path in package.glob("*.py")
                if "decode_divider" in _called(ast.parse(path.read_text("utf-8")))}
     assert callers == {"readout.py"}
+
+
+_PACKAGE = Path(clockgen.__file__).parent
+
+# A synthesizer field name, or a piece code could join into one: a prefix
+# ("fb", "ms", "clk2_") or a word ending in a field suffix ("_p1", "p3",
+# "_phstep", "en", "clk0_pdn", "ms1_p2_b3").  Anchored on the suffixes, so
+# config keys such as "fb_int_min" are not field names.
+_FIELD_PREFIX = re.compile(r"(?:fb|ms\d*|clk\d*)_?")
+_FIELD_SUFFIX = re.compile(r"\w*?(?:^|_)(?:p[123]|phstep|en|pdn)(?:_b\d+)?")
+
+
+def _is_field_piece(text):
+    return bool(_FIELD_PREFIX.fullmatch(text) or _FIELD_SUFFIX.fullmatch(text))
+
+
+def test_only_readout_names_synthesizer_fields():
+    # how a plan, a phase step and an enable bit sit in the registers is
+    # readout's to know; every other module asks it
+    regmap = clockgen.load_synth_map()
+    names = set(regmap.fields) | {re.sub(r"_b\d+$", "", n) for n in regmap.fields}
+    pieces = ["fb", "ms", "ms0", "clk", "_p1", "p2", "_p3", "_phstep", "_en", "en", "pdn"]
+    assert all(map(_is_field_piece, [*names, *pieces]))
+    assert not any(map(_is_field_piece, ["fb_int_min", "ms_int_max", "phase_step_limit",
+                                         "max_denominator", "open", "steps"]))
+    named = {}
+    for path in _PACKAGE.glob("*.py"):
+        if path.name != "readout.py":
+            found = sorted({node.value for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                            and _is_field_piece(node.value)})
+            if found:
+                named[path.name] = found
+    assert named == {}
+
+
+def test_planner_imports_no_register_module():
+    tree = ast.parse((_PACKAGE / "planner.py").read_text("utf-8"))
+    top = {name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for name in _imported(node)}
+    assert not top & {"clockgen.registers", "clockgen.readout"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # An import cycle at module level fails only in some import orders.  The
+    # package's __init__ imports every module in one fixed order, so it is
+    # left out: the module named imports first, and its own imports set the
+    # order.
+    code = ("import sys, types; package = types.ModuleType('clockgen'); "
+            f"package.__path__ = [{str(_PACKAGE)!r}]; sys.modules['clockgen'] = package; "
+            f"import clockgen.{module}")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
