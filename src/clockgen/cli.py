@@ -266,8 +266,14 @@ def run(argv: list[str] | None = None) -> int:
                 print(f"usage error: {exc}", file=sys.stderr)
                 return 2
             server.start()
-            print(f"simulator listening on {args.host}:{server.port}", file=sys.stderr)
-            if not server.serve_forever():
+            try:
+                print(f"simulator listening on {args.host}:{server.port}", file=sys.stderr)
+                interrupted = server.serve_forever()
+            except KeyboardInterrupt:
+                # a client that read the port may interrupt before serving began
+                server.stop()
+                interrupted = True
+            if not interrupted:
                 reason = f": {server.error}" if server.error else ""
                 print(f"error: simulator stopped serving{reason}", file=sys.stderr)
                 return 1

@@ -3,17 +3,20 @@
 The bridge layer packs register reads and writes into wire commands and is
 the only path to the transport.  It sends a batch of commands as one write
 and reads all of their responses with one read, so each device operation
-costs at most one round trip however many registers it touches.  The
-device layer on top exposes the operator-facing operations: frequency,
-phase, output enables, and rail voltages.  All device operations are
-synchronous and idempotent; repeating one leaves identical register state.
-The device layer names no register field; :mod:`clockgen.readout` does.
+costs at most one round trip however many registers it touches.  A batch
+that never changes (the output snapshot, the rails, each channel's retune
+reads) is a :class:`PreparedBatch`, encoded once when the device handle is
+built and sent as it is on every call.  The device layer on top exposes the
+operator-facing operations: frequency, phase, output enables, and rail
+voltages.  All device operations are synchronous and idempotent; repeating
+one leaves identical register state.  The device layer names no register
+field; :mod:`clockgen.readout` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
 from .errors import InconsistentEncodingError, NoPlanError, UnsatisfiableFrequencyError
@@ -47,13 +50,32 @@ from .sim import BoardState
 from .transport import SessionConfig, SimulatorHost, open_session
 
 
+class PreparedBatch(tuple):
+    """A fixed sequence of :class:`BridgeCommand` for one exchange, with its
+    wire ``frame`` (every command encoded, in order) and its count of
+    ``reads`` worked out once, when it is built."""
+
+    def __new__(cls, commands: Iterable[BridgeCommand]) -> PreparedBatch:
+        batch = super().__new__(cls, commands)
+        batch.frame = b"".join(map(encode_command, batch))
+        batch.reads = sum(c.action is Action.READ for c in batch)
+        return batch
+
+
+def prepared_reads(device: int, registers: Iterable[int]) -> PreparedBatch:
+    """The reads of ``registers`` of ``device``, in that order, prepared."""
+    return PreparedBatch(BridgeCommand.read(device, r) for r in registers)
+
+
 class BridgeClient:
     """Register access over an open session: exchange, read, write, close.
 
     :meth:`exchange` is the one path to the session: a batch of commands
     goes out as one write and their responses come back with one read,
     which blocks until every response byte arrives or the session times
-    out.  The wire keeps order, so responses arrive in command order.
+    out.  The wire keeps order, so responses arrive in command order.  A
+    :class:`PreparedBatch` goes out as the frame it holds; any other
+    sequence of commands is encoded on the way.
 
     After a timeout the responses still owed are counted; the next
     exchange reads and discards them before its own, so a late byte is
@@ -67,10 +89,12 @@ class BridgeClient:
     def exchange(self, commands: Sequence[BridgeCommand]) -> list[int]:
         """Send ``commands`` in one write; returns the values their reads
         fetched, in command order."""
+        if not isinstance(commands, PreparedBatch):
+            commands = PreparedBatch(commands)
         if not commands:
             return []
-        self._session.write_bytes(b"".join(map(encode_command, commands)))
-        wanted = RESPONSE_LENGTH * sum(c.action is Action.READ for c in commands)
+        self._session.write_bytes(commands.frame)
+        wanted = RESPONSE_LENGTH * commands.reads
         if not wanted:
             return []
         owed = self._owed
@@ -103,8 +127,7 @@ class BridgeClient:
 
     def read_registers(self, device: int, registers: list[int]) -> dict[int, int]:
         """The values of ``registers`` of ``device``, by address, read in one exchange."""
-        return dict(zip(registers, self.exchange(
-            [BridgeCommand.read(device, r) for r in registers])))
+        return dict(zip(registers, self.exchange(prepared_reads(device, registers))))
 
     def close(self) -> None:
         self._session.close()
@@ -124,10 +147,15 @@ class DeviceHandle:
         self.config = config
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
+        # the fixed read sets, each prepared once
+        address = config.synth_address
         self._output_registers = output_registers(synth_map)
+        self._output_reads = prepared_reads(address, self._output_registers)
         self._retune_registers = retune_registers(synth_map)
-        self._rail_reads = [BridgeCommand.read(*where)
-                            for where in rail_registers(config.rails, pot_map)]
+        self._retune_reads = [prepared_reads(address, registers)
+                              for registers in self._retune_registers]
+        self._rail_reads = PreparedBatch(BridgeCommand.read(*where)
+                                         for where in rail_registers(config.rails, pot_map))
 
     @property
     def constraints(self):
@@ -159,8 +187,8 @@ class DeviceHandle:
         """
         check_channel(channel)
         cons, regmap = self.constraints, self.synth_map
-        current = self.bridge.read_registers(self.synth_address,
-                                             self._retune_registers[channel])
+        current = dict(zip(self._retune_registers[channel],
+                           self.bridge.exchange(self._retune_reads[channel])))
         read = current.__getitem__
         running = [k for k in range(CHANNEL_COUNT)
                    if k != channel and channel_enabled(read, regmap, k)]
@@ -241,13 +269,15 @@ class DeviceHandle:
 
     def read_outputs(self) -> list[ChannelStatus]:
         """Per-channel status decoded from one snapshot of the synthesizer
-        registers, read over the bridge in one exchange."""
-        snapshot = self.bridge.read_registers(self.synth_address, self._output_registers)
+        registers, read over the bridge in one exchange of the prepared
+        output reads."""
+        snapshot = dict(zip(self._output_registers,
+                            self.bridge.exchange(self._output_reads)))
         return decode_outputs(snapshot.__getitem__, self.synth_map, self.constraints)
 
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
-        one exchange."""
+        one exchange of the prepared rail reads."""
         return decode_rails(self.bridge.exchange(self._rail_reads),
                             self.config.rails)
 

@@ -4,6 +4,10 @@ Only this module names synthesizer register fields.  It holds the P1/P2/P3
 codec, the phase-step byte, the one writer (:func:`channel_writes`), the
 registers each operation reads, and the one channel decoder
 (:func:`decode_feedback`, then :func:`decode_plan`) that every reader uses.
+Every divider image is inverted by one pair decoder, :func:`divider_pair`,
+onto an integer ``(numerator, denominator)`` pair; status
+(:func:`decode_outputs`) stays on such pairs and builds a ``Fraction`` only
+for the values a :class:`ChannelStatus` holds.
 """
 
 from __future__ import annotations
@@ -50,13 +54,14 @@ def encode_divider(divider: RationalDivider) -> tuple[int, int, int]:
     return p1, p2, p3
 
 
-def decode_divider(
+def divider_pair(
     p1: int,
     p2: int,
     p3: int,
     int_range: tuple[int, int] | None = None,
-) -> RationalDivider:
-    """Invert :func:`encode_divider`.
+) -> tuple[int, int]:
+    """Invert :func:`encode_divider` onto the divider's value as an integer
+    ``(numerator, denominator)`` pair in lowest terms.
 
     ``int_range`` optionally restricts the legal integer part (feedback and
     output dividers have different ranges).  Raises
@@ -80,7 +85,17 @@ def decode_divider(
             f"integer part {a} outside legal range {int_range}"
         )
     g = math.gcd(numerator, p3)
-    return RationalDivider.from_pair(numerator // g, p3 // g)
+    return numerator // g, p3 // g
+
+
+def decode_divider(
+    p1: int,
+    p2: int,
+    p3: int,
+    int_range: tuple[int, int] | None = None,
+) -> RationalDivider:
+    """:func:`divider_pair` as a :class:`RationalDivider`."""
+    return RationalDivider.from_pair(*divider_pair(p1, p2, p3, int_range))
 
 
 def phase_step_byte(steps: int) -> int:
@@ -133,24 +148,38 @@ def channel_writes(regmap: RegisterMap, channel: int, *,
     return writes
 
 
-def _divider(read: Read, regmap: RegisterMap, prefix: str,
-             int_range: tuple[int, int], problem: str) -> RationalDivider:
+def _image(read: Read, regmap: RegisterMap, prefix: str) -> list[int]:
+    """The P1/P2/P3 parameters of the divider named ``prefix``."""
+    return [regmap.unpack(name, read) for name in divider_fields(prefix)]
+
+
+def _output_pair(read: Read, regmap: RegisterMap, cons: PlannerConstraints,
+                 channel: int) -> tuple[int, int]:
+    """``channel``'s output divider as a lowest-terms pair."""
     try:
-        return decode_divider(
-            *[regmap.unpack(name, read) for name in divider_fields(prefix)],
-            int_range=int_range,
-        )
+        return divider_pair(*_image(read, regmap, f"ms{channel}"),
+                            int_range=(cons.ms_int_min, cons.ms_int_max))
     except InconsistentEncodingError:
-        raise InconsistentEncodingError(problem) from None
+        raise InconsistentEncodingError("invalid output divider") from None
 
 
 def decode_feedback(read: Read, regmap: RegisterMap, cons: PlannerConstraints
                     ) -> RationalDivider:
     """The feedback divider, whose VCO lies in the window; raises
-    :class:`InconsistentEncodingError` naming the problem."""
-    feedback = _divider(read, regmap, "fb", (cons.fb_int_min, cons.fb_int_max),
-                        "invalid feedback divider")
-    if not cons.vco_min <= cons.f_in * feedback.value <= cons.vco_max:
+    :class:`InconsistentEncodingError` naming the problem.
+
+    The window check cross-multiplies the VCO's integer pair with the
+    window's edges, so it builds no ``Fraction``."""
+    try:
+        feedback = decode_divider(*_image(read, regmap, "fb"),
+                                  int_range=(cons.fb_int_min, cons.fb_int_max))
+    except InconsistentEncodingError:
+        raise InconsistentEncodingError("invalid feedback divider") from None
+    fb_n, fb_d = feedback.pair
+    fin, low, high = cons.f_in, cons.vco_min, cons.vco_max
+    vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
+    if not (low.numerator * vco_d <= vco_n * low.denominator
+            and vco_n * high.denominator <= high.numerator * vco_d):
         raise InconsistentEncodingError("vco frequency outside window")
     return feedback
 
@@ -160,9 +189,7 @@ def decode_plan(read: Read, regmap: RegisterMap, cons: PlannerConstraints,
     """The plan ``channel``'s output divider holds on the VCO of ``feedback``,
     aimed at the frequency it achieves; raises
     :class:`InconsistentEncodingError` naming the problem."""
-    output = _divider(read, regmap, f"ms{channel}", (cons.ms_int_min, cons.ms_int_max),
-                      "invalid output divider")
-    fb, out = feedback.pair, output.pair
+    fb, out = feedback.pair, _output_pair(read, regmap, cons, channel)
     fin = cons.f_in
     achieved = Fraction(fin.numerator * fb[0] * out[1], fin.denominator * fb[1] * out[0])
     return build_plan(fin, achieved, fb, out, channel)
@@ -234,24 +261,31 @@ def decode_outputs(
     regmap: RegisterMap,
     constraints: PlannerConstraints,
 ) -> list[ChannelStatus]:
-    """Compute per-channel status from synthesizer registers via ``read``."""
+    """Compute per-channel status from synthesizer registers via ``read``.
+
+    Works on integer pairs: the feedback divider and the VCO are decoded
+    once per snapshot, each output divider as a lowest-terms pair, and the
+    only ``Fraction``s built are the two an enabled channel's status holds,
+    ``f_out = f_vco / output`` and ``phase = steps / f_vco``."""
     try:
-        feedback = decode_feedback(read, regmap, constraints)
+        fb_n, fb_d = decode_feedback(read, regmap, constraints).pair
     except InconsistentEncodingError as exc:
         return [ChannelStatus(k, channel_enabled(read, regmap, k), None, None, str(exc))
                 for k in range(CHANNEL_COUNT)]
+    fin = constraints.f_in
+    vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
     channels = []
     for k in range(CHANNEL_COUNT):
         enabled = channel_enabled(read, regmap, k)
         try:
-            plan = decode_plan(read, regmap, constraints, feedback, k)
+            out_n, out_d = _output_pair(read, regmap, constraints, k)
         except InconsistentEncodingError as exc:
             channels.append(ChannelStatus(k, enabled, None, None, str(exc)))
             continue
         if enabled:
             steps = phase_steps_from_byte(regmap.unpack(f"ms{k}_phstep", read))
-            phase = Fraction(steps * plan.f_vco.denominator, plan.f_vco.numerator)
-            channels.append(ChannelStatus(k, True, plan.f_achieved, phase, None))
+            channels.append(ChannelStatus(k, True, Fraction(vco_n * out_d, vco_d * out_n),
+                                          Fraction(steps * vco_d, vco_n), None))
         else:
             channels.append(ChannelStatus(k, False, None, None, None))
     return channels

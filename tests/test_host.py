@@ -1,3 +1,4 @@
+import hashlib
 import random
 import socket
 import threading
@@ -5,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from clockgen import (
     Action,
@@ -29,10 +31,14 @@ from clockgen import (
     decode_command,
     encode_command,
     encode_divider,
+    load_config,
+    load_pot_map,
+    load_synth_map,
     plan_frequency,
     plan_voltage,
 )
 from clockgen.config import default_rails
+from clockgen.host import PreparedBatch
 from clockgen.transport import TcpSession
 
 import oracles
@@ -153,15 +159,20 @@ class SlowRegisterDevice:
         assert not self._thread.is_alive()
 
 
-@pytest.mark.parametrize("first", [[0x42], [0x01, 0x42, 0x03]],
-                         ids=["single-read", "partial-batch"])
+@pytest.mark.parametrize("first", [
+    lambda bridge: bridge.exchange([BridgeCommand.read(0x70, 0x42)]),
+    lambda bridge: bridge.exchange([BridgeCommand.read(0x70, r) for r in (0x01, 0x42, 0x03)]),
+    # 0x42 is among the 61 prepared output reads
+    lambda bridge: DeviceHandle(bridge, load_synth_map(), load_config(),
+                                load_pot_map()).read_outputs(),
+], ids=["single-read", "partial-batch", "prepared-batch"])
 def test_late_response_is_never_handed_to_a_later_read(first):
     device = SlowRegisterDevice(slow_register=0x42, delay=0.3)
     bridge = BridgeClient(TcpSession.connect("127.0.0.1", device.port,
                                              read_timeout=0.2))
     try:
         with pytest.raises(ReadTimeoutError):
-            bridge.exchange([BridgeCommand.read(0x70, r) for r in first])
+            first(bridge)
         for register in (0x10, 0x11, 0x12):
             assert bridge.read_register(0x70, register) == register ^ 0xA5
         assert bridge.exchange([BridgeCommand.read(0x70, r) for r in (0x20, 0x21)]) \
@@ -169,6 +180,21 @@ def test_late_response_is_never_handed_to_a_later_read(first):
     finally:
         bridge.close()
         device.close()
+
+
+_commands = st.one_of(
+    st.builds(BridgeCommand.read, st.integers(0, 0x7F), st.integers(0, 0xFF)),
+    st.builds(BridgeCommand.write, st.integers(0, 0x7F), st.integers(0, 0xFF),
+              st.integers(0, 0xFF)),
+)
+
+
+@given(st.lists(_commands, max_size=80))
+def test_prepared_batch_holds_the_frame_and_read_count_the_codec_gives(commands):
+    batch = PreparedBatch(commands)
+    assert batch == tuple(commands)
+    assert batch.frame == b"".join(map(encode_command, commands))
+    assert batch.reads == sum(c.action is Action.READ for c in commands)
 
 
 # -- device layer: frequency ---------------------------------------------------------
@@ -543,6 +569,35 @@ def test_set_frequency_writes_registers_in_field_order(counting_device):
     device.set_frequency(0, 100 * MHZ)
     written = [c.register for c in frames(counting.written) if c.action is Action.WRITE]
     assert written == [*range(0x10, 0x1B), *range(0x20, 0x2B), 0x60, 0x04]
+
+
+# sha256 of the bytes each operation wrote before its reads were prepared
+# batches, and their number per write call
+_WIRE_BEFORE = {
+    "set_frequency": ([64, 96], "0a8b4ce1395beb8484c84761a00d947d"
+                                "ced15c54ba369741dedbdcbb5f9729d2"),
+    "set_frequency-pinned": ([64, 52], "2eea8df461c92c0f6f07424ed0ef6815"
+                                       "32012893a9d6d5b0877477edc138652b"),
+    "read_outputs": ([244], "a6366b1dd1d258c1de0b3dab98f99d74"
+                            "aa218fbc99587416e015680698ebef05"),
+    "read_rails": ([20], "73183ab14739f63d14ba985382e2c355"
+                         "c56de8333e13d1b1f44f2d7a09fb0fc8"),
+}
+
+
+def test_prepared_reads_leave_the_bytes_on_the_wire_as_they_were(counting_device):
+    device, counting = counting_device
+    operations = {
+        "set_frequency": lambda: device.set_frequency(0, 100 * MHZ),
+        "set_frequency-pinned": lambda: device.set_frequency(1, Fraction(777777777, 7)),
+        "read_outputs": device.read_outputs,
+        "read_rails": device.read_rails,
+    }
+    for name, operation in operations.items():
+        counting.reset()
+        operation()
+        written = (counting.write_sizes, hashlib.sha256(counting.written).hexdigest())
+        assert written == _WIRE_BEFORE[name], name
 
 
 def test_write_fields_folds_fields_sharing_a_register(counting_device, host):

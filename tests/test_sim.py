@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -14,16 +15,19 @@ from clockgen import (
     BridgeClient,
     BridgeCommand,
     DeviceHandle,
+    InconsistentEncodingError,
     Phase,
+    RationalDivider,
     RegisterMap,
     SimulatorServer,
     apply_plan,
     encode_command,
+    encode_divider,
     plan_frequency,
     plan_phase,
     plan_voltage,
 )
-from clockgen.readout import decode_outputs, output_registers
+from clockgen.readout import decode_feedback, decode_outputs, output_registers
 from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND
 from clockgen.transport import TcpSession
 
@@ -309,24 +313,31 @@ def divider_image(draw, int_range, legal_range, edges=()):
     return (128 * (a * c + b)) // c - 512, (128 * b) % c, c
 
 
+def put_field(image, regmap, name, value):
+    """Place ``value`` in the field or composite ``name`` of ``image``, bit
+    by bit."""
+    for address, bits, mask in oracles.bitwise_pack(
+            oracles.probing_group(regmap.fields, name), value):
+        image[address] = (image[address] & ~mask) | bits
+
+
 @st.composite
-def register_image(draw, regmap):
+def register_image(draw, regmap, cons=_CONS):
     """Every synthesizer register: the feedback and four output dividers,
     enable and power-down bits and phase steps, then at most one output
-    register overwritten with any byte."""
+    register overwritten with any byte.  The feedback's legal values and
+    edges follow ``cons``."""
     image = {a: regmap.reset_value(a) for a in range(256)}
 
     def put(name, value):
-        for address, bits, mask in oracles.bitwise_pack(
-                oracles.probing_group(regmap.fields, name), value):
-            image[address] = (image[address] & ~mask) | bits
+        put_field(image, regmap, name, value)
 
-    fb_range = (_CONS.fb_int_min, _CONS.fb_int_max)
-    ms_range = (_CONS.ms_int_min, _CONS.ms_int_max)
+    fb_range = (cons.fb_int_min, cons.fb_int_max)
+    ms_range = (cons.ms_int_min, cons.ms_int_max)
     # mostly a VCO inside the window, sometimes anywhere in range
-    in_window = (math.ceil(_CONS.vco_min / _CONS.f_in),
-                 math.floor(_CONS.vco_max / _CONS.f_in))
-    edges = (_CONS.vco_min / _CONS.f_in, _CONS.vco_max / _CONS.f_in)
+    in_window = (math.ceil(cons.vco_min / cons.f_in),
+                 math.floor(cons.vco_max / cons.f_in))
+    edges = (cons.vco_min / cons.f_in, cons.vco_max / cons.f_in)
     images = [("fb", draw(divider_image(fb_range, draw(st.sampled_from(
         [in_window, in_window, in_window, fb_range])), edges)))]
     images += [(f"ms{k}", draw(divider_image(ms_range, ms_range))) for k in range(4)]
@@ -350,6 +361,60 @@ def test_decode_outputs_matches_independent_oracle(image):
     read = image.__getitem__
     assert decode_outputs(read, _REGMAP, _CONS) == \
         oracles.decode_outputs(read, _REGMAP, _CONS)
+
+
+# a reference that is not a whole number of Hz, so the VCO's pair and the
+# window's edges meet real denominators in the cross-multiplied check
+_ODD_CONS = dataclasses.replace(_CONS, f_in=Fraction(100_000_001, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(register_image(_REGMAP, _ODD_CONS))
+def test_decode_outputs_matches_the_oracle_off_a_whole_hz_reference(image):
+    read = image.__getitem__
+    assert decode_outputs(read, _REGMAP, _ODD_CONS) == \
+        oracles.decode_outputs(read, _REGMAP, _ODD_CONS)
+
+
+def _edge_image(cons, feedback_numerator, p3):
+    """Four enabled channels on output dividers 20 to 23 with phase steps,
+    under the feedback divider ``feedback_numerator / p3``, its P3 as given."""
+    image = {a: _REGMAP.reset_value(a) for a in range(256)}
+    scaled = 128 * feedback_numerator
+    for name, value in (("fb_p1", scaled // p3 - 512), ("fb_p2", scaled % p3),
+                        ("fb_p3", p3)):
+        put_field(image, _REGMAP, name, value)
+    for k in range(4):
+        for name, value in zip(("p1", "p2", "p3"), encode_divider(RationalDivider(20 + k, 0, 1))):
+            put_field(image, _REGMAP, f"ms{k}_{name}", value)
+        put_field(image, _REGMAP, f"clk{k}_en", 1)
+        put_field(image, _REGMAP, f"ms{k}_phstep", (k * 37 - 60) & 0xFF)
+    return image
+
+
+@pytest.mark.parametrize("cons", [_CONS, _ODD_CONS], ids=["whole-hz-f_in", "odd-f_in"])
+@pytest.mark.parametrize("edge", ["vco_min", "vco_max"])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_feedback_at_and_one_p2_step_past_the_vco_window_edges(cons, edge, step):
+    low, high = cons.vco_min / cons.f_in, cons.vco_max / cons.f_in
+    # the largest 30-bit P3 that holds both edges exactly: the finest step
+    both = math.lcm(low.denominator, high.denominator)
+    p3 = both * ((2**30 - 1) // both)
+    at = getattr(cons, edge) / cons.f_in * p3
+    assert at.denominator == 1
+    numerator = at.numerator + step
+    inside = low <= Fraction(numerator, p3) <= high
+    assert inside == (step == 0 or (step > 0) == (edge == "vco_min"))
+    read = _edge_image(cons, numerator, p3).__getitem__
+    expected = oracles.decode_outputs(read, _REGMAP, cons)
+    assert decode_outputs(read, _REGMAP, cons) == expected
+    if inside:
+        assert all(ch.enabled and ch.f_out is not None for ch in expected)
+        assert decode_feedback(read, _REGMAP, cons).value == Fraction(numerator, p3)
+    else:
+        assert {ch.problem for ch in expected} == {"vco frequency outside window"}
+        with pytest.raises(InconsistentEncodingError, match="vco frequency outside window"):
+            decode_feedback(read, _REGMAP, cons)
 
 
 def test_query_rails_formula_endpoint():
