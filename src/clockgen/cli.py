@@ -1,8 +1,9 @@
 """Command-line front end for scripted QA automation.
 
-Each invocation performs exactly one device operation (plus the status
-readback) against either a per-invocation in-process simulator or a TCP
-endpoint serving the byte protocol.  ``simulate`` starts that endpoint.
+Each invocation performs exactly one device operation against either a
+per-invocation in-process simulator or a TCP endpoint serving the byte
+protocol; no subcommand reads status after it acts (``status`` is its own
+operation).  ``simulate`` starts that endpoint.
 
 Exit codes: 0 success, 1 domain error (planning, transport, parsing),
 2 usage error.  ``--json`` prints one machine-readable document on stdout.

@@ -11,9 +11,11 @@ which is one exact line in the code::
     v_zero = v_ref * (1 + r_wiper / r_fixed)
     volts_per_step = v_ref * r_ab / (256 * r_fixed)
 
-A target's exact position on that line, ``(target - v_zero) /
-volts_per_step``, is feasible within half a step of 0..255, and its nearest
-code (ties to the lower one) is ``ceil(position - 1/2)``, clamped to 0.
+kept per rail on integers, over the common denominator ``d`` of its two
+coefficients, as ``v_out(code) = (z + code * s) / d``.  A target's exact
+position on that line, ``(target - v_zero) / volts_per_step``, is feasible
+within half a step of 0..255, and its nearest code (ties to the lower one)
+is ``ceil(position - 1/2)``, clamped to 0.
 Rail parameters are per-rail configuration with conventional defaults; the
 arithmetic is exact rational so the planned code provably equals the
 exhaustive argmin.
@@ -30,7 +32,6 @@ from .errors import InfeasibleVoltageError
 from .planner import FrequencyLike, as_fraction
 
 WIPER_STEPS = 256
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,19 @@ class RailModel:
     def volts_per_step(self) -> Fraction:
         return self.v_ref * self.r_ab / (WIPER_STEPS * self.r_fixed)
 
+    @cached_property
+    def line(self) -> tuple[int, int, int]:
+        """``(z, s, d)``: the volts at code ``c`` are ``(z + c*s) / d``."""
+        d = math.lcm(self.v_zero.denominator, self.volts_per_step.denominator)
+        return (self.v_zero.numerator * (d // self.v_zero.denominator),
+                self.volts_per_step.numerator * (d // self.volts_per_step.denominator), d)
+
     def predict(self, code: int) -> Fraction:
         """Exact output voltage for one wiper code."""
         if not 0 <= code < WIPER_STEPS:
             raise ValueError(f"wiper code {code} outside 0..{WIPER_STEPS - 1}")
-        return self.v_zero + code * self.volts_per_step
+        z, s, d = self.line
+        return Fraction(z + code * s, d)
 
 
 @dataclass(frozen=True)
@@ -92,16 +101,19 @@ def plan_voltage(rail: RailModel, v_target: FrequencyLike) -> SupplySetting:
     target = as_fraction(v_target)
     if target <= 0:
         raise ValueError("target voltage must be positive")
-    position = (target - rail.v_zero) / rail.volts_per_step
-    if not -HALF <= position <= WIPER_STEPS - HALF:
+    z, s, d = rail.line
+    # position = offset / (s * td), with the target at tn / td
+    tn, td = target.numerator, target.denominator
+    offset = tn * d - z * td
+    if not -s * td <= 2 * offset <= (2 * WIPER_STEPS - 1) * s * td:
         raise InfeasibleVoltageError(
             f"rail {rail.rail_id}: {float(target):.4g} V outside reachable band "
             f"[{float(rail.predict(0)):.6g}, {float(rail.predict(WIPER_STEPS - 1)):.6g}] V"
         )
-    # only position -1/2 itself rounds below code 0
-    code = max(0, math.ceil(position - HALF))
-    predicted = rail.predict(code)
-    return SupplySetting(code=code, v_predicted=predicted, v_error=abs(predicted - target))
+    # code = ceil(position - 1/2); only position -1/2 itself rounds below 0
+    code = max(0, -((s * td - 2 * offset) // (2 * s * td)))
+    return SupplySetting(code=code, v_predicted=rail.predict(code),
+                         v_error=Fraction(abs((z + code * s) * td - tn * d), d * td))
 
 
 def apply_supply(bridge, rail: RailModel, setting: SupplySetting, pot_map) -> None:

@@ -14,7 +14,6 @@ self-delimiting over any transport.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,7 +23,6 @@ WRITE_OPCODE = 0xFF
 READ_OPCODE = 0x00
 COMMAND_LENGTH = 4
 RESPONSE_LENGTH = 1
-READ_CACHE_SIZE = 128 * 256  # every 7-bit address times every register
 
 
 class Action(Enum):
@@ -62,18 +60,35 @@ class BridgeCommand:
         return cls(Action.WRITE, i2c_address, register, value)
 
     @classmethod
-    @functools.lru_cache(maxsize=READ_CACHE_SIZE, typed=True)
     def read(cls, i2c_address: int, register: int) -> "BridgeCommand":
         """The read of ``register`` on ``i2c_address``.
 
-        Memoised: a command is a frozen value, so every caller can share
-        one instance per valid ``(i2c_address, register)``, at most
-        ``READ_CACHE_SIZE`` of them.  The cache is keyed by argument type
-        too, so an odd caller passing ``6.0`` or ``True`` never hands its
-        instance to callers passing ``6`` or ``1``.  Invalid arguments raise
-        every time.
+        Shared: a command is a frozen value, so every caller passing plain
+        ints gets the one instance kept per valid ``(i2c_address,
+        register)``, at most 128 * 256 of them, the same instance that
+        :func:`decode_command` returns for that read's frame.  Other
+        argument types (``6.0``, ``True``) get an instance of their own, so
+        theirs is never handed to callers passing ``6`` or ``1``.  Invalid
+        arguments raise every time.  ``BridgeCommand.read.cache_clear()``
+        empties the shared set.
         """
+        if (type(i2c_address) is int and type(register) is int
+                and 0 <= i2c_address <= 0x7F and 0 <= register <= 0xFF):
+            return _SHARED_READS[i2c_address << 8 | register]
         return cls(Action.READ, i2c_address, register)
+
+
+class _SharedReads(dict):
+    """The shared read commands, keyed ``i2c_address << 8 | register`` and
+    built on first use."""
+
+    def __missing__(self, key: int) -> BridgeCommand:
+        command = self[key] = BridgeCommand(Action.READ, key >> 8, key & 0xFF)
+        return command
+
+
+_SHARED_READS = _SharedReads()
+BridgeCommand.read.__func__.cache_clear = _SHARED_READS.clear
 
 
 def encode_command(cmd: BridgeCommand) -> bytes:
@@ -92,10 +107,20 @@ def decode_command(data: bytes) -> BridgeCommand:
     if len(data) != COMMAND_LENGTH:
         raise FramingError(f"command frame must be {COMMAND_LENGTH} bytes, got {len(data)}")
     opcode, address, register, payload = data
-    if opcode != WRITE_OPCODE and opcode != READ_OPCODE:
-        raise InvalidOpcodeError(f"unknown opcode 0x{opcode:02X}")
-    if address > 0x7F:
-        raise FramingError(f"i2c address 0x{address:02X} outside 7-bit range")
     if opcode == READ_OPCODE:
-        return BridgeCommand.read(address, register)
-    return BridgeCommand(Action.WRITE, address, register, payload)
+        if address <= 0x7F:
+            return _SHARED_READS[address << 8 | register]
+    elif opcode == WRITE_OPCODE:
+        if address <= 0x7F:
+            # every field is one frame byte in range, which is all that
+            # __post_init__ would check, so the fields are set directly
+            command = object.__new__(BridgeCommand)
+            fields = command.__dict__
+            fields["action"] = Action.WRITE
+            fields["i2c_address"] = address
+            fields["register"] = register
+            fields["payload"] = payload
+            return command
+    else:
+        raise InvalidOpcodeError(f"unknown opcode 0x{opcode:02X}")
+    raise FramingError(f"i2c address 0x{address:02X} outside 7-bit range")

@@ -249,8 +249,15 @@ class RegisterFile:
         old = self._values[address]
         self._values[address] = (old & ~mask) | (value & mask)
 
+    def cells(self) -> tuple[list[int], list[int]]:
+        """The live value list and the write masks, for a dispatcher that
+        has range-checked addresses and values itself and applies the masks
+        as :meth:`write` does.  The lists stay the same objects for the
+        file's life: :meth:`reset` refills the values in place."""
+        return self._values, self._masks
+
     def reset(self) -> None:
-        self._values = list(self._resets)
+        self._values[:] = self._resets
 
     def snapshot(self) -> bytes:
         return bytes(self._values)

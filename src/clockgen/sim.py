@@ -11,7 +11,11 @@ within five steps.
 :meth:`BoardState.ingest` and :meth:`BoardState.run_until_idle`, which frame
 a whole received chunk at once and serve every buffered command in one pass
 with the same tick accounting, flags and responses as repeated ``step``
-calls.  The board keeps cheap counters (commands served, frames dropped,
+calls.  Both run the one dispatch loop, ``BoardState._serve``: ``step`` is
+that loop limited to one step.  The loop serves each command inline, with
+no call but ``decode_command`` per frame, on the live register lists of
+each device (:meth:`RegisterFile.cells`), trusting the decoder's range
+checks.  The board keeps cheap counters (commands served, frames dropped,
 worst dispatch steps) and only the most recent dispatch records.
 
 The board also exposes oracle views (:meth:`BoardState.query_outputs`,
@@ -117,6 +121,8 @@ class BoardState:
         }
         for rail in self.config.rails:
             self.devices.setdefault(rail.pot_address, RegisterFile.from_map(self.pot_map))
+        # each device's live (values, write masks), for _serve
+        self._ports = {address: device.cells() for address, device in self.devices.items()}
         self._rail_registers = rail_registers(self.config.rails, self.pot_map)
 
     # -- firmware lifecycle -------------------------------------------------
@@ -179,39 +185,12 @@ class BoardState:
             fw.flag_set_tick = fw.step_counter
 
     def step(self) -> None:
-        """One main-loop iteration: serve a raised flag, if any."""
-        fw = self.firmware
-        if fw.phase is not Phase.MAIN_LOOP:
+        """One main-loop iteration: serve the raised flag, or else frame
+        the next valid buffered command and serve it, if there is one."""
+        if self.firmware.phase is not Phase.MAIN_LOOP:
             raise RuntimeError("step() requires the firmware main loop (boot first)")
-        fw.step_counter += 1
-        if fw.pending is None:
-            self._frame()
-        command = fw.pending
-        if command is None:
-            return
-        self._serve(command, fw.flag_set_tick, fw.step_counter)
-        fw.pending = None
-
-    def _serve(self, command: BridgeCommand, flag_set_tick: int,
-               dispatch_tick: int) -> None:
-        """Dispatch one command: access its device (reads of an absent
-        device answer ``ABSENT_DEVICE_VALUE``), queue a read's response,
-        then count it and keep its record; past ``DISPATCH_HISTORY``
-        records the older half is dropped."""
-        device = self.devices.get(command.i2c_address)
-        if command.action is Action.READ:
-            self.firmware.tx_queue.append(
-                device.read(command.register) if device is not None
-                else ABSENT_DEVICE_VALUE)
-        elif device is not None:
-            device.write(command.register, command.payload)
-        log = self.dispatch_log
-        log.append(DispatchRecord(command, flag_set_tick, dispatch_tick))
-        if len(log) > DISPATCH_HISTORY:
-            del log[:DISPATCH_HISTORY // 2]
-        self.commands_served += 1
-        if dispatch_tick - flag_set_tick > self.max_dispatch_steps:
-            self.max_dispatch_steps = dispatch_tick - flag_set_tick
+        if not self._serve(1):
+            self.firmware.step_counter += 1  # an idle iteration
 
     def run_until_idle(self, limit: int = 100_000) -> None:
         """Serve every buffered command, stepping until no flag is raised
@@ -219,40 +198,77 @@ class BoardState:
 
         Leaves the board as calling :meth:`step` that many times would, and
         like that loop raises ``RuntimeError`` once ``limit`` steps have
-        run without going idle.  After the command framed on ingest, each
-        step frames and serves the next valid frame in the same tick, so
-        the loop reads frames in place and cuts them from the buffer once.
+        run without going idle.
         """
         fw = self.firmware
-        buf = fw.rx_buffer
-        steps = 0
-        if limit > 0 and (fw.flag_raised or (
-                fw.phase is not Phase.MAIN_LOOP and len(buf) >= COMMAND_LENGTH)):
-            self.step()  # serves the raised flag; refuses before boot
-            steps += 1
+        if limit > 0 and fw.phase is not Phase.MAIN_LOOP \
+                and len(fw.rx_buffer) >= COMMAND_LENGTH:
+            self.step()  # refuses before boot
+        if self._serve(limit) >= limit:
+            raise RuntimeError("simulator failed to go idle")
+
+    def _serve(self, limit: int) -> int:
+        """Run main-loop steps until idle or ``limit`` steps have run;
+        return the steps run.  The one dispatch body of the board.
+
+        A step serves the raised flag, or else frames the next valid
+        command and serves it in the same tick; undecodable frames on the
+        way are dropped.  A read queues its device's register, or
+        ``ABSENT_DEVICE_VALUE`` for an absent device; a write sets the
+        register's writable bits.  ``decode_command`` has proven address,
+        register and value in range, so they are not checked again.  Each
+        command is counted and keeps its record; past ``DISPATCH_HISTORY``
+        records the older half is dropped.  Frames are read in place and
+        cut from the buffer once.
+        """
+        fw = self.firmware
+        buf, tx, log, ports = fw.rx_buffer, fw.tx_queue, self.dispatch_log, self._ports
+        decode, read, record = decode_command, Action.READ, DispatchRecord
+        command, set_tick, tick = fw.pending, fw.flag_set_tick, fw.step_counter
+        worst = self.max_dispatch_steps
         pos, end = 0, len(buf) - COMMAND_LENGTH
-        tick = fw.step_counter
-        serve = self._serve
+        steps = served = dropped = 0
         try:
-            while pos <= end and steps < limit:
+            while steps < limit and (command is not None or pos <= end):
                 steps += 1
                 tick += 1
-                while pos <= end:
-                    try:
-                        command = decode_command(buf[pos:pos + COMMAND_LENGTH])
-                    except ProtocolError:
+                if command is None:
+                    while pos <= end:
+                        frame = buf[pos:pos + COMMAND_LENGTH]
                         pos += COMMAND_LENGTH
-                        self.frames_dropped += 1
-                        continue
-                    pos += COMMAND_LENGTH
-                    fw.flag_set_tick = tick
-                    serve(command, tick, tick)
-                    break
+                        try:
+                            command = decode(frame)
+                        except ProtocolError:
+                            dropped += 1
+                            continue
+                        set_tick = tick
+                        break
+                    else:
+                        break  # the step only dropped frames
+                elif tick - set_tick > worst:
+                    worst = tick - set_tick
+                port = ports.get(command.i2c_address)
+                if command.action is read:
+                    tx.append(ABSENT_DEVICE_VALUE if port is None
+                              else port[0][command.register])
+                elif port is not None:
+                    values, masks = port
+                    register = command.register
+                    mask = masks[register]
+                    values[register] = (values[register] & ~mask) | (command.payload & mask)
+                log.append(record(command, set_tick, tick))
+                if len(log) > DISPATCH_HISTORY:
+                    del log[:DISPATCH_HISTORY // 2]
+                served += 1
+                command = None
         finally:
             del buf[:pos]
-            fw.step_counter = tick
-        if steps >= limit:
-            raise RuntimeError("simulator failed to go idle")
+            fw.pending = command
+            fw.flag_set_tick, fw.step_counter = set_tick, tick
+            self.commands_served += served
+            self.frames_dropped += dropped
+            self.max_dispatch_steps = worst
+        return steps
 
     def take_output(self) -> bytes:
         """Drain queued read responses, oldest first."""

@@ -110,6 +110,37 @@ def test_decode_is_total_over_four_byte_inputs():
         assert cmd.action in (Action.READ, Action.WRITE)
 
 
+def _outcome(frame):
+    """What decoding ``frame`` gives: the command, or the error's type."""
+    try:
+        return decode_command(frame)
+    except ProtocolError as exc:
+        return type(exc)
+
+
+def test_decode_agrees_with_the_constructors_on_every_frame():
+    # every opcode class (read, write, any other) x address x register, with
+    # a few payloads: the typed error decoding has always raised, or the
+    # command the public constructor builds; a read is the shared instance
+    for address in range(256):
+        for register in range(256):
+            other = 1 + (address << 8 | register) % 254
+            read = (BridgeCommand.read(address, register) if address <= 0x7F
+                    else FramingError)
+            for payload in (0x00, 0xA5, 0xFF):
+                assert _outcome(bytes((other, address, register, payload))) \
+                    is InvalidOpcodeError
+                assert _outcome(bytes((0x00, address, register, payload))) is read
+                written = _outcome(bytes((0xFF, address, register, payload)))
+                if address > 0x7F:
+                    assert written is FramingError
+                    continue
+                expected = BridgeCommand.write(address, register, payload)
+                assert type(written) is BridgeCommand
+                assert vars(written) == vars(expected)
+                assert written == expected and hash(written) == hash(expected)
+
+
 def _imported(tree):
     """Every module a parsed ``clockgen`` module imports, or may import
     as a name, fully qualified."""

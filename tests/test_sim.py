@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import random
+import socket
+import struct
 import threading
 import warnings
 from fractions import Fraction
@@ -658,3 +660,109 @@ def test_serve_forever_returns_once_serving_ends():
     waiter.join(2.0)
     assert not waiter.is_alive(), "serve_forever kept waiting on a dead server"
     assert result == [False]
+
+
+# -- server fuzzing ------------------------------------------------------------------
+
+SYNC_READ = bytes((0x00, 0x70, 0x00, 0x00))
+
+
+@pytest.fixture(scope="module")
+def fuzzed_server():
+    """One server for every example, and a reference board sharing its maps."""
+    server = SimulatorServer(BoardState(), port=0)
+    server.start()
+    reference = BoardState(server.board.synth_map, server.board.config,
+                           server.board.pot_map)
+    reference.boot()
+    yield server, reference
+    server.stop()
+
+
+def _step_valid_frames(reference, data):
+    """Feed ``reference`` the complete valid frames of ``data`` one at a
+    time through step(); return the responses they queue."""
+    for pos in range(0, len(data) - 3, 4):
+        frame = data[pos:pos + 4]
+        if frame[0] in (0x00, 0xFF) and frame[1] <= 0x7F:
+            reference.ingest(frame)
+            reference.step()
+            assert not reference.firmware.flag_raised
+    return reference.take_output()
+
+
+def _connect(server):
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _receive(sock, count):
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        assert chunk, f"connection closed after {len(data)} of {count} response bytes"
+        data += chunk
+    return data
+
+
+def _pieces(chunks, start, stop):
+    """Bytes ``start:stop`` of the joined ``chunks``, cut where they are."""
+    pos = 0
+    for chunk in chunks:
+        piece = chunk[max(start - pos, 0):max(stop - pos, 0)]
+        pos += len(chunk)
+        if piece:
+            yield piece
+
+
+def _clients():
+    """What each client sends, chunk by chunk: whole frames of any kind and
+    runs of 1-7 bytes, so a frame may be split anywhere and the client may
+    leave in the middle of one; then how it leaves: an orderly close, or a
+    reset."""
+    chunk = st.one_of(_frames(), st.binary(min_size=1, max_size=7))
+    return st.lists(st.tuples(st.lists(chunk, max_size=12),
+                              st.sampled_from(["close", "reset"])),
+                    min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clients=_clients(), probe=st.integers(0, 0xFF))
+def test_server_survives_any_bytes_and_disconnects(fuzzed_server, clients, probe):
+    """Whatever clients send and however they leave, the server thread
+    lives on, the next connection frames cleanly, and the registers equal
+    those of a board fed the same complete valid frames through step()."""
+    server, reference = fuzzed_server
+    for chunks, leave in clients:
+        data = b"".join(chunks)
+        whole = len(data) - len(data) % 4
+        with _connect(server) as sock:
+            if leave == "close":
+                for piece in _pieces(chunks, 0, len(data)):
+                    sock.sendall(piece)
+                sock.shutdown(socket.SHUT_WR)
+                expected = _step_valid_frames(reference, data)
+                received = b""
+                while chunk := sock.recv(4096):
+                    received += chunk
+                assert received == expected
+            else:
+                # a reset may discard bytes the server has not read yet, so
+                # a read after the complete frames is answered before the
+                # rest of the last frame is sent and the connection reset
+                for piece in _pieces(chunks, 0, whole):
+                    sock.sendall(piece)
+                sock.sendall(SYNC_READ)
+                expected = _step_valid_frames(reference, data[:whole] + SYNC_READ)
+                assert _receive(sock, len(expected)) == expected
+                for piece in _pieces(chunks, whole, len(data)):
+                    sock.sendall(piece)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+    with _connect(server) as sock:
+        sock.sendall(bytes((0x00, 0x70, probe, 0x00)))
+        assert _receive(sock, 1) == bytes((reference.devices[0x70].read(probe),))
+        assert server._thread.is_alive() and server.error is None
+        assert {a: d.snapshot() for a, d in server.board.devices.items()} == \
+            {a: d.snapshot() for a, d in reference.devices.items()}
