@@ -8,9 +8,11 @@ output frequency is::
 
 All planning arithmetic is exact; floating point never enters a frequency
 or error computation.  The search and the plan's dividers run on exact
-integer numerator and denominator pairs; :class:`fractions.Fraction`
-appears only where inputs are converted and in the three values of a built
-plan (``f_vco``, ``f_achieved`` and ``rel_error``).  Plans hold dividers, not
+integer numerator and denominator pairs, and so does every window check,
+against :attr:`PlannerConstraints.windows`; :class:`fractions.Fraction`
+appears only where inputs are converted and in a built plan's ``f_vco`` and,
+when the plan misses its target, ``f_achieved`` and ``rel_error`` (an exact
+plan reuses the target and a shared zero).  Plans hold dividers, not
 registers: :mod:`clockgen.readout` maps them onto register fields and back.
 
 Search order: exact integer/integer plans first, then exact plans where one
@@ -40,6 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import PhaseRangeError, UnsatisfiableFrequencyError
@@ -51,6 +54,8 @@ DENOMINATOR_HARD_CAP = (1 << 30) - 1
 
 CHANNEL_COUNT = 4
 
+_ZERO = Fraction(0)
+
 
 def check_channel(channel: int) -> None:
     """Raise ``ValueError`` unless ``channel`` names one of the outputs."""
@@ -59,7 +64,10 @@ def check_channel(channel: int) -> None:
 
 
 def as_fraction(value: FrequencyLike) -> Fraction:
-    """Exact conversion; floats are rejected to keep the rational contract."""
+    """Exact conversion; floats are rejected to keep the rational contract.
+    A ``Fraction`` is returned as it is: it is immutable."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "floats are not accepted for exact values; "
@@ -97,8 +105,28 @@ class PlannerConstraints:
             raise ValueError(f"max_denominator must be 1..{DENOMINATOR_HARD_CAP}")
         if not 1 <= self.phase_step_limit <= 127:
             raise ValueError("phase_step_limit must fit the signed 8-bit register")
-        if self.vco_min > self.vco_max or self.f_out_min > self.f_out_max:
-            raise ValueError("empty constraint window")
+        for name in ("vco_min", "f_in_min", "f_out_min"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        # every divider is at least 1 (see _fits): a lower minimum admits nothing
+        for name in ("fb_int_min", "ms_int_min"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for low, high in (("vco_min", "vco_max"), ("f_in_min", "f_in_max"),
+                          ("f_out_min", "f_out_max"), ("fb_int_min", "fb_int_max"),
+                          ("ms_int_min", "ms_int_max")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"empty constraint window: {low} > {high}")
+
+    @cached_property
+    def windows(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The VCO, ``f_in`` and ``f_out`` windows, in that order, each as
+        ``(low_n, low_d, high_n, high_d)``: its edges as integer pairs in
+        lowest terms, for checks by cross-multiplication."""
+        return tuple((low.numerator, low.denominator, high.numerator, high.denominator)
+                     for low, high in ((self.vco_min, self.vco_max),
+                                       (self.f_in_min, self.f_in_max),
+                                       (self.f_out_min, self.f_out_max)))
 
 
 DEFAULT_CONSTRAINTS = PlannerConstraints()
@@ -210,13 +238,13 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _int_points(cons: PlannerConstraints, f_n: int, f_d: int,
+def _int_points(vco: tuple[int, int, int, int], f_n: int, f_d: int,
                 int_min: int, int_max: int) -> range:
     """Integers n in [int_min, int_max] with ``n * f_n/f_d`` inside the VCO
-    window."""
-    lo, hi = cons.vco_min, cons.vco_max
-    start = max(int_min, -(-lo.numerator * f_d // (lo.denominator * f_n)))
-    stop = min(int_max, hi.numerator * f_d // (hi.denominator * f_n))
+    window ``vco`` (see :attr:`PlannerConstraints.windows`)."""
+    lo_n, lo_d, hi_n, hi_d = vco
+    start = max(int_min, -(-lo_n * f_d // (lo_d * f_n)))
+    stop = min(int_max, hi_n * f_d // (hi_d * f_n))
     return range(start, stop + 1)
 
 
@@ -252,12 +280,17 @@ def plan_frequency(
     target = as_fraction(f_target)
     cons = constraints
     check_channel(channel)
-    if not cons.f_in_min <= fin <= cons.f_in_max:
+    vco, fin_window, out_window = cons.windows
+    fn, fd = fin.numerator, fin.denominator
+    lo_n, lo_d, hi_n, hi_d = fin_window
+    if not (lo_n * fd <= fn * lo_d and fn * hi_d <= hi_n * fd):
         raise ValueError(
             f"reference input {fin} Hz outside supported window "
             f"[{cons.f_in_min}, {cons.f_in_max}] Hz"
         )
-    if not cons.f_out_min <= target <= cons.f_out_max:
+    tn, td = target.numerator, target.denominator
+    lo_n, lo_d, hi_n, hi_d = out_window
+    if not (lo_n * td <= tn * lo_d and tn * hi_d <= hi_n * td):
         raise UnsatisfiableFrequencyError(
             f"target {float(target):.6g} Hz outside the supported band "
             f"[{float(cons.f_out_min):.6g}, {float(cons.f_out_max):.6g}] Hz"
@@ -266,14 +299,12 @@ def plan_frequency(
     if feedback is not None:
         return _pinned(fin, target, feedback, channel, cons)
 
-    fn, fd = fin.numerator, fin.denominator
-    tn, td = target.numerator, target.denominator
     # r = f_in / target = kn / kd in lowest terms: integer feedback a needs
     # the output divider r*a, integer output o needs the feedback divider o/r
     kn, kd = _reduced(fn * td, fd * tn)
     cap = cons.max_denominator
-    fb_ints = _int_points(cons, fn, fd, cons.fb_int_min, cons.fb_int_max)
-    ms_ints = _int_points(cons, tn, td, cons.ms_int_min, cons.ms_int_max)
+    fb_ints = _int_points(vco, fn, fd, cons.fb_int_min, cons.fb_int_max)
+    ms_ints = _int_points(vco, tn, td, cons.ms_int_min, cons.ms_int_max)
     examined = 0
 
     # stage 1: exact integer feedback + integer output; ascending f_vco.
@@ -338,9 +369,8 @@ def _pinned(fin, target, feedback, channel, cons):
     """The output divider alone, for the VCO that ``feedback`` sets."""
     fb = feedback.pair
     vn, vd = fin.numerator * fb[0], fin.denominator * fb[1]  # f_vco = vn / vd
-    v_lo, v_hi = cons.vco_min, cons.vco_max
-    if not (v_lo.numerator * vd <= vn * v_lo.denominator
-            and vn * v_hi.denominator <= v_hi.numerator * vd):
+    lo_n, lo_d, hi_n, hi_d = cons.windows[0]
+    if not (lo_n * vd <= vn * lo_d and vn * hi_d <= hi_n * vd):
         raise ValueError(f"pinned VCO {Fraction(vn, vd)} Hz outside the VCO window")
     cap, lo, hi = cons.max_denominator, cons.ms_int_min, cons.ms_int_max + 1
     # the ideal output divider f_vco / target = xn / xd, clamped into the
@@ -375,11 +405,12 @@ def _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
     cap = cons.max_denominator
     fn, fd = fin.numerator, fin.denominator
     # the VCO window in feedback units, vco / f_in
-    lo_n, lo_d = _reduced(cons.vco_min.numerator * fd, cons.vco_min.denominator * fn)
-    hi_n, hi_d = _reduced(cons.vco_max.numerator * fd, cons.vco_max.denominator * fn)
+    v_lo_n, v_lo_d, v_hi_n, v_hi_d = cons.windows[0]
+    lo_n, lo_d = _reduced(v_lo_n * fd, v_lo_d * fn)
+    hi_n, hi_d = _reduced(v_hi_n * fd, v_hi_d * fn)
     # the descent keeps q <= cap, so of :func:`_fits` only the range is left
-    fb_lo, fb_hi = max(cons.fb_int_min, 1), cons.fb_int_max + 1
-    ms_lo, ms_hi = max(cons.ms_int_min, 1), cons.ms_int_max + 1
+    fb_lo, fb_hi = cons.fb_int_min, cons.fb_int_max + 1
+    ms_lo, ms_hi = cons.ms_int_min, cons.ms_int_max + 1
     for o in ms_ints:
         # feedback p/q for output o misses by |kn*p - kd*o*q| / (kd*o*q)
         inside = [c for c in _descent(kd * o, kn, cap)
@@ -432,19 +463,21 @@ def build_plan(
 
     Nothing is searched or range-checked: ``f_vco``, ``f_achieved`` and
     ``rel_error`` against ``target`` are worked out exactly for the
-    dividers given."""
+    dividers given.  A plan that hits ``target`` holds ``target`` itself
+    as ``f_achieved`` and a shared zero as ``rel_error``."""
     (fb_n, fb_d), (out_n, out_d) = feedback, output
     vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
     ach_n, ach_d = vco_n * out_d, vco_d * out_n
     tn, td = target.numerator, target.denominator
+    miss = abs(ach_n * td - tn * ach_d)
     return FrequencyPlan(
         f_in=fin,
         f_target=target,
         feedback=RationalDivider.from_pair(fb_n, fb_d),
         output=RationalDivider.from_pair(out_n, out_d),
         f_vco=Fraction(vco_n, vco_d),
-        f_achieved=Fraction(ach_n, ach_d),
-        rel_error=Fraction(abs(ach_n * td - tn * ach_d), ach_d * tn),
+        f_achieved=Fraction(ach_n, ach_d) if miss else target,
+        rel_error=Fraction(miss, ach_d * tn) if miss else _ZERO,
         channel=channel,
     )
 

@@ -169,17 +169,17 @@ def decode_feedback(read: Read, regmap: RegisterMap, cons: PlannerConstraints
     :class:`InconsistentEncodingError` naming the problem.
 
     The window check cross-multiplies the VCO's integer pair with the
-    window's edges, so it builds no ``Fraction``."""
+    window's edges (:attr:`PlannerConstraints.windows`), so it builds no
+    ``Fraction``."""
     try:
         feedback = decode_divider(*_image(read, regmap, "fb"),
                                   int_range=(cons.fb_int_min, cons.fb_int_max))
     except InconsistentEncodingError:
         raise InconsistentEncodingError("invalid feedback divider") from None
     fb_n, fb_d = feedback.pair
-    fin, low, high = cons.f_in, cons.vco_min, cons.vco_max
+    fin, (lo_n, lo_d, hi_n, hi_d) = cons.f_in, cons.windows[0]
     vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
-    if not (low.numerator * vco_d <= vco_n * low.denominator
-            and vco_n * high.denominator <= high.numerator * vco_d):
+    if not (lo_n * vco_d <= vco_n * lo_d and vco_n * hi_d <= hi_n * vco_d):
         raise InconsistentEncodingError("vco frequency outside window")
     return feedback
 

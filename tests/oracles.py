@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from clockgen.errors import UnsatisfiableFrequencyError
+from clockgen.planner import FrequencyPlan, RationalDivider
 from clockgen.power import WIPER_STEPS
 from clockgen.readout import ChannelStatus
 
@@ -126,6 +128,94 @@ def approximate_plans(f_in, f_target, cons, both_neighbors=False):
 
 def has_exact_plan(f_in, f_target, cons) -> bool:
     return bool(exact_plans(f_in, f_target, cons))
+
+
+def exact_rank(plan):
+    """Order of the exact plans of :func:`exact_plans`: integer/integer
+    plans first (stage 1), then by (f_vco, feedback denominator, output
+    denominator)."""
+    f_vco, fb, out = plan
+    return (fb.denominator != 1 or out.denominator != 1,
+            f_vco, fb.denominator, out.denominator)
+
+
+def approximate_rank(candidate):
+    """Order of the candidates of :func:`approximate_plans`: smallest
+    relative error, then lowest f_vco, feedback denominator, output
+    denominator, output value."""
+    error, f_vco, fb, out = candidate
+    return error, f_vco, fb.denominator, out.denominator, out
+
+
+def _divider(value: Fraction) -> RationalDivider:
+    whole, rest = divmod(value, 1)
+    return RationalDivider(whole, rest.numerator, rest.denominator)
+
+
+def reference_plan(f_in, f_target, cons, channel=0, feedback=None):
+    """The plan ``plan_frequency`` returns, or the error it raises (same
+    type, same message), worked out by ``Fraction`` comparisons against the
+    constraint fields and the brute-force families above.
+
+    The reference input and the target are checked against their windows.
+    Jointly, the plan is the first exact plan by :func:`exact_rank`, else
+    the first of :func:`approximate_plans` with both neighbors by
+    :func:`approximate_rank`, refused beyond 1e-9.  With ``feedback``, its
+    VCO must lie in the window, and the output divider is the legal one
+    nearest ``f_vco / f_target``: ``ms_int_min`` below the range, the
+    largest capped fraction below ``ms_int_max + 1`` above it, else the
+    nearer capped neighbor, the lower on a tie.
+    """
+    if not cons.f_in_min <= f_in <= cons.f_in_max:
+        raise ValueError(
+            f"reference input {f_in} Hz outside supported window "
+            f"[{cons.f_in_min}, {cons.f_in_max}] Hz")
+    if not cons.f_out_min <= f_target <= cons.f_out_max:
+        raise UnsatisfiableFrequencyError(
+            f"target {float(f_target):.6g} Hz outside the supported band "
+            f"[{float(cons.f_out_min):.6g}, {float(cons.f_out_max):.6g}] Hz")
+    limit, cap = Fraction(1, 10**9), cons.max_denominator
+
+    def plan(fb, out):
+        f_vco = f_in * fb
+        f_achieved = f_vco / out
+        return FrequencyPlan(f_in, f_target, _divider(fb), _divider(out), f_vco,
+                             f_achieved, abs(f_achieved - f_target) / f_target, channel)
+
+    if feedback is not None:
+        fb = feedback.value
+        f_vco = f_in * fb
+        if not cons.vco_min <= f_vco <= cons.vco_max:
+            raise ValueError(f"pinned VCO {f_vco} Hz outside the VCO window")
+        low, high = cons.ms_int_min, cons.ms_int_max + 1
+        ideal = f_vco / f_target
+        if ideal < low:
+            choices = [Fraction(low)]
+        elif ideal >= high:
+            choices = [high - Fraction(1, cap)]
+        else:
+            choices = capped_neighbors(ideal, cap)
+        ranked = sorted((abs(f_vco / out - f_target) / f_target, out)
+                        for out in choices if low <= out < high)
+        if not ranked or ranked[0][0] > limit:
+            raise UnsatisfiableFrequencyError(
+                f"no output divider of the shared VCO at {f_vco} Hz reaches "
+                f"{float(f_target):.6g} Hz within 1e-9 relative")
+        return plan(fb, ranked[0][1])
+    exact = exact_plans(f_in, f_target, cons)
+    if exact:
+        _f_vco, fb, out = min(exact, key=exact_rank)
+        return plan(fb, out)
+    candidates = approximate_plans(f_in, f_target, cons, both_neighbors=True)
+    if not candidates:
+        raise UnsatisfiableFrequencyError(
+            f"no divider pair reaches {float(f_target):.6g} Hz inside the VCO window")
+    error, _f_vco, fb, out = min(candidates, key=approximate_rank)
+    if error > limit:
+        raise UnsatisfiableFrequencyError(
+            f"best achievable plan misses {float(f_target):.6g} Hz by "
+            f"{float(error):.3g} relative")
+    return plan(fb, out)
 
 
 def assert_plan_valid(plan, cons):

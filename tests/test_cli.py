@@ -184,6 +184,16 @@ def test_unreadable_map_file_exits_1(capsys, tmp_path):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["f_out_min_hz = 0", "f_out_min_hz = -5"])
+def test_set_freq_under_a_non_positive_band_edge_exits_1(capsys, tmp_path, line):
+    conf = tmp_path / "band.conf"
+    conf.write_text(line + "\n")
+    assert run(["--config", str(conf), "set-freq", "--channel", "0", "--hz", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "f_out_min must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_on_a_busy_port_exits_1(capsys, tcp_server):
     assert run(["simulate", "--port", str(tcp_server.port)]) == 1
     err = capsys.readouterr().err

@@ -142,6 +142,20 @@ def test_bad_constraint_combination():
         parse_config("vco_min_hz = 3000000000\nvco_max_hz = 2000000000\n")
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("f_out_min_hz = 0", "f_out_min must be positive"),
+    ("f_out_min_hz = -5", "f_out_min must be positive"),
+    ("vco_min_hz = 0", "vco_min must be positive"),
+    ("fb_int_min = 600", "fb_int_min > fb_int_max"),
+    ("ms_int_min = 3000", "ms_int_min > ms_int_max"),
+    ("fb_int_min = 0", "fb_int_min must be at least 1"),
+    ("ms_int_min = -1", "ms_int_min must be at least 1"),
+])
+def test_degenerate_constraint_windows_rejected(line, problem):
+    with pytest.raises(ConfigError, match=problem):
+        parse_config(line + "\n")
+
+
 def test_bad_rail_value():
     with pytest.raises(ConfigError, match="rail 0"):
         parse_config("rail0_pot_channel = 9\n")

@@ -154,15 +154,6 @@ def exact_targets(rng, f_in, count):
     return targets
 
 
-def exact_rank(plan):
-    """Order of the exact plans of ``oracles.exact_plans``: integer/integer
-    plans first (stage 1), then by (f_vco, feedback denominator, output
-    denominator)."""
-    f_vco, fb, out = plan
-    return (fb.denominator != 1 or out.denominator != 1,
-            f_vco, fb.denominator, out.denominator)
-
-
 @pytest.mark.parametrize("cons, f_ins", [
     (CONS, (F_IN,)),
     (CONS, (Fraction(10 * MHZ), Fraction(48 * MHZ), Fraction(50 * MHZ))),
@@ -185,9 +176,9 @@ def test_lowest_vco_tie_rule_against_oracle(cons, f_ins):
                 assert plan.rel_error > 0, target
                 continue
             oracles.assert_plan_valid(plan, cons)
-            best = min(plans, key=exact_rank)
+            best = min(plans, key=oracles.exact_rank)
             assert (plan.f_vco, plan.feedback.value, plan.output.value) == best
-            if small_cap and exact_rank(best)[0]:  # a stage-2 plan
+            if small_cap and oracles.exact_rank(best)[0]:  # a stage-2 plan
                 uncapped = oracles.exact_plans(f_in, target, CONS)
                 if min(p[0] for p in uncapped) < plan.f_vco:
                     skipped_invalid_first += 1
@@ -231,10 +222,10 @@ def test_skipped_scans_never_skip_an_exact_plan(target, cons, edge, caplog):
         assert plan.rel_error > 0, edge
         return
     oracles.assert_plan_valid(plan, cons)
-    best = min(plans, key=exact_rank)
+    best = min(plans, key=oracles.exact_rank)
     assert (plan.f_vco, plan.feedback.value, plan.output.value) == best, edge
     (record,) = caplog.records
-    assert record.args[0] == ("exactfrac" if exact_rank(best)[0] else "int"), edge
+    assert record.args[0] == ("exactfrac" if oracles.exact_rank(best)[0] else "int"), edge
 
 
 def test_skip_edge_targets_sit_on_their_edges():
@@ -252,7 +243,7 @@ def test_skip_edge_targets_sit_on_their_edges():
     assert (F_IN / target).numerator == cap * o_max == 2260
     assert F_IN / (F_IN * 7 / 3) == Fraction(3, 7)
     assert math.ceil(CONS.vco_min / F_IN) == 88
-    best = min(oracles.exact_plans(F_IN, F_IN * 7 / 3, CONS), key=exact_rank)
+    best = min(oracles.exact_plans(F_IN, F_IN * 7 / 3, CONS), key=oracles.exact_rank)
     assert best[1:] == (91, 39)
 
 
@@ -484,6 +475,24 @@ def test_constraints_validation():
         PlannerConstraints(phase_step_limit=128)
 
 
+@pytest.mark.parametrize("fields, problem", [
+    ({"f_in_min": Fraction(0)}, "f_in_min must be positive"),
+    ({"f_out_min": Fraction(-5)}, "f_out_min must be positive"),
+    ({"vco_min": Fraction(0)}, "vco_min must be positive"),
+    ({"f_in_min": Fraction(30 * MHZ), "f_in_max": Fraction(20 * MHZ)},
+     "f_in_min > f_in_max"),
+    ({"f_out_min": Fraction(6 * MHZ), "f_out_max": Fraction(5 * MHZ)},
+     "f_out_min > f_out_max"),
+    ({"fb_int_min": 600}, "fb_int_min > fb_int_max"),
+    ({"ms_int_min": 3000}, "ms_int_min > ms_int_max"),
+    ({"fb_int_min": 0}, "fb_int_min must be at least 1"),
+    ({"ms_int_min": 0}, "ms_int_min must be at least 1"),
+])
+def test_constraints_refuse_degenerate_windows(fields, problem):
+    with pytest.raises(ValueError, match=problem):
+        PlannerConstraints(**fields)
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_constraints_refuse_a_denominator_cap_below_one(cap):
     # every divider has a denominator of at least 1, so no plan keeps such a cap
@@ -584,10 +593,6 @@ def test_approximation_is_the_first_of_both_capped_neighbors(f_in):
     neighbors of every integer divider's exact partner: smallest relative
     error, then lowest f_vco, feedback denominator, output denominator,
     output value."""
-    def order(c):
-        error, f_vco, fb, out = c
-        return error, f_vco, fb.denominator, out.denominator, out
-
     rng = random.Random(22)
     lo, hi = int(CONS.f_out_min), int(CONS.f_out_max)
     ties = 0
@@ -596,7 +601,7 @@ def test_approximation_is_the_first_of_both_capped_neighbors(f_in):
         target = Fraction(rng.randint(lo * q, hi * q), q)
         plan = plan_frequency(f_in, target)
         candidates = oracles.approximate_plans(f_in, target, CONS, both_neighbors=True)
-        best = min(candidates, key=order)
+        best = min(candidates, key=oracles.approximate_rank)
         assert (plan.rel_error, plan.f_vco, plan.feedback.value,
                 plan.output.value) == best, target
         ties += sum(c[0] == best[0] and c[2:] != best[2:] for c in candidates) > 0
