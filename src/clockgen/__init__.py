@@ -9,8 +9,6 @@ serve as the oracle for the planners.
 """
 
 from .config import (
-    DEFAULT_SYNTH_ADDRESS,
-    DEFAULT_TCP_PORT,
     StackConfig,
     default_config,
     load_config,
@@ -47,17 +45,16 @@ from .planner import (
     PhasePlan,
     PlannerConstraints,
     RationalDivider,
-    apply_plan,
     plan_frequency,
     plan_phase,
 )
-from .power import RailModel, SupplySetting, apply_supply, plan_voltage
+from .power import RailModel, SupplySetting, plan_voltage
 from .protocol import Action, BridgeCommand, decode_command, encode_command
 from .readout import ChannelStatus, decode_divider, encode_divider
 from .registers import BitField, MapEntry, RegisterFile, RegisterMap, parse_register_map
 from .server import SimulatorServer
-from .sim import BoardState, DispatchRecord, FirmwareState, Phase
-from .transport import SessionConfig, SimulatorHost, open_session
+from .sim import BoardState, Phase
+from .transport import SessionConfig, open_session
 
 __version__ = "0.1.0"
 
@@ -73,13 +70,9 @@ __all__ = [
     "ConfigError",
     "ConnectError",
     "DEFAULT_CONSTRAINTS",
-    "DEFAULT_SYNTH_ADDRESS",
-    "DEFAULT_TCP_PORT",
     "DeviceHandle",
-    "DispatchRecord",
     "EncodingError",
     "FieldOverflowError",
-    "FirmwareState",
     "FramingError",
     "FrequencyPlan",
     "InconsistentEncodingError",
@@ -102,14 +95,11 @@ __all__ = [
     "SessionBusyError",
     "SessionClosedError",
     "SessionConfig",
-    "SimulatorHost",
     "SimulatorServer",
     "StackConfig",
     "SupplySetting",
     "TransportError",
     "UnsatisfiableFrequencyError",
-    "apply_plan",
-    "apply_supply",
     "bridge_init",
     "decode_command",
     "decode_divider",

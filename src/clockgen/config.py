@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
@@ -85,9 +84,10 @@ _DEFAULT_RAIL_PLAN = (
 class StackConfig:
     """Everything the host stack and the simulator share.
 
-    Building one checks the rules that span the whole configuration: a 7-bit
-    synthesizer address, unique rail ids, one rail per pot slot and no pot on
-    the synthesizer's address.  A broken rule raises ``ValueError``.
+    Building one checks the rules that span the whole configuration: a
+    reference ``f_in`` inside its window, a 7-bit synthesizer address, unique
+    rail ids, one rail per pot slot and no pot on the synthesizer's address.
+    A broken rule raises ``ValueError``.
     """
 
     constraints: PlannerConstraints
@@ -95,6 +95,10 @@ class StackConfig:
     synth_address: int = DEFAULT_SYNTH_ADDRESS
 
     def __post_init__(self):
+        cons = self.constraints
+        if not cons.f_in_min <= cons.f_in <= cons.f_in_max:
+            raise ValueError(f"f_in {cons.f_in} Hz outside the reference window "
+                             f"[{cons.f_in_min}, {cons.f_in_max}] Hz")
         if not 0 <= self.synth_address <= 0x7F:
             raise ValueError(f"synth_address 0x{self.synth_address:X} outside 7-bit range")
         ids, slots = set(), set()
@@ -185,7 +189,7 @@ def parse_config(text: str) -> StackConfig:
 
 
 def _packaged(name: str) -> str:
-    return resources.files(__package__).joinpath("data", name).read_text("utf-8")
+    return (Path(__file__).parent / "data" / name).read_text("utf-8")
 
 
 def load_config(path: str | Path | None = None) -> StackConfig:

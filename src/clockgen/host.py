@@ -47,7 +47,7 @@ from .readout import (
 )
 from .registers import RegisterMap
 from .sim import BoardState
-from .transport import SessionConfig, SimulatorHost, open_session
+from .transport import SessionConfig, open_session
 
 
 class PreparedBatch(tuple):
@@ -299,18 +299,27 @@ def bridge_init(
     session_config: SessionConfig,
     map_path=None,
     config_path=None,
-    simulator: SimulatorHost | None = None,
+    simulator: BoardState | None = None,
 ) -> DeviceHandle:
-    """Open a session, load the register maps and configuration, and return
-    a ready device handle.
+    """Open a session and return a ready device handle.
 
-    With the ``sim`` endpoint and no ``simulator``, the handle talks to a
-    fresh in-process board built from the loaded maps and configuration.
+    With ``simulator``, a :class:`BoardState`, the session opens in-process
+    on that board and the handle takes the board's own maps and
+    configuration; a path or a non-``sim`` endpoint beside it raises
+    ``ValueError``.  Otherwise the maps and configuration are loaded (the
+    paths, or the shipped maps and ``default_config()``) before any session
+    opens, and the ``sim`` endpoint gets a fresh board built from them.
     """
-    config = load_config(config_path)
-    synth_map = load_synth_map(map_path)
-    pot_map = load_pot_map()
-    if simulator is None and session_config.endpoint == "sim":
-        simulator = SimulatorHost(BoardState(synth_map, config, pot_map))
+    if simulator is not None:
+        if (map_path, config_path) != (None, None) or session_config.endpoint != "sim":
+            raise ValueError("a simulator brings its own maps and configuration, "
+                             "on the sim endpoint only")
+        synth_map, config, pot_map = simulator.synth_map, simulator.config, simulator.pot_map
+    else:
+        config = load_config(config_path)
+        synth_map = load_synth_map(map_path)
+        pot_map = load_pot_map()
+        if session_config.endpoint == "sim":
+            simulator = BoardState(synth_map, config, pot_map)
     session = open_session(session_config, simulator)
     return DeviceHandle(BridgeClient(session), synth_map, config, pot_map)

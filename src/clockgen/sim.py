@@ -111,6 +111,7 @@ class BoardState:
         self.synth_map = synth_map if synth_map is not None else load_synth_map()
         self.pot_map = pot_map if pot_map is not None else load_pot_map()
         self.firmware = FirmwareState()
+        self.session = None  # the open in-process session; one at a time
         # the last DISPATCH_HISTORY records at most, oldest first
         self.dispatch_log: list[DispatchRecord] = []
         self.commands_served = 0

@@ -1,11 +1,12 @@
 """Session layer: open/read/write/close over interchangeable byte channels.
 
 Two endpoints are provided: an in-process channel straight into a simulated
-board (the test double) and a TCP client carrying the same raw bytes.  The
-stream has no extra framing; fixed-length commands and responses keep it
-self-delimiting.  A session belongs to one logical owner; the device side
-allows exactly one session at a time, mirroring exclusive access to a USB
-device.
+:class:`BoardState` (the test double) and a TCP client carrying the same raw
+bytes.  The stream has no extra framing; fixed-length commands and responses
+keep it self-delimiting.  A session belongs to one logical owner; the device
+side allows exactly one session at a time, mirroring exclusive access to a
+USB device: the board records its open in-process session in
+``board.session``, and :class:`SimulatorServer` serves one client at a time.
 """
 
 from __future__ import annotations
@@ -59,53 +60,33 @@ class SessionConfig:
         raise ValueError(f"unknown transport {text!r}, want sim or tcp:HOST:PORT")
 
 
-class SimulatorHost:
-    """In-process endpoint wrapping a board.
+class InProcessSession:
+    """Session straight into a simulated :class:`BoardState`.
 
-    Owns the board's event pump: bytes written to a session are ingested and
-    the firmware is stepped until idle, so responses are ready immediately.
-    At most one session may be open at a time.
+    While open it owns the board's event pump: bytes written are ingested
+    and the firmware runs until idle, so responses are ready at once.  The
+    board holds at most one session (``board.session``); opening a second
+    raises :class:`AlreadyOpenError` until the first closes.
     """
 
     def __init__(self, board: BoardState):
-        self.board = board
-        self._active: InProcessSession | None = None
-
-    def open(self) -> "InProcessSession":
-        if self._active is not None:
+        if board.session is not None:
             raise AlreadyOpenError("simulator already has an open session")
-        if self.board.firmware.phase is not Phase.MAIN_LOOP:
-            self.board.boot()
-        session = InProcessSession(self)
-        self._active = session
-        return session
-
-    def ingest(self, data: bytes) -> None:
-        self.board.ingest(data)
-        self.board.run_until_idle()
-
-    def release(self, session: "InProcessSession") -> None:
-        if self._active is session:
-            # register state persists; command/response queues start clean
-            self.board.firmware.clear_queues()
-            self._active = None
-
-
-class InProcessSession:
-    """Session straight into a :class:`SimulatorHost`."""
-
-    def __init__(self, host: SimulatorHost):
-        self._host = host
+        if board.firmware.phase is not Phase.MAIN_LOOP:
+            board.boot()
+        board.session = self
+        self._board = board
         self._open = True
         self._rx = bytearray()
 
     def write_bytes(self, data: bytes) -> None:
         self._require_open()
-        self._host.ingest(bytes(data))
+        self._board.ingest(data)
+        self._board.run_until_idle()
 
     def read_bytes(self, n: int) -> bytes:
         self._require_open()
-        self._rx.extend(self._host.board.take_output())
+        self._rx.extend(self._board.take_output())
         if len(self._rx) < n:
             # nothing can arrive asynchronously in-process, so waiting out
             # the timeout would change nothing; fail fast
@@ -119,7 +100,11 @@ class InProcessSession:
     def close(self) -> None:
         if self._open:
             self._open = False
-            self._host.release(self)
+            board = self._board
+            if board.session is self:
+                # register state persists; command/response queues start clean
+                board.firmware.clear_queues()
+                board.session = None
 
     def _require_open(self) -> None:
         if not self._open:
@@ -200,14 +185,14 @@ class TcpSession:
             raise SessionClosedError("session is closed")
 
 
-def open_session(config: SessionConfig, simulator: SimulatorHost | None = None):
+def open_session(config: SessionConfig, simulator: BoardState | None = None):
     """Open a session per ``config``.
 
-    The in-process endpoint needs the target :class:`SimulatorHost`; TCP
+    The in-process endpoint needs the target :class:`BoardState`; TCP
     needs only the address.
     """
     if config.endpoint == "sim":
         if simulator is None:
-            raise ValueError("in-process endpoint requires a SimulatorHost")
-        return simulator.open()
+            raise ValueError("in-process endpoint requires a BoardState")
+        return InProcessSession(simulator)
     return TcpSession.connect(config.host, config.port, config.read_timeout)

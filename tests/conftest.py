@@ -6,8 +6,10 @@ from clockgen import (
     BoardState,
     BridgeClient,
     DeviceHandle,
-    SimulatorHost,
+    SessionConfig,
     SimulatorServer,
+    bridge_init,
+    open_session,
 )
 
 
@@ -25,22 +27,15 @@ def board():
 
 
 @pytest.fixture
-def host(board):
-    return SimulatorHost(board)
-
-
-@pytest.fixture
-def session(host):
-    s = host.open()
+def session(board):
+    s = open_session(SessionConfig(), board)
     yield s
     s.close()
 
 
 @pytest.fixture
-def device(host):
-    s = host.open()
-    handle = DeviceHandle(BridgeClient(s), host.board.synth_map,
-                          host.board.config, host.board.pot_map)
+def device(board):
+    handle = bridge_init(SessionConfig(), simulator=board)
     yield handle
     handle.close()
 
@@ -83,9 +78,9 @@ class CountingSession:
 
 
 @pytest.fixture
-def counting_device(host):
-    s = CountingSession(host.open())
-    handle = DeviceHandle(BridgeClient(s), host.board.synth_map,
-                          host.board.config, host.board.pot_map)
+def counting_device(board):
+    s = CountingSession(open_session(SessionConfig(), board))
+    handle = DeviceHandle(BridgeClient(s), board.synth_map,
+                          board.config, board.pot_map)
     yield handle, s
     handle.close()

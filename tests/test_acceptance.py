@@ -19,11 +19,12 @@ from clockgen import (
     DeviceHandle,
     RationalDivider,
     RegisterMap,
-    SimulatorHost,
+    SessionConfig,
     decode_command,
     decode_divider,
     encode_command,
     encode_divider,
+    open_session,
     plan_frequency,
     plan_voltage,
     default_config,
@@ -40,8 +41,7 @@ SEED = 20260811
 def _sim_device():
     board = BoardState()
     board.boot()
-    host = SimulatorHost(board)
-    session = host.open()
+    session = open_session(SessionConfig(), board)
     return board, DeviceHandle(BridgeClient(session), board.synth_map,
                                board.config, board.pot_map)
 
@@ -94,8 +94,7 @@ def test_criterion_3_protocol_conformance():
     a full-mask device, plus 10,000 random command round-trips."""
     board = BoardState(synth_map=RegisterMap((), ()))
     board.boot()
-    host = SimulatorHost(board)
-    session = host.open()
+    session = open_session(SessionConfig(), board)
     synth = board.config.synth_address
     echoes = 0
     for address in range(256):

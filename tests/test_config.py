@@ -262,3 +262,38 @@ def test_config_clash_fails_alike_on_both_endpoints(tmp_path, capsys, tcp_server
     assert errors[0] == errors[1]
     assert "pot shares the synthesizer's i2c address" in errors[0]
     assert tcp_server.board.commands_served == 0
+
+
+# -- the reference the board runs on lies in the planner's f_in window ----------
+
+@pytest.mark.parametrize("f_in", [Fraction(10_000_000) - 1, Fraction(60_000_000)],
+                         ids=["below", "above"])
+def test_stack_config_refuses_a_reference_outside_its_window(f_in):
+    with pytest.raises(ValueError, match=r"f_in \d+ Hz outside the reference window"):
+        StackConfig(constraints=PlannerConstraints(f_in=f_in), rails=rails((0, 0x2C, 0)))
+
+
+@pytest.mark.parametrize("f_in", [10_000_000, 50_000_000], ids=["min", "max"])
+def test_a_reference_on_a_window_edge_loads(f_in):
+    assert parse_config(f"f_in_hz = {f_in}\n").constraints.f_in == f_in
+
+
+def test_parse_reports_a_reference_outside_its_window():
+    with pytest.raises(ConfigError, match=r"f_in 60000000 Hz outside the reference "
+                                          r"window \[10000000, 50000000\] Hz"):
+        parse_config("f_in_hz = 60000000\n")
+
+
+def test_a_reference_outside_its_window_fails_before_any_session(tmp_path, capsys,
+                                                                 tcp_server):
+    from clockgen.cli import run
+
+    conf = tmp_path / "fin.conf"
+    conf.write_text("f_in_hz = 60000000\n")
+    for transport in ("sim", f"tcp:127.0.0.1:{tcp_server.port}"):
+        assert run(["--transport", transport, "--config", str(conf),
+                    "set-freq", "--channel", "0", "--hz", "100M"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "f_in 60000000 Hz outside the reference window" in err
+    assert tcp_server.board.commands_served == 0

@@ -19,14 +19,13 @@ from clockgen import (
     NoPlanError,
     PhaseRangeError,
     PlannerConstraints,
+    RailModel,
     RationalDivider,
     ReadTimeoutError,
     RegisterMapError,
     SessionConfig,
-    SimulatorHost,
     StackConfig,
     UnsatisfiableFrequencyError,
-    apply_plan,
     bridge_init,
     decode_command,
     encode_command,
@@ -34,11 +33,13 @@ from clockgen import (
     load_config,
     load_pot_map,
     load_synth_map,
+    open_session,
     plan_frequency,
     plan_voltage,
 )
 from clockgen.config import default_rails
 from clockgen.host import PreparedBatch
+from clockgen.planner import apply_plan
 from clockgen.transport import TcpSession
 
 import oracles
@@ -47,8 +48,8 @@ from conftest import CountingSession
 MHZ = 10**6
 
 
-def synth_snapshot(device_handle, host):
-    return host.board.devices[device_handle.synth_address].snapshot()
+def synth_snapshot(device_handle, board):
+    return board.devices[device_handle.synth_address].snapshot()
 
 
 def frames(written):
@@ -67,8 +68,8 @@ def field_addresses(regmap, prefixes):
 
 # -- bridge layer -----------------------------------------------------------------
 
-def test_bridge_init_reads_reset_register(host):
-    handle = bridge_init(SessionConfig(endpoint="sim"), simulator=host)
+def test_bridge_init_reads_reset_register(board):
+    handle = bridge_init(SessionConfig(endpoint="sim"), simulator=board)
     assert handle.bridge.read_register(0x70, 0x00) == \
         handle.synth_map.reset_value(0x00)
     handle.close()
@@ -82,12 +83,55 @@ def test_bridge_init_unreachable_tcp():
         bridge_init(config)
 
 
-def test_bridge_init_malformed_map(tmp_path, host):
+def test_bridge_init_malformed_map(tmp_path):
     bad = tmp_path / "bad.map"
     bad.write_text("0x10, 0x00\n")
     with pytest.raises(RegisterMapError) as info:
-        bridge_init(SessionConfig(endpoint="sim"), map_path=bad, simulator=host)
+        bridge_init(SessionConfig(endpoint="sim"), map_path=bad)
     assert info.value.line == 1
+
+
+def test_bridge_init_opens_on_the_boards_own_maps_and_config():
+    """A board built at 0x60 with its own rails is programmed there, not at
+    the shipped default address."""
+    rails = (RailModel(rail_id=0, pot_address=0x2E, pot_channel=1),
+             RailModel(rail_id=7, pot_address=0x2F, pot_channel=3,
+                       v_default=Fraction("3.0")))
+    board = BoardState(config=StackConfig(PlannerConstraints(), rails,
+                                          synth_address=0x60))
+    device = bridge_init(SessionConfig(), simulator=board)
+    assert device.synth_address == 0x60
+    assert (device.synth_map, device.config, device.pot_map) == \
+        (board.synth_map, board.config, board.pot_map)
+    plan = device.set_frequency(0, 100 * MHZ)
+    assert board.query_outputs()[0].f_out == plan.f_achieved
+    assert device.read_outputs() == board.query_outputs()
+    setting = device.set_rail_voltage(7, Fraction("2.9"))
+    wiper = board.pot_map.field("wiper3").address
+    assert board.devices[0x2F].read(wiper) == setting.code
+    assert board.query_rails()[7] == setting.v_predicted
+    assert device.read_rails() == board.query_rails()
+    device.close()
+
+
+@pytest.mark.parametrize("endpoint, paths", [
+    ("sim", {"map_path": "synth.map"}),
+    ("sim", {"config_path": "board.conf"}),
+    ("tcp:127.0.0.1:1", {}),
+], ids=["map-path", "config-path", "tcp"])
+def test_bridge_init_refuses_a_second_source_beside_a_simulator(board, endpoint,
+                                                                paths):
+    with pytest.raises(ValueError, match="simulator brings its own"):
+        bridge_init(SessionConfig.parse(endpoint), simulator=board, **paths)
+    assert board.session is None
+    bridge_init(SessionConfig(), simulator=board).close()
+
+
+def test_bridge_init_on_a_board_in_use_is_refused(session, board):
+    from clockgen import AlreadyOpenError
+    with pytest.raises(AlreadyOpenError):
+        bridge_init(SessionConfig(), simulator=board)
+    assert board.session is session
 
 
 def test_bridge_init_without_simulator_boots_a_board():
@@ -199,10 +243,10 @@ def test_prepared_batch_holds_the_frame_and_read_count_the_codec_gives(commands)
 
 # -- device layer: frequency ---------------------------------------------------------
 
-def test_set_frequency_end_to_end(device, host):
+def test_set_frequency_end_to_end(device, board):
     plan = device.set_frequency(0, 100 * MHZ)
     assert plan.rel_error == 0
-    status = host.board.query_outputs()[0]
+    status = board.query_outputs()[0]
     assert status.enabled
     assert status.f_out == plan.f_achieved
 
@@ -212,41 +256,41 @@ def test_set_frequency_below_band(device):
         device.set_frequency(0, 4 * MHZ)
 
 
-def test_set_frequency_channel_isolation(device, host):
+def test_set_frequency_channel_isolation(device, board):
     device.set_frequency(0, 80 * MHZ)
     device.set_frequency(1, 120 * MHZ)
     device.set_frequency(3, 40 * MHZ)
-    before = host.board.query_outputs()
+    before = board.query_outputs()
     device.set_frequency(2, 66 * MHZ)
-    after = host.board.query_outputs()
+    after = board.query_outputs()
     for k in (0, 1, 3):
         assert after[k] == before[k]
 
 
-def test_set_frequency_register_diff_confined(device, host):
+def test_set_frequency_register_diff_confined(device, board):
     regmap = device.synth_map
     device.set_frequency(0, 10 * MHZ)
-    before = synth_snapshot(device, host)
+    before = synth_snapshot(device, board)
     device.set_frequency(1, 150 * MHZ)
-    after = synth_snapshot(device, host)
+    after = synth_snapshot(device, board)
     allowed = field_addresses(regmap, ("fb_", "ms1_", "clk1_"))
     changed = {a for a in range(256) if before[a] != after[a]}
     assert changed <= allowed
 
 
-def test_set_frequency_idempotent(device, host):
+def test_set_frequency_idempotent(device, board):
     device.set_frequency(0, 123456789)
-    once = synth_snapshot(device, host)
+    once = synth_snapshot(device, board)
     device.set_frequency(0, 123456789)
-    assert synth_snapshot(device, host) == once
+    assert synth_snapshot(device, board) == once
 
 
-def test_retune_off_the_shared_vco_is_refused_before_any_write(host):
+def test_retune_off_the_shared_vco_is_refused_before_any_write(board):
     """Under a denominator cap of 1, 111.25 MHz is reachable jointly
     (feedback 89, output 20) but not from the 2.2 GHz VCO channel 1 runs on."""
     config = StackConfig(PlannerConstraints(max_denominator=1), default_rails())
-    board = BoardState(host.board.synth_map, config, host.board.pot_map)
-    counting = CountingSession(SimulatorHost(board).open())
+    board = BoardState(board.synth_map, config, board.pot_map)
+    counting = CountingSession(open_session(SessionConfig(), board))
     device = DeviceHandle(BridgeClient(counting), board.synth_map, config, board.pot_map)
     target = Fraction(11125, 100) * MHZ
     assert plan_frequency(config.constraints.f_in, target, 0, config.constraints) \
@@ -263,30 +307,30 @@ def test_retune_off_the_shared_vco_is_refused_before_any_write(host):
     device.close()
 
 
-def test_retune_plans_jointly_when_the_running_feedback_is_unusable(device, host):
+def test_retune_plans_jointly_when_the_running_feedback_is_unusable(device, board):
     device.set_frequency(0, 100 * MHZ)
     _write_divider(device, "fb", RationalDivider(device.constraints.fb_int_min, 0, 1))
     plan = device.set_frequency(1, 75 * MHZ)
     assert plan == plan_frequency(device.constraints.f_in, 75 * MHZ, 1,
                                   device.constraints)
-    assert host.board.query_outputs()[1].f_out == 75 * MHZ
+    assert board.query_outputs()[1].f_out == 75 * MHZ
 
 
 # -- device layer: phase ------------------------------------------------------------
 
-def test_set_phase_zero(device, host):
+def test_set_phase_zero(device, board):
     device.set_frequency(0, 100 * MHZ)
     phase = device.set_phase(0, seconds=0)
     assert phase.steps == 0
-    assert host.board.query_outputs()[0].phase_offset == 0
+    assert board.query_outputs()[0].phase_offset == 0
 
 
-def test_set_phase_quantized(device, host):
+def test_set_phase_quantized(device, board):
     plan = device.set_frequency(0, 100 * MHZ)
     request = Fraction("1.25e-9")
     phase = device.set_phase(0, seconds=request)
     assert phase.steps == oracles.phase_steps(request, 1 / plan.f_vco)
-    status = host.board.query_outputs()[0]
+    status = board.query_outputs()[0]
     assert status.phase_offset == phase.steps * (1 / plan.f_vco)
     assert abs(request - status.phase_offset) <= (1 / plan.f_vco) / 2
 
@@ -302,24 +346,24 @@ def test_set_phase_out_of_range(device):
         device.set_phase(0, seconds=Fraction("1e-6"))
 
 
-def test_set_phase_negative_steps_roundtrip(device, host):
+def test_set_phase_negative_steps_roundtrip(device, board):
     plan = device.set_frequency(0, 100 * MHZ)
     phase = device.set_phase(0, seconds=-5 / plan.f_vco)
     assert phase.steps == -5
-    assert host.board.query_outputs()[0].phase_offset == Fraction(-5) / plan.f_vco
+    assert board.query_outputs()[0].phase_offset == Fraction(-5) / plan.f_vco
 
 
-def test_set_phase_recovers_plan_from_registers(device, host):
+def test_set_phase_recovers_plan_from_registers(device, board):
     from clockgen import BridgeClient, DeviceHandle
     plan = device.set_frequency(0, 100 * MHZ)
     device.close()
     # a brand-new handle (fresh session, no cached plan) can still set phase
-    session = host.open()
-    fresh = DeviceHandle(BridgeClient(session), host.board.synth_map,
-                         host.board.config, host.board.pot_map)
+    session = open_session(SessionConfig(), board)
+    fresh = DeviceHandle(BridgeClient(session), board.synth_map,
+                         board.config, board.pot_map)
     phase = fresh.set_phase(0, degrees=45)
     assert phase.quantum == 1 / plan.f_vco
-    assert host.board.query_outputs()[0].phase_offset == \
+    assert board.query_outputs()[0].phase_offset == \
         phase.steps * (1 / plan.f_vco)
     fresh.close()
 
@@ -356,14 +400,14 @@ def _output_p2_not_below_p3(device, channel):
     (_vco_below_window, "vco frequency outside window"),
     (_output_p2_not_below_p3, "invalid output divider"),
 ], ids=["fractional", "vco-outside-window", "p2-not-below-p3"])
-def test_fresh_handle_recovers_plan_exactly_when_readout_can(device, host,
+def test_fresh_handle_recovers_plan_exactly_when_readout_can(device, board,
                                                              prepare, problem):
     channel = 2
     plan = prepare(device, channel)
     device.close()
-    assert host.board.query_outputs()[channel].problem == problem
-    fresh = DeviceHandle(BridgeClient(host.open()), host.board.synth_map,
-                         host.board.config, host.board.pot_map)
+    assert board.query_outputs()[channel].problem == problem
+    fresh = DeviceHandle(BridgeClient(open_session(SessionConfig(), board)),
+                         board.synth_map, board.config, board.pot_map)
     if problem:
         with pytest.raises(NoPlanError, match=problem):
             fresh.set_phase(channel, degrees=45)
@@ -390,7 +434,7 @@ def test_set_phase_recovery_reads_each_divider_register_once(counting_device):
     assert counting.reads == 1
 
 
-def test_set_phase_after_the_feedback_moved_uses_the_registers(counting_device, host):
+def test_set_phase_after_the_feedback_moved_uses_the_registers(counting_device, board):
     device, counting = counting_device
     first = device.set_frequency(1, 100 * MHZ)
     # with channel 1 off the retune is joint, so it moves the feedback
@@ -400,20 +444,21 @@ def test_set_phase_after_the_feedback_moved_uses_the_registers(counting_device, 
     assert moved.feedback != first.feedback
     counting.reset()
     phase = device.set_phase(1, degrees=45)
-    assert phase.offset_achieved == host.board.query_outputs()[1].phase_offset
+    assert phase.offset_achieved == board.query_outputs()[1].phase_offset
     assert counting.reads == 1
 
 
-def test_set_phase_idempotent(device, host):
+def test_set_phase_idempotent(device, board):
     device.set_frequency(0, 100 * MHZ)
     device.set_phase(0, degrees=45)
-    once = synth_snapshot(device, host)
+    once = synth_snapshot(device, board)
     device.set_phase(0, degrees=45)
-    assert synth_snapshot(device, host) == once
+    assert synth_snapshot(device, board) == once
 
 
 def test_apply_plan_on_closed_session(device):
-    from clockgen import SessionClosedError, apply_plan, plan_frequency
+    from clockgen import SessionClosedError, plan_frequency
+    from clockgen.planner import apply_plan
     plan = plan_frequency(device.constraints.f_in, 100 * MHZ)
     device.close()
     with pytest.raises(SessionClosedError):
@@ -423,32 +468,32 @@ def test_apply_plan_on_closed_session(device):
 
 # -- device layer: enables ------------------------------------------------------------
 
-def test_enable_disable_roundtrip(device, host):
+def test_enable_disable_roundtrip(device, board):
     device.set_frequency(0, 100 * MHZ)
     device.enable_output(0, False)
-    status = host.board.query_outputs()[0]
+    status = board.query_outputs()[0]
     assert not status.enabled
     assert status.f_out is None
     device.enable_output(0, True)
-    status = host.board.query_outputs()[0]
+    status = board.query_outputs()[0]
     assert status.enabled
     assert status.f_out == Fraction(100 * MHZ)
 
 
-def test_enable_idempotent(device, host):
+def test_enable_idempotent(device, board):
     device.set_frequency(3, 42 * MHZ)
     device.enable_output(3, True)
-    once = synth_snapshot(device, host)
+    once = synth_snapshot(device, board)
     device.enable_output(3, True)
-    assert synth_snapshot(device, host) == once
+    assert synth_snapshot(device, board) == once
 
 
-def test_enable_leaves_other_channels_alone(device, host):
+def test_enable_leaves_other_channels_alone(device, board):
     device.set_frequency(0, 100 * MHZ)
     device.set_frequency(2, 50 * MHZ)
-    before = synth_snapshot(device, host)
+    before = synth_snapshot(device, board)
     device.enable_output(1, True)
-    after = synth_snapshot(device, host)
+    after = synth_snapshot(device, board)
     changed = {a for a in range(256) if before[a] != after[a]}
     enable_register = device.synth_map.field("clk1_en").address
     assert changed <= {enable_register}
@@ -474,12 +519,12 @@ def test_channel_out_of_range_is_refused_before_the_wire(counting_device,
 
 # -- device layer: rails -----------------------------------------------------------------
 
-def test_set_rail_voltage_matches_oracle(device, host):
+def test_set_rail_voltage_matches_oracle(device, board):
     setting = device.set_rail_voltage(0, Fraction("2.5"))
     rail = device.config.rail(0)
     assert setting.code == oracles.supply_code(rail, Fraction("2.5"))
-    assert host.board.query_rails()[0] == setting.v_predicted
-    assert abs(host.board.query_rails()[0] - Fraction("2.5")) == setting.v_error
+    assert board.query_rails()[0] == setting.v_predicted
+    assert abs(board.query_rails()[0] - Fraction("2.5")) == setting.v_error
 
 
 def test_infeasible_rail_target_writes_nothing(counting_device):
@@ -495,26 +540,26 @@ def test_unknown_rail(device):
         device.set_rail_voltage(9, Fraction("2.5"))
 
 
-def test_rails_independent(device, host):
+def test_rails_independent(device, board):
     device.set_rail_voltage(0, Fraction("1.5"))
-    before = host.board.devices[device.config.rail(1).pot_address].snapshot()
+    before = board.devices[device.config.rail(1).pot_address].snapshot()
     device.set_rail_voltage(2, Fraction("3.0"))
     rail1 = device.config.rail(1)
     register = device.pot_map.field(f"wiper{rail1.pot_channel}").address
-    assert host.board.devices[rail1.pot_address].snapshot()[register] == \
+    assert board.devices[rail1.pot_address].snapshot()[register] == \
         before[register]
 
 
-def test_set_rail_idempotent(device, host):
+def test_set_rail_idempotent(device, board):
     device.set_rail_voltage(4, Fraction("1.9"))
-    once = host.board.devices[device.config.rail(4).pot_address].snapshot()
+    once = board.devices[device.config.rail(4).pot_address].snapshot()
     device.set_rail_voltage(4, Fraction("1.9"))
-    assert host.board.devices[device.config.rail(4).pot_address].snapshot() == once
+    assert board.devices[device.config.rail(4).pot_address].snapshot() == once
 
 
 # -- layer purity ----------------------------------------------------------------------
 
-def test_device_layer_only_talks_in_whole_commands(counting_device, host):
+def test_device_layer_only_talks_in_whole_commands(counting_device, board):
     device, counting = counting_device
     device.set_frequency(0, 150 * MHZ)
     device.set_phase(0, degrees=90)
@@ -531,7 +576,7 @@ def test_device_layer_only_talks_in_whole_commands(counting_device, host):
         replay.ingest(encode_command(cmd))
         replay.run_until_idle()
     assert {a: d.snapshot() for a, d in replay.devices.items()} == \
-        {a: d.snapshot() for a, d in host.board.devices.items()}
+        {a: d.snapshot() for a, d in board.devices.items()}
 
 
 # -- wire cost: commands and round trips per operation ---------------------------------
@@ -600,17 +645,17 @@ def test_prepared_reads_leave_the_bytes_on_the_wire_as_they_were(counting_device
         assert written == _WIRE_BEFORE[name], name
 
 
-def test_write_fields_folds_fields_sharing_a_register(counting_device, host):
+def test_write_fields_folds_fields_sharing_a_register(counting_device, board):
     device, counting = counting_device
     regmap = device.synth_map
     address = regmap.field("clk0_en").address
     assert regmap.field("clk1_en").address == address
     device.bridge.write_register(device.synth_address, address, 0b1000)
-    before = synth_snapshot(device, host)
+    before = synth_snapshot(device, board)
     counting.reset()
     device.bridge.write_fields(device.synth_address,
                                regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1))
-    after = synth_snapshot(device, host)
+    after = synth_snapshot(device, board)
     assert after[address] == 0b1011
     assert {a for a in range(256) if before[a] != after[a]} == {address}
     assert [(c.action, c.register) for c in frames(counting.written)] == \
@@ -618,7 +663,7 @@ def test_write_fields_folds_fields_sharing_a_register(counting_device, host):
     assert counting.reads == 1
 
 
-def test_write_fields_folds_onto_current_without_reading(counting_device, host):
+def test_write_fields_folds_onto_current_without_reading(counting_device, board):
     device, counting = counting_device
     regmap = device.synth_map
     address = regmap.field("clk0_en").address
@@ -628,18 +673,18 @@ def test_write_fields_folds_onto_current_without_reading(counting_device, host):
                                regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1),
                                current={address: 0b1000})
     # the other bits come from current, not from the board
-    assert synth_snapshot(device, host)[address] == 0b1011
+    assert synth_snapshot(device, board)[address] == 0b1011
     assert [(c.action, c.register) for c in frames(counting.written)] == \
         [(Action.WRITE, address)]
     assert (counting.writes, counting.reads) == (1, 0)
 
 
-def test_readback_matches_simulator_view(device, host):
+def test_readback_matches_simulator_view(device, board):
     device.set_frequency(0, 75 * MHZ)
     device.set_phase(0, degrees=45)
     device.set_rail_voltage(3, Fraction("2.2"))
-    assert device.read_outputs() == host.board.query_outputs()
-    assert device.read_rails() == host.board.query_rails()
+    assert device.read_outputs() == board.query_outputs()
+    assert device.read_rails() == board.query_rails()
 
 
 def test_tcp_readback_matches_simulator_view(tcp_server):
@@ -659,12 +704,12 @@ def test_tcp_readback_matches_simulator_view(tcp_server):
     assert rails == tcp_server.board.query_rails()
 
 
-def test_repeated_operations_random_idempotence(device, host):
+def test_repeated_operations_random_idempotence(device, board):
     rng = random.Random(41)
     for _ in range(10):
         channel = rng.randrange(4)
         target = rng.randint(5 * MHZ, 200 * MHZ)
         device.set_frequency(channel, target)
-        once = synth_snapshot(device, host)
+        once = synth_snapshot(device, board)
         device.set_frequency(channel, target)
-        assert synth_snapshot(device, host) == once
+        assert synth_snapshot(device, board) == once

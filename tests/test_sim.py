@@ -22,13 +22,13 @@ from clockgen import (
     RationalDivider,
     RegisterMap,
     SimulatorServer,
-    apply_plan,
     encode_command,
     encode_divider,
     plan_frequency,
     plan_phase,
     plan_voltage,
 )
+from clockgen.planner import apply_plan
 from clockgen.readout import decode_feedback, decode_outputs, output_registers
 from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND
 from clockgen.transport import TcpSession

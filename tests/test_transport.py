@@ -62,24 +62,38 @@ def test_timeout_must_be_positive():
 
 # -- in-process sessions ------------------------------------------------------------
 
-def test_open_fresh_simulator(host):
-    session = host.open()
+def test_open_fresh_simulator(board):
+    session = open_session(SessionConfig(), board)
     session.write_bytes(WRITE_06)
-    assert host.board.devices[0x70].read(0x06) == 0xAB
+    assert board.devices[0x70].read(0x06) == 0xAB
     session.close()
 
 
-def test_second_open_rejected(host):
-    first = host.open()
+def test_second_open_rejected(board):
+    first = open_session(SessionConfig(), board)
     with pytest.raises(AlreadyOpenError):
-        host.open()
+        open_session(SessionConfig(), board)
     first.close()
-    second = host.open()  # close allows a new session
+    second = open_session(SessionConfig(), board)  # close allows a new session
     second.close()
 
 
-def test_write_after_close(host):
-    session = host.open()
+def test_the_board_holds_its_one_session(board):
+    first = open_session(SessionConfig(), board)
+    assert board.session is first
+    first.close()
+    assert board.session is None
+    second = open_session(SessionConfig(), board)
+    first.close()  # a stale session's close leaves the open one alone
+    assert board.session is second
+    second.write_bytes(WRITE_06 + READ_06)
+    assert second.read_bytes(1) == b"\xab"
+    second.close()
+    assert board.session is None
+
+
+def test_write_after_close(board):
+    session = open_session(SessionConfig(), board)
     session.close()
     with pytest.raises(SessionClosedError):
         session.write_bytes(WRITE_06)
@@ -87,32 +101,32 @@ def test_write_after_close(host):
         session.read_bytes(1)
 
 
-def test_double_close_is_idempotent(host):
-    session = host.open()
+def test_double_close_is_idempotent(board):
+    session = open_session(SessionConfig(), board)
     session.close()
     session.close()
 
 
-def test_stream_semantics_ignore_write_boundaries(host):
-    session = host.open()
+def test_stream_semantics_ignore_write_boundaries(board):
+    session = open_session(SessionConfig(), board)
     data = WRITE_06 + encode_command(BridgeCommand.write(0x70, 0x07, 0xCD))
     session.write_bytes(data[:3])
     session.write_bytes(data[3:])
-    assert host.board.devices[0x70].read(0x06) == 0xAB
-    assert host.board.devices[0x70].read(0x07) == 0xCD
+    assert board.devices[0x70].read(0x06) == 0xAB
+    assert board.devices[0x70].read(0x07) == 0xCD
     session.close()
 
 
-def test_read_returns_single_response(host):
-    session = host.open()
+def test_read_returns_single_response(board):
+    session = open_session(SessionConfig(), board)
     session.write_bytes(WRITE_06)
     session.write_bytes(READ_06)
     assert session.read_bytes(1) == b"\xab"
     session.close()
 
 
-def test_responses_in_command_order(host):
-    session = host.open()
+def test_responses_in_command_order(board):
+    session = open_session(SessionConfig(), board)
     session.write_bytes(WRITE_06)
     session.write_bytes(encode_command(BridgeCommand.write(0x70, 0x07, 0xCD)))
     session.write_bytes(READ_06 + READ_07)
@@ -121,18 +135,18 @@ def test_responses_in_command_order(host):
     session.close()
 
 
-def test_read_with_no_pending_response_times_out(host):
-    session = host.open()
+def test_read_with_no_pending_response_times_out(board):
+    session = open_session(SessionConfig(), board)
     with pytest.raises(ReadTimeoutError):
         session.read_bytes(1)
     session.close()
 
 
-def test_close_discards_unread_responses(host):
-    session = host.open()
+def test_close_discards_unread_responses(board):
+    session = open_session(SessionConfig(), board)
     session.write_bytes(WRITE_06 + READ_06)
     session.close()
-    fresh = host.open()
+    fresh = open_session(SessionConfig(), board)
     with pytest.raises(ReadTimeoutError):
         fresh.read_bytes(1)  # queue started clean
     # register state persisted across sessions
@@ -146,8 +160,8 @@ def test_open_session_helper_requires_simulator():
         open_session(SessionConfig(endpoint="sim"))
 
 
-def test_open_session_helper(host):
-    session = open_session(SessionConfig(endpoint="sim"), simulator=host)
+def test_open_session_helper(board):
+    session = open_session(SessionConfig(endpoint="sim"), simulator=board)
     session.write_bytes(WRITE_06 + READ_06)
     assert session.read_bytes(1) == b"\xab"
     session.close()
