@@ -138,6 +138,10 @@ class DeviceHandle:
 
     Holds the open bridge, the register maps, and the planning
     configuration.  Never touches the transport except through the bridge.
+    Its cached channel plans assume it is the board's only writer.  A
+    simulated board enforces that across both endpoints, in-process and TCP,
+    by holding one session at a time; raw register writes through
+    ``device.bridge`` bypass the cache.
     """
 
     def __init__(self, bridge: BridgeClient, synth_map: RegisterMap,

@@ -1,10 +1,12 @@
 """TCP front end for the simulated board.
 
 Serves the raw byte protocol on a socket so the host stack (or any other
-client) can drive the simulator exactly as it would real hardware.  One
-client at a time; the board's register state persists across connections
-while the firmware queues start clean, mirroring the in-process session
-semantics.
+client) can drive the simulator exactly as it would real hardware.  The
+server is a socket relay: it serves each client through its own
+:class:`~clockgen.transport.InProcessSession`, which boots the board on its
+first open, pumps it, and on close keeps the registers and clears the
+queues.  So one client at a time, and none while the board is open in this
+process: such a client's connection is closed at once.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ import socket
 import threading
 
 from .config import DEFAULT_TCP_PORT
-from .sim import BoardState, Phase
+from .errors import AlreadyOpenError
+from .sim import BoardState
+from .transport import InProcessSession
 
 _POLL_S = 0.1
 
 
 class SimulatorServer:
-    """Owns a board and pumps it from a single service thread."""
+    """Relays TCP clients, one at a time, to a board from a single service
+    thread, each through an in-process session on the board."""
 
     def __init__(self, board: BoardState, host: str = "127.0.0.1",
                  port: int = DEFAULT_TCP_PORT):
@@ -37,8 +42,6 @@ class SimulatorServer:
         """Bind, listen, and serve from a background thread."""
         if self._running:
             raise RuntimeError("server already running")
-        if self.board.firmware.phase is not Phase.MAIN_LOOP:
-            self.board.boot()
         listener = socket.create_server((self.host, self.port), backlog=1)
         listener.settimeout(_POLL_S)
         self.port = listener.getsockname()[1]
@@ -80,13 +83,18 @@ class SimulatorServer:
                 self.error = exc
                 break
             with conn:
+                try:
+                    session = InProcessSession(self.board)
+                except AlreadyOpenError:
+                    continue  # the board is open elsewhere: close at once
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.settimeout(_POLL_S)
-                self._serve_client(conn)
-            # next session starts with clean queues, registers persist
-            self.board.firmware.clear_queues()
+                try:
+                    self._serve_client(conn, session)
+                finally:
+                    session.close()  # registers persist, queues start clean
 
-    def _serve_client(self, conn: socket.socket) -> None:
+    def _serve_client(self, conn: socket.socket, session: InProcessSession) -> None:
         while self._running:
             try:
                 data = conn.recv(4096)
@@ -96,10 +104,8 @@ class SimulatorServer:
                 return
             if not data:
                 return
-            self.board.ingest(data)
-            self.board.run_until_idle()
-            out = self.board.take_output()
-            if out:
+            session.write_bytes(data)
+            if out := self.board.take_output():
                 try:
                     conn.sendall(out)
                 except OSError:

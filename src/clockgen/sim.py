@@ -25,6 +25,7 @@ achieved frequencies, phase offsets, and rail voltages.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -111,7 +112,8 @@ class BoardState:
         self.synth_map = synth_map if synth_map is not None else load_synth_map()
         self.pot_map = pot_map if pot_map is not None else load_pot_map()
         self.firmware = FirmwareState()
-        self.session = None  # the open in-process session; one at a time
+        self.session = None  # the open session (in-process or TCP); one at a time
+        self.session_lock = threading.Lock()  # held while a session is open
         # the last DISPATCH_HISTORY records at most, oldest first
         self.dispatch_log: list[DispatchRecord] = []
         self.commands_served = 0

@@ -5,8 +5,10 @@ Two endpoints are provided: an in-process channel straight into a simulated
 bytes.  The stream has no extra framing; fixed-length commands and responses
 keep it self-delimiting.  A session belongs to one logical owner; the device
 side allows exactly one session at a time, mirroring exclusive access to a
-USB device: the board records its open in-process session in
-``board.session``, and :class:`SimulatorServer` serves one client at a time.
+USB device.  :class:`InProcessSession` is the one place that opens, pumps and
+releases a simulated board: the board records its open session in
+``board.session``, and :class:`SimulatorServer` serves each TCP client
+through one, so an in-process open and a TCP client exclude each other.
 """
 
 from __future__ import annotations
@@ -63,18 +65,23 @@ class SessionConfig:
 class InProcessSession:
     """Session straight into a simulated :class:`BoardState`.
 
-    While open it owns the board's event pump: bytes written are ingested
-    and the firmware runs until idle, so responses are ready at once.  The
-    board holds at most one session (``board.session``); opening a second
-    raises :class:`AlreadyOpenError` until the first closes.
+    The first open boots the board.  While open the session owns the board's
+    event pump: bytes written are ingested and the firmware runs until idle,
+    so responses are ready at once.  The board holds at most one session
+    (``board.session``), whether a caller in this process or
+    :class:`SimulatorServer` serving a TCP client opened it; opening a second
+    raises :class:`AlreadyOpenError` until the first closes.  An open claims
+    ``board.session_lock`` without waiting, so threads racing to open one
+    board get one session between them.  Closing keeps the registers,
+    clears the command and response queues and releases the claim.
     """
 
     def __init__(self, board: BoardState):
-        if board.session is not None:
+        if not board.session_lock.acquire(blocking=False):
             raise AlreadyOpenError("simulator already has an open session")
+        board.session = self
         if board.firmware.phase is not Phase.MAIN_LOOP:
             board.boot()
-        board.session = self
         self._board = board
         self._open = True
         self._rx = bytearray()
@@ -101,10 +108,10 @@ class InProcessSession:
         if self._open:
             self._open = False
             board = self._board
-            if board.session is self:
-                # register state persists; command/response queues start clean
-                board.firmware.clear_queues()
-                board.session = None
+            # register state persists; command/response queues start clean
+            board.firmware.clear_queues()
+            board.session = None
+            board.session_lock.release()
 
     def _require_open(self) -> None:
         if not self._open:

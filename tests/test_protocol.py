@@ -181,6 +181,17 @@ def test_only_readout_decodes_divider_images():
     assert callers == {"readout.py"}
 
 
+def test_only_the_session_and_the_board_pump_the_board():
+    # opening, pumping and releasing a board belong to InProcessSession;
+    # the TCP server relays bytes through one
+    package = Path(clockgen.__file__).parent
+    pumps = {"ingest", "run_until_idle", "boot", "clear_queues"}
+    callers = {path.name for path in package.glob("*.py")
+               if pumps & set(_called(ast.parse(path.read_text("utf-8"))))}
+    assert "transport.py" in callers
+    assert callers <= {"transport.py", "sim.py"}
+
+
 _PACKAGE = Path(clockgen.__file__).parent
 
 # A synthesizer field name, or a piece code could join into one: a prefix

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 import time
 
@@ -6,6 +7,7 @@ import pytest
 
 from clockgen import (
     AlreadyOpenError,
+    BoardState,
     BridgeCommand,
     ConnectError,
     ReadTimeoutError,
@@ -13,10 +15,12 @@ from clockgen import (
     SessionClosedError,
     SessionConfig,
     TransportError,
+    bridge_init,
     encode_command,
     open_session,
 )
-from clockgen.transport import TcpSession
+from clockgen.protocol import COMMAND_LENGTH
+from clockgen.transport import InProcessSession, TcpSession
 
 WRITE_06 = encode_command(BridgeCommand.write(0x70, 0x06, 0xAB))
 READ_06 = encode_command(BridgeCommand.read(0x70, 0x06))
@@ -167,6 +171,37 @@ def test_open_session_helper(board):
     session.close()
 
 
+def test_threads_racing_to_open_a_fresh_board_claim_it_once():
+    # the server thread and callers in this process may race for a board,
+    # and the first open boots it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            board = BoardState()
+            ready = threading.Barrier(8)
+            opened = []
+
+            def contend():
+                ready.wait(5.0)
+                try:
+                    opened.append(InProcessSession(board))
+                except AlreadyOpenError:
+                    pass
+
+            threads = [threading.Thread(target=contend) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(5.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(opened) == 1 and board.session is opened[0]
+            opened[0].close()
+            assert board.session is None
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- tcp sessions ----------------------------------------------------------------------
 
 def test_tcp_connect_refused():
@@ -223,6 +258,77 @@ def test_tcp_second_client_is_served_when_the_first_closes(tcp_server):
     finally:
         closer.join()
         second.close()
+
+
+def test_a_board_serving_a_tcp_client_refuses_an_in_process_open(tcp_server):
+    board = tcp_server.board
+    client = TcpSession.connect("127.0.0.1", tcp_server.port)
+    client.write_bytes(WRITE_06 + READ_06)
+    assert client.read_bytes(1) == b"\xab"
+    with pytest.raises(AlreadyOpenError):
+        bridge_init(SessionConfig(), simulator=board)
+    client.close()
+    deadline = time.monotonic() + 5.0
+    while board.session is not None:  # released once the server sees the close
+        assert time.monotonic() < deadline, "the server kept the board"
+        time.sleep(0.005)
+    local = bridge_init(SessionConfig(), simulator=board)
+    assert local.bridge.read_register(0x70, 0x06) == 0xAB
+    local.close()
+
+
+def test_a_tcp_client_of_a_board_open_in_process_is_refused_at_once(tcp_server):
+    board = tcp_server.board
+    local = open_session(SessionConfig(), board)
+    local.write_bytes(WRITE_06)
+
+    def state():
+        return ({a: d.snapshot() for a, d in board.devices.items()},
+                board.commands_served)
+
+    before = state()
+    refused = TcpSession.connect("127.0.0.1", tcp_server.port, read_timeout=5.0)
+    start = time.monotonic()
+    try:
+        refused.write_bytes(encode_command(BridgeCommand.write(0x70, 0x06, 0x11)) + READ_06)
+        with pytest.raises(SessionClosedError):
+            refused.read_bytes(1)
+        assert time.monotonic() - start < 2.0  # closed, not timed out
+    finally:
+        refused.close()
+    assert state() == before
+    local.close()
+    served = TcpSession.connect("127.0.0.1", tcp_server.port, read_timeout=5.0)
+    served.write_bytes(READ_06)
+    assert served.read_bytes(1) == b"\xab"
+    served.close()
+
+
+def test_a_served_boards_own_ingest_and_take_output_see_every_byte(tcp_server):
+    # what the benchmark's ServedCounter relies on: it replaces these two
+    # on the board instance and compares its counts with the client's
+    board = tcp_server.board
+    cls = type(board)
+    seen = {"in": 0, "out": 0}
+
+    def ingest(data):
+        seen["in"] += len(data)
+        return cls.ingest(board, data)
+
+    def take_output():
+        out = cls.take_output(board)
+        seen["out"] += len(out)
+        return out
+
+    board.ingest, board.take_output = ingest, take_output
+    device = bridge_init(SessionConfig(endpoint="tcp", port=tcp_server.port))
+    try:
+        assert device.read_outputs() == board.query_outputs()
+        assert device.read_rails() == board.query_rails()
+    finally:
+        device.close()
+    assert (seen["in"] // COMMAND_LENGTH, seen["in"] % COMMAND_LENGTH) == (66, 0)
+    assert seen["out"] == 66
 
 
 def test_tcp_write_after_close(tcp_server):
