@@ -183,8 +183,7 @@ def _rail_result(rail_id: int, setting: SupplySetting) -> tuple[dict, str]:
 
 
 def _status_result(device: DeviceHandle) -> tuple[dict, str]:
-    channels = device.read_outputs()
-    rails = device.read_rails()
+    channels, rails = device.read_status()
     payload = {
         "channels": [
             {

@@ -4,18 +4,21 @@ The bridge layer packs register reads and writes into wire commands and is
 the only path to the transport.  It sends a batch of commands as one write
 and reads all of their responses with one read, so each device operation
 costs at most one round trip however many registers it touches.  A batch
-that never changes (the output snapshot, the rails, each channel's retune
-reads) is a :class:`PreparedBatch`, encoded once when the device handle is
-built and sent as it is on every call.  The device layer on top exposes the
-operator-facing operations: frequency, phase, output enables, and rail
-voltages.  All device operations are synchronous and idempotent; repeating
-one leaves identical register state.  The device layer names no register
-field; :mod:`clockgen.readout` does.
+that never changes (the output snapshot, the rails, both together for
+status, each channel's retune reads) is a :class:`PreparedBatch`, encoded
+once when the device handle is built and sent as it is on every call; the
+values a synthesizer read set returns are decoded as they come, through
+the :class:`~clockgen.readout.RegisterView` built for it.  The device
+layer on top exposes the operator-facing operations: frequency, phase,
+output enables, and rail voltages.  All device operations are synchronous
+and idempotent; repeating one leaves identical register state.  The
+device layer names no register field; :mod:`clockgen.readout` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
@@ -33,17 +36,18 @@ from .power import SupplySetting, apply_supply, plan_voltage
 from .protocol import RESPONSE_LENGTH, Action, BridgeCommand, encode_command
 from .readout import (
     ChannelStatus,
-    channel_enabled,
+    RegisterView,
     channel_writes,
     decode_feedback,
     decode_outputs,
     decode_plan,
     decode_rails,
-    output_registers,
+    enabled_channels,
+    output_view,
     partial_registers,
-    plan_registers,
+    plan_view,
     rail_registers,
-    retune_registers,
+    retune_views,
 )
 from .registers import RegisterMap
 from .sim import BoardState
@@ -151,15 +155,24 @@ class DeviceHandle:
         self.config = config
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
-        # the fixed read sets, each prepared once
+        # the fixed read sets, each prepared once with the view that decodes it
         address = config.synth_address
-        self._output_registers = output_registers(synth_map)
-        self._output_reads = prepared_reads(address, self._output_registers)
-        self._retune_registers = retune_registers(synth_map)
-        self._retune_reads = [prepared_reads(address, registers)
-                              for registers in self._retune_registers]
+        self._output_view = output_view(synth_map)
+        self._output_reads = prepared_reads(address, self._output_view.registers)
+        self._retune_views = retune_views(synth_map)
+        self._retune_reads = [prepared_reads(address, view.registers)
+                              for view in self._retune_views]
         self._rail_reads = PreparedBatch(BridgeCommand.read(*where)
                                          for where in rail_registers(config.rails, pot_map))
+
+    # built when first used: only status and plan recovery need them
+    @cached_property
+    def _status_reads(self) -> PreparedBatch:
+        return PreparedBatch(self._output_reads + self._rail_reads)
+
+    @cached_property
+    def _plan_views(self) -> list[RegisterView]:
+        return [plan_view(self.synth_map, k) for k in range(CHANNEL_COUNT)]
 
     @property
     def constraints(self):
@@ -190,16 +203,14 @@ class DeviceHandle:
         quantum.
         """
         check_channel(channel)
-        cons, regmap = self.constraints, self.synth_map
-        current = dict(zip(self._retune_registers[channel],
-                           self.bridge.exchange(self._retune_reads[channel])))
-        read = current.__getitem__
-        running = [k for k in range(CHANNEL_COUNT)
-                   if k != channel and channel_enabled(read, regmap, k)]
+        cons, view = self.constraints, self._retune_views[channel]
+        values = self.bridge.exchange(self._retune_reads[channel])
+        running = [k for k, on in enumerate(enabled_channels(view, values))
+                   if on and k != channel]
         feedback = None
         if running:
             try:
-                feedback = decode_feedback(read, regmap, cons)
+                feedback = decode_feedback(view, values, cons)
             except InconsistentEncodingError:
                 pass  # no usable VCO to keep
         try:
@@ -212,8 +223,8 @@ class DeviceHandle:
                 f"{exc}; channels {', '.join(map(str, running))} run on that VCO"
             ) from None
         self.bridge.write_fields(self.synth_address, channel_writes(
-            regmap, channel, feedback=plan.feedback if feedback is None else None,
-            output=plan.output, steps=0, enable=True), current)
+            self.synth_map, channel, feedback=plan.feedback if feedback is None else None,
+            output=plan.output, steps=0, enable=True), dict(zip(view.registers, values)))
         self._plans = {k: p for k, p in self._plans.items()
                        if p.feedback == plan.feedback}
         self._plans[channel] = plan
@@ -241,12 +252,10 @@ class DeviceHandle:
         plan = self._plans.get(channel)
         if plan is not None:
             return plan
-        cons, regmap = self.constraints, self.synth_map
-        read = self.bridge.read_registers(
-            self.synth_address, plan_registers(regmap, channel)).__getitem__
+        view = self._plan_views[channel]
+        values = self.bridge.exchange(prepared_reads(self.synth_address, view.registers))
         try:
-            plan = decode_plan(read, regmap, cons,
-                               decode_feedback(read, regmap, cons), channel)
+            plan = decode_plan(view, values, self.constraints, channel)
         except InconsistentEncodingError as exc:
             raise NoPlanError(
                 f"channel {channel} registers hold no usable plan ({exc})"
@@ -274,16 +283,24 @@ class DeviceHandle:
     def read_outputs(self) -> list[ChannelStatus]:
         """Per-channel status decoded from one snapshot of the synthesizer
         registers, read over the bridge in one exchange of the prepared
-        output reads."""
-        snapshot = dict(zip(self._output_registers,
-                            self.bridge.exchange(self._output_reads)))
-        return decode_outputs(snapshot.__getitem__, self.synth_map, self.constraints)
+        output reads and decoded through their view."""
+        return decode_outputs(self._output_view, self.bridge.exchange(self._output_reads),
+                              self.constraints)
 
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
         one exchange of the prepared rail reads."""
         return decode_rails(self.bridge.exchange(self._rail_reads),
                             self.config.rails)
+
+    def read_status(self) -> tuple[list[ChannelStatus], dict[int, Fraction]]:
+        """:meth:`read_outputs` and :meth:`read_rails` in one exchange: the
+        prepared output reads and rail reads go out as one batch, and each
+        slice of the values is decoded as its own call decodes it."""
+        values = self.bridge.exchange(self._status_reads)
+        split = len(self._output_reads)
+        return (decode_outputs(self._output_view, values[:split], self.constraints),
+                decode_rails(values[split:], self.config.rails))
 
 
 def fold_fields(writes: list[tuple[int, int, int]],

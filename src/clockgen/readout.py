@@ -2,12 +2,18 @@
 
 Only this module names synthesizer register fields.  It holds the P1/P2/P3
 codec, the phase-step byte, the one writer (:func:`channel_writes`), the
-registers each operation reads, and the one channel decoder
-(:func:`decode_feedback`, then :func:`decode_plan`) that every reader uses.
-Every divider image is inverted by one pair decoder, :func:`divider_pair`,
-onto an integer ``(numerator, denominator)`` pair; status
-(:func:`decode_outputs`) stays on such pairs and builds a ``Fraction`` only
-for the values a :class:`ChannelStatus` holds.
+registers each operation reads, and the decoders every reader uses.
+Each fixed read set (the output snapshot, a channel's retune reads, a
+channel's plan reads, a board's whole register list) has a
+:class:`RegisterView`, compiled once per map, that says where each field it
+decodes sits in the list of values the read returns.  The decoders
+(:func:`decode_outputs`, :func:`enabled_channels`, :func:`decode_feedback`,
+:func:`decode_plan`) take a view and that list, as
+:meth:`BridgeClient.exchange` returns it.  Every divider image is inverted
+by one pair decoder, :func:`divider_pair`, onto an integer ``(numerator,
+denominator)`` pair; status (:func:`decode_outputs`) stays on such pairs
+and builds a ``Fraction`` only for the values a :class:`ChannelStatus`
+holds.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import FieldOverflowError, InconsistentEncodingError
+from .errors import FieldOverflowError, InconsistentEncodingError, RegisterMapError
 from .planner import (
     CHANNEL_COUNT,
     FrequencyPlan,
@@ -27,8 +33,6 @@ from .planner import (
 )
 from .power import RailModel, wiper_register
 from .registers import RegisterMap
-
-Read = Callable[[int], int]
 
 # register field widths of the divider parameters
 P1_BITS = 18
@@ -148,64 +152,6 @@ def channel_writes(regmap: RegisterMap, channel: int, *,
     return writes
 
 
-def _image(read: Read, regmap: RegisterMap, prefix: str) -> list[int]:
-    """The P1/P2/P3 parameters of the divider named ``prefix``."""
-    return [regmap.unpack(name, read) for name in divider_fields(prefix)]
-
-
-def _output_pair(read: Read, regmap: RegisterMap, cons: PlannerConstraints,
-                 channel: int) -> tuple[int, int]:
-    """``channel``'s output divider as a lowest-terms pair."""
-    try:
-        return divider_pair(*_image(read, regmap, f"ms{channel}"),
-                            int_range=(cons.ms_int_min, cons.ms_int_max))
-    except InconsistentEncodingError:
-        raise InconsistentEncodingError("invalid output divider") from None
-
-
-def decode_feedback(read: Read, regmap: RegisterMap, cons: PlannerConstraints
-                    ) -> RationalDivider:
-    """The feedback divider, whose VCO lies in the window; raises
-    :class:`InconsistentEncodingError` naming the problem.
-
-    The window check cross-multiplies the VCO's integer pair with the
-    window's edges (:attr:`PlannerConstraints.windows`), so it builds no
-    ``Fraction``."""
-    try:
-        feedback = decode_divider(*_image(read, regmap, "fb"),
-                                  int_range=(cons.fb_int_min, cons.fb_int_max))
-    except InconsistentEncodingError:
-        raise InconsistentEncodingError("invalid feedback divider") from None
-    fb_n, fb_d = feedback.pair
-    fin, (lo_n, lo_d, hi_n, hi_d) = cons.f_in, cons.windows[0]
-    vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
-    if not (lo_n * vco_d <= vco_n * lo_d and vco_n * hi_d <= hi_n * vco_d):
-        raise InconsistentEncodingError("vco frequency outside window")
-    return feedback
-
-
-def decode_plan(read: Read, regmap: RegisterMap, cons: PlannerConstraints,
-                feedback: RationalDivider, channel: int) -> FrequencyPlan:
-    """The plan ``channel``'s output divider holds on the VCO of ``feedback``,
-    aimed at the frequency it achieves; raises
-    :class:`InconsistentEncodingError` naming the problem."""
-    fb, out = feedback.pair, _output_pair(read, regmap, cons, channel)
-    fin = cons.f_in
-    achieved = Fraction(fin.numerator * fb[0] * out[1], fin.denominator * fb[1] * out[0])
-    return build_plan(fin, achieved, fb, out, channel)
-
-
-def channel_enabled(read: Read, regmap: RegisterMap, channel: int) -> bool:
-    """Whether the channel runs: its enable bit set, its power-down clear."""
-    return (regmap.unpack(f"clk{channel}_en", read) == 1
-            and regmap.unpack(f"clk{channel}_pdn", read) == 0)
-
-
-def enable_fields() -> list[str]:
-    """The fields :func:`channel_enabled` reads, for every channel."""
-    return [f"clk{k}_{bit}" for k in range(CHANNEL_COUNT) for bit in ("en", "pdn")]
-
-
 def field_registers(regmap: RegisterMap, names: Iterable[str]) -> list[int]:
     """Addresses holding the named fields or composites, each once, in
     address order: the registers to read before decoding them."""
@@ -223,67 +169,198 @@ def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
     return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
 
 
-def plan_registers(regmap: RegisterMap, channel: int) -> list[int]:
-    """The registers :func:`decode_feedback` and :func:`decode_plan` read
-    for ``channel``, in address order."""
-    return field_registers(regmap, divider_fields("fb") + divider_fields(f"ms{channel}"))
+# the fields the decoders read, by channel where they are per channel
+_FEEDBACK = tuple(divider_fields("fb"))
+_ENABLE = tuple((f"clk{k}_en", f"clk{k}_pdn") for k in range(CHANNEL_COUNT))
+_OUTPUT = tuple(tuple(divider_fields(f"ms{k}")) for k in range(CHANNEL_COUNT))
+_PHSTEP = tuple(f"ms{k}_phstep" for k in range(CHANNEL_COUNT))
+_STATE_FIELDS = _FEEDBACK + sum(_ENABLE, ())
+_OUTPUT_FIELDS = _STATE_FIELDS + sum(_OUTPUT, ()) + _PHSTEP
 
 
-def retune_registers(regmap: RegisterMap) -> list[list[int]]:
-    """Per channel, what a retune of it reads, in address order: the
-    registers its field writes cover only in part, the feedback divider
-    (the VCO to keep) and every channel's enable state (whether another
-    one runs)."""
-    state = set(field_registers(regmap, divider_fields("fb") + enable_fields()))
-    reads = []
-    for k in range(CHANNEL_COUNT):
-        # the feedback and enable writes land in registers already in state
-        names = divider_fields(f"ms{k}") + [f"ms{k}_phstep"]
-        partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
-        reads.append(sorted(state.union(partial)))
-    return reads
+class RegisterView:
+    """The decode of one fixed read set, compiled once per map.
+
+    ``registers`` are the addresses the set reads, in order; a decoder
+    takes the list of their values, as :meth:`BridgeClient.exchange`
+    returns it, with the view.  :meth:`fields` reads that list as one
+    little-endian integer, a byte per register, and takes each field out
+    of it by the bit runs compiled here from the field's parts: a part's
+    register index, mask and shift become its position in that integer,
+    and parts adjacent there join one run.  ``slot[name]`` is a field's
+    place in the list :meth:`fields` returns.
+
+    Building a view over ``registers`` that lack a register one of
+    ``names`` needs raises :class:`RegisterMapError` naming the field.
+    """
+
+    __slots__ = ("registers", "slot", "_runs", "_more")
+
+    def __init__(self, regmap: RegisterMap, names: Sequence[str],
+                 registers: Iterable[int] | None = None):
+        self.registers = (field_registers(regmap, names) if registers is None
+                          else list(registers))
+        # each register's first bit in the integer the values make
+        first_bit = {address: 8 * i for i, address in enumerate(self.registers)}
+        self.slot: dict[str, int] = {}
+        runs: list[tuple[int, int]] = []  # each field's lowest run: (position, mask)
+        more: list[tuple[int, int, int, int]] = []  # (slot, position, mask, offset)
+        for name in names:
+            field_runs: list[list[int]] = []  # [position, width, offset]
+            offset = 0
+            for part in regmap.group(name):
+                try:
+                    position = first_bit[part.address] + part.lsb
+                except KeyError:
+                    raise RegisterMapError(
+                        f"field {name} needs register 0x{part.address:02X}, "
+                        "which the read set lacks") from None
+                width = part.msb - part.lsb + 1
+                if field_runs and field_runs[-1][0] + field_runs[-1][1] == position:
+                    field_runs[-1][1] += width  # adjacent to the run below it
+                else:
+                    field_runs.append([position, width, offset])
+                offset += width
+            slot = self.slot[name] = len(runs)
+            position, width, _ = field_runs[0]
+            runs.append((position, (1 << width) - 1))
+            for position, width, offset in field_runs[1:]:
+                more.append((slot, position, (1 << width) - 1, offset))
+        self._runs, self._more = tuple(runs), tuple(more)
+
+    def fields(self, values: Sequence[int]) -> list[int]:
+        """Every field's value, in slot order, from ``values``: the read
+        set's register values in :attr:`registers` order."""
+        image = int.from_bytes(values, "little")
+        fields = [image >> position & mask for position, mask in self._runs]
+        for slot, position, mask, offset in self._more:
+            fields[slot] |= (image >> position & mask) << offset
+        return fields
 
 
 def output_registers(regmap: RegisterMap) -> list[int]:
-    """Every synthesizer register :func:`decode_outputs` may read.
+    """Every synthesizer register :func:`decode_outputs` reads, in address
+    order: the snapshot the host reads in one exchange."""
+    return field_registers(regmap, _OUTPUT_FIELDS)
 
-    The host reads exactly these as one snapshot and the simulator's oracle
-    decodes from the same set, so a register missing here fails both.
-    """
-    names = divider_fields("fb") + enable_fields()
+
+def output_view(regmap: RegisterMap, registers: Iterable[int] | None = None
+                ) -> RegisterView:
+    """The view :func:`decode_outputs` decodes: over :func:`output_registers`,
+    or over ``registers`` that hold them (a board's whole register list)."""
+    return RegisterView(regmap, _OUTPUT_FIELDS, registers)
+
+
+def retune_views(regmap: RegisterMap) -> list[RegisterView]:
+    """Per channel, the view of what a retune of it reads, in address
+    order: the registers its field writes cover only in part, the
+    feedback divider (the VCO to keep) and every channel's enable state
+    (whether another one runs).  :func:`enabled_channels` and
+    :func:`decode_feedback` decode it."""
+    state = set(field_registers(regmap, _STATE_FIELDS))
+    views = []
     for k in range(CHANNEL_COUNT):
-        names += [f"ms{k}_phstep", *divider_fields(f"ms{k}")]
-    return field_registers(regmap, names)
+        # the feedback and enable writes land in registers already in state
+        names = _OUTPUT[k] + (_PHSTEP[k],)
+        partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
+        views.append(RegisterView(regmap, _STATE_FIELDS, sorted(state.union(partial))))
+    return views
+
+
+def plan_view(regmap: RegisterMap, channel: int) -> RegisterView:
+    """The view :func:`decode_plan` decodes for ``channel``: the feedback
+    divider and the channel's output divider, in address order."""
+    return RegisterView(regmap, _FEEDBACK + _OUTPUT[channel])
+
+
+def _divider(fields: list[int], slot: dict[str, int], names: tuple[str, ...],
+             int_range: tuple[int, int], problem: str) -> tuple[int, int]:
+    """The divider whose P1/P2/P3 are ``names``, as :func:`divider_pair`
+    inverts it; raises :class:`InconsistentEncodingError` naming
+    ``problem``."""
+    p1, p2, p3 = names
+    try:
+        return divider_pair(fields[slot[p1]], fields[slot[p2]], fields[slot[p3]],
+                            int_range)
+    except InconsistentEncodingError:
+        raise InconsistentEncodingError(problem) from None
+
+
+def _feedback_pair(fields: list[int], slot: dict[str, int],
+                   cons: PlannerConstraints) -> tuple[int, int]:
+    """The feedback divider as a lowest-terms pair, its VCO in the window.
+
+    The window check cross-multiplies the VCO's integer pair with the
+    window's edges (:attr:`PlannerConstraints.windows`), so it builds no
+    ``Fraction``."""
+    fb_n, fb_d = _divider(fields, slot, _FEEDBACK, (cons.fb_int_min, cons.fb_int_max),
+                          "invalid feedback divider")
+    fin, (lo_n, lo_d, hi_n, hi_d) = cons.f_in, cons.windows[0]
+    vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
+    if not (lo_n * vco_d <= vco_n * lo_d and vco_n * hi_d <= hi_n * vco_d):
+        raise InconsistentEncodingError("vco frequency outside window")
+    return fb_n, fb_d
+
+
+def decode_feedback(view: RegisterView, values: Sequence[int],
+                    cons: PlannerConstraints) -> RationalDivider:
+    """The feedback divider ``values`` hold, whose VCO lies in the window;
+    raises :class:`InconsistentEncodingError` naming the problem."""
+    return RationalDivider.from_pair(*_feedback_pair(view.fields(values), view.slot, cons))
+
+
+def enabled_channels(view: RegisterView, values: Sequence[int]) -> list[bool]:
+    """Per channel, whether it runs: its enable bit set, its power-down
+    clear."""
+    fields, slot = view.fields(values), view.slot
+    return [fields[slot[en]] == 1 and fields[slot[pdn]] == 0 for en, pdn in _ENABLE]
+
+
+def decode_plan(view: RegisterView, values: Sequence[int], cons: PlannerConstraints,
+                channel: int) -> FrequencyPlan:
+    """The plan ``channel``'s output divider holds on the VCO of the
+    feedback divider, aimed at the frequency it achieves; raises
+    :class:`InconsistentEncodingError` naming the problem."""
+    fields, slot = view.fields(values), view.slot
+    fb = _feedback_pair(fields, slot, cons)
+    out = _divider(fields, slot, _OUTPUT[channel], (cons.ms_int_min, cons.ms_int_max),
+                   "invalid output divider")
+    fin = cons.f_in
+    achieved = Fraction(fin.numerator * fb[0] * out[1], fin.denominator * fb[1] * out[0])
+    return build_plan(fin, achieved, fb, out, channel)
 
 
 def decode_outputs(
-    read: Read,
-    regmap: RegisterMap,
+    view: RegisterView,
+    values: Sequence[int],
     constraints: PlannerConstraints,
 ) -> list[ChannelStatus]:
-    """Compute per-channel status from synthesizer registers via ``read``.
+    """Per-channel status from ``values``, the registers an
+    :func:`output_view` reads.
 
     Works on integer pairs: the feedback divider and the VCO are decoded
     once per snapshot, each output divider as a lowest-terms pair, and the
     only ``Fraction``s built are the two an enabled channel's status holds,
     ``f_out = f_vco / output`` and ``phase = steps / f_vco``."""
+    fields, slot = view.fields(values), view.slot
+    enabled = [fields[slot[en]] == 1 and fields[slot[pdn]] == 0 for en, pdn in _ENABLE]
     try:
-        fb_n, fb_d = decode_feedback(read, regmap, constraints).pair
+        fb_n, fb_d = _feedback_pair(fields, slot, constraints)
     except InconsistentEncodingError as exc:
-        return [ChannelStatus(k, channel_enabled(read, regmap, k), None, None, str(exc))
-                for k in range(CHANNEL_COUNT)]
+        return [ChannelStatus(k, on, None, None, str(exc)) for k, on in enumerate(enabled)]
     fin = constraints.f_in
     vco_n, vco_d = fin.numerator * fb_n, fin.denominator * fb_d
+    ms_range = (constraints.ms_int_min, constraints.ms_int_max)
     channels = []
-    for k in range(CHANNEL_COUNT):
-        enabled = channel_enabled(read, regmap, k)
+    for k, on in enumerate(enabled):
         try:
-            out_n, out_d = _output_pair(read, regmap, constraints, k)
+            out_n, out_d = _divider(fields, slot, _OUTPUT[k], ms_range,
+                                    "invalid output divider")
         except InconsistentEncodingError as exc:
-            channels.append(ChannelStatus(k, enabled, None, None, str(exc)))
+            channels.append(ChannelStatus(k, on, None, None, str(exc)))
             continue
-        if enabled:
-            steps = phase_steps_from_byte(regmap.unpack(f"ms{k}_phstep", read))
+        if on:
+            steps = phase_steps_from_byte(fields[slot[_PHSTEP[k]]])
             channels.append(ChannelStatus(k, True, Fraction(vco_n * out_d, vco_d * out_n),
                                           Fraction(steps * vco_d, vco_n), None))
         else:

@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .config import StackConfig, default_config, load_pot_map, load_synth_map
 from .errors import ProtocolError
@@ -43,10 +44,10 @@ from .readout import (
     ChannelStatus,
     decode_outputs,
     decode_rails,
-    output_registers,
+    output_view,
     rail_registers,
 )
-from .registers import RegisterFile, RegisterMap
+from .registers import REGISTER_COUNT, RegisterFile, RegisterMap
 
 ABSENT_DEVICE_VALUE = 0xFF
 DISPATCH_STEP_BOUND = 5
@@ -281,12 +282,17 @@ class BoardState:
 
     # -- oracle views --------------------------------------------------------
 
+    @cached_property
+    def _output_view(self):
+        # built on the first query: a board may run on a map without the
+        # synthesizer's fields (a bare register file)
+        return output_view(self.synth_map, range(REGISTER_COUNT))
+
     def query_outputs(self) -> list[ChannelStatus]:
-        """Decode divider/phase/enable registers into per-channel status."""
-        synth = self.devices[self.config.synth_address]
-        snapshot = {a: synth.read(a) for a in output_registers(self.synth_map)}
-        return decode_outputs(snapshot.__getitem__, self.synth_map,
-                              self.config.constraints)
+        """Decode divider/phase/enable registers into per-channel status,
+        straight from the synthesizer's live register list."""
+        values, _masks = self.devices[self.config.synth_address].cells()
+        return decode_outputs(self._output_view, values, self.config.constraints)
 
     def query_rails(self) -> dict[int, Fraction]:
         """Predicted volts per rail from the stored wiper codes."""

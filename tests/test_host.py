@@ -40,6 +40,8 @@ from clockgen import (
 from clockgen.config import default_rails
 from clockgen.host import PreparedBatch
 from clockgen.planner import apply_plan
+from clockgen.readout import RegisterView, output_registers, output_view
+from clockgen.registers import RegisterMap
 from clockgen.transport import TcpSession
 
 import oracles
@@ -595,10 +597,11 @@ def test_device_layer_only_talks_in_whole_commands(counting_device, board):
     (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.enable_output(0, False), (2, 1)),
     (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.read_outputs(), (61, 1)),
     (None, lambda d: d.read_rails(), (5, 1)),
+    (lambda d: d.set_frequency(0, 100 * MHZ), lambda d: d.read_status(), (66, 1)),
     (None, lambda d: d.set_rail_voltage(0, Fraction("2.5")), (1, 0)),
 ], ids=["set_frequency", "set_frequency-pinned", "set_phase-cached-plan",
         "set_phase-after-pinned-retune", "set_phase-recovered-plan", "enable_output",
-        "read_outputs", "read_rails", "set_rail_voltage"])
+        "read_outputs", "read_rails", "read_status", "set_rail_voltage"])
 def test_wire_cost_commands_and_read_calls(counting_device, prepare, operation, cost):
     device, counting = counting_device
     if prepare is not None:
@@ -685,6 +688,51 @@ def test_readback_matches_simulator_view(device, board):
     device.set_rail_voltage(3, Fraction("2.2"))
     assert device.read_outputs() == board.query_outputs()
     assert device.read_rails() == board.query_rails()
+
+
+def test_read_status_is_read_outputs_and_read_rails_in_one_exchange(counting_device, board):
+    device, counting = counting_device
+    device.set_frequency(0, 75 * MHZ)
+    device.set_frequency(2, 150 * MHZ)
+    device.set_phase(2, degrees=90)
+    device.set_rail_voltage(3, Fraction("2.2"))
+    counting.reset()
+    channels, rails = device.read_status()
+    assert (counting.writes, counting.reads) == (1, 1)
+    assert channels == board.query_outputs() == device.read_outputs()
+    assert rails == board.query_rails() == device.read_rails()
+
+
+def test_readback_retune_and_recovery_make_no_unpack_calls(monkeypatch, device, board):
+    # every decode runs through a view compiled when the handle was built
+    calls = []
+    unpack = RegisterMap.unpack
+
+    def counting_unpack(self, name, read):
+        calls.append(name)
+        return unpack(self, name, read)
+
+    monkeypatch.setattr(RegisterMap, "unpack", counting_unpack)
+    device.set_frequency(0, 100 * MHZ)  # no other channel runs: VCO planned
+    device.set_frequency(1, 125 * MHZ)  # channel 0 runs: VCO kept
+    device.read_outputs()
+    device.read_status()
+    board.query_outputs()
+    fresh = DeviceHandle(device.bridge, device.synth_map, device.config, device.pot_map)
+    fresh.set_phase(1, degrees=45)  # the plan recovered from the registers
+    assert calls == []
+
+
+def test_a_view_over_a_read_set_missing_a_register_names_the_field():
+    regmap = load_synth_map()
+    registers = [a for a in output_registers(regmap) if a != 0x62]
+    with pytest.raises(RegisterMapError, match="field ms2_phstep needs register 0x62"):
+        output_view(regmap, registers)
+    with pytest.raises(RegisterMapError, match="field fb_p2 needs register 0x15"):
+        RegisterView(regmap, ["fb_p1", "fb_p2"], [0x10, 0x11, 0x12, 0x13, 0x14, 0x16])
+    # built over all it needs, in any order and among other registers
+    view = RegisterView(regmap, ["fb_p2"], [0x16, 0x00, 0x14, 0x13, 0x15])
+    assert view.fields([0x3F, 0xAA, 0x22, 0x11, 0x33])[view.slot["fb_p2"]] == 0x3F332211
 
 
 def test_tcp_readback_matches_simulator_view(tcp_server):

@@ -29,7 +29,7 @@ from clockgen import (
     plan_frequency,
 )
 from clockgen.planner import DENOMINATOR_HARD_CAP, as_fraction
-from clockgen.readout import channel_writes, decode_feedback
+from clockgen.readout import channel_writes, decode_feedback, output_view
 
 import oracles
 
@@ -38,6 +38,7 @@ from targets import Targets  # noqa: E402  the benchmark's target stream
 
 MHZ = 10**6
 REGMAP = load_synth_map()
+VIEW = output_view(REGMAP)
 TINY = Fraction(1, 10**12)
 
 
@@ -161,7 +162,8 @@ def test_decode_feedback_agrees_with_fraction_window_checks(case):
         expected = InconsistentEncodingError, "vco frequency outside window"
     else:
         expected = feedback
-    assert outcome(lambda: decode_feedback(image.__getitem__, REGMAP, cons)) == expected
+    values = [image[a] for a in VIEW.registers]
+    assert outcome(lambda: decode_feedback(VIEW, values, cons)) == expected
 
 
 # -- plans on the benchmark's targets ------------------------------------------

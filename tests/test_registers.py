@@ -12,7 +12,7 @@ from clockgen import (
     load_synth_map,
     parse_register_map,
 )
-from clockgen.readout import field_registers
+from clockgen.readout import RegisterView, field_registers
 
 import oracles
 
@@ -236,3 +236,24 @@ def test_layouts_match_the_probing_rule(regmap, data):
     names = data.draw(st.lists(st.sampled_from(resolved))) if resolved else []
     assert field_registers(regmap, names) == sorted(
         {f.address for name in names for f in oracles.probing_group(regmap.fields, name)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(regmap=_maps(), data=st.data())
+def test_a_view_reads_every_field_as_the_probing_rule_does(regmap, data):
+    """A view over the registers its fields need, in any order and among
+    others, reads each field from the value list as the bit-by-bit
+    reference reads it from the registers, gapped runs included."""
+    names = [n for n in _QUERIES if n in regmap.fields or f"{n}_b0" in regmap.fields]
+    needed = field_registers(regmap, names)
+    extra = data.draw(st.lists(st.integers(0, 255).filter(lambda a: a not in needed),
+                               unique=True, max_size=3))
+    registers = data.draw(st.permutations(needed + extra))
+    values = data.draw(st.lists(st.integers(0, 0xFF), min_size=len(registers),
+                                max_size=len(registers)))
+    view = RegisterView(regmap, names, registers)
+    fields = view.fields(values)
+    read = dict(zip(registers, values)).__getitem__
+    for name in names:
+        assert fields[view.slot[name]] == \
+            oracles.bitwise_unpack(oracles.probing_group(regmap.fields, name), read)

@@ -29,7 +29,16 @@ from clockgen import (
     plan_voltage,
 )
 from clockgen.planner import apply_plan
-from clockgen.readout import decode_feedback, decode_outputs, output_registers
+from clockgen.readout import (
+    decode_feedback,
+    decode_outputs,
+    decode_plan,
+    enabled_channels,
+    output_registers,
+    output_view,
+    plan_view,
+    retune_views,
+)
 from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND
 from clockgen.transport import TcpSession
 
@@ -281,6 +290,12 @@ _BOARD = BoardState()
 _CONS, _REGMAP = _BOARD.config.constraints, _BOARD.synth_map
 _P1_LIMIT = 2**18
 _P23_LIMIT = 2**30
+_OUTPUT_VIEW = output_view(_REGMAP)
+
+
+def snapshot(image):
+    """The values of ``image``'s output registers, in their read order."""
+    return [image[a] for a in output_registers(_REGMAP)]
 
 
 @st.composite
@@ -360,9 +375,8 @@ def register_image(draw, regmap, cons=_CONS):
 @settings(max_examples=400, deadline=None)
 @given(register_image(_REGMAP))
 def test_decode_outputs_matches_independent_oracle(image):
-    read = image.__getitem__
-    assert decode_outputs(read, _REGMAP, _CONS) == \
-        oracles.decode_outputs(read, _REGMAP, _CONS)
+    assert decode_outputs(_OUTPUT_VIEW, snapshot(image), _CONS) == \
+        oracles.decode_outputs(image.__getitem__, _REGMAP, _CONS)
 
 
 # a reference that is not a whole number of Hz, so the VCO's pair and the
@@ -373,9 +387,62 @@ _ODD_CONS = dataclasses.replace(_CONS, f_in=Fraction(100_000_001, 4))
 @settings(max_examples=400, deadline=None)
 @given(register_image(_REGMAP, _ODD_CONS))
 def test_decode_outputs_matches_the_oracle_off_a_whole_hz_reference(image):
-    read = image.__getitem__
-    assert decode_outputs(read, _REGMAP, _ODD_CONS) == \
-        oracles.decode_outputs(read, _REGMAP, _ODD_CONS)
+    assert decode_outputs(_OUTPUT_VIEW, snapshot(image), _ODD_CONS) == \
+        oracles.decode_outputs(image.__getitem__, _REGMAP, _ODD_CONS)
+
+
+_FEEDBACK_PROBLEMS = ("invalid feedback divider", "vco frequency outside window")
+
+
+def _oracle_vco(image, cons):
+    """The VCO the oracle's own field reads and divider inversion give."""
+    def field(name):
+        return oracles.bitwise_unpack(oracles.probing_group(_REGMAP.fields, name),
+                                      image.__getitem__)
+
+    feedback = oracles.divider_from_image(*(field(f"fb_{p}") for p in ("p1", "p2", "p3")),
+                                          cons.fb_int_min, cons.fb_int_max)
+    return cons.f_in * feedback
+
+
+def _decoded(call, *args):
+    """What ``call(*args)`` returns, or the message of the
+    :class:`InconsistentEncodingError` it raises."""
+    try:
+        return call(*args)
+    except InconsistentEncodingError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([_CONS, _ODD_CONS]).flatmap(
+    lambda cons: st.tuples(st.just(cons), register_image(_REGMAP, cons))))
+def test_retune_and_plan_views_agree_with_the_oracle(case):
+    """Each channel's retune view gives the oracle's enable bits and its
+    feedback problem or VCO; each channel's plan view gives the oracle's
+    feedback problem, output divider problem or frequency."""
+    cons, image = case
+    expected = oracles.decode_outputs(image.__getitem__, _REGMAP, cons)
+    problem = expected[0].problem
+    vco = problem if problem in _FEEDBACK_PROBLEMS else _oracle_vco(image, cons)
+    for view in retune_views(_REGMAP):
+        values = [image[a] for a in view.registers]
+        assert enabled_channels(view, values) == [ch.enabled for ch in expected]
+        feedback = _decoded(decode_feedback, view, values, cons)
+        assert (feedback if isinstance(feedback, str) else cons.f_in * feedback.value) == vco
+    # plan reads hold no enable bit: with every channel on, the oracle gives
+    # each channel's frequency wherever its dividers decode
+    every_on = dict(image)
+    for k in range(4):
+        put_field(every_on, _REGMAP, f"clk{k}_en", 1)
+        put_field(every_on, _REGMAP, f"clk{k}_pdn", 0)
+    for k, status in enumerate(oracles.decode_outputs(every_on.__getitem__, _REGMAP, cons)):
+        view = plan_view(_REGMAP, k)
+        plan = _decoded(decode_plan, view, [image[a] for a in view.registers], cons, k)
+        if status.problem is not None:
+            assert plan == status.problem
+        else:
+            assert (plan.f_vco, plan.f_achieved) == (vco, status.f_out)
 
 
 def _edge_image(cons, feedback_numerator, p3):
@@ -407,16 +474,17 @@ def test_feedback_at_and_one_p2_step_past_the_vco_window_edges(cons, edge, step)
     numerator = at.numerator + step
     inside = low <= Fraction(numerator, p3) <= high
     assert inside == (step == 0 or (step > 0) == (edge == "vco_min"))
-    read = _edge_image(cons, numerator, p3).__getitem__
-    expected = oracles.decode_outputs(read, _REGMAP, cons)
-    assert decode_outputs(read, _REGMAP, cons) == expected
+    image = _edge_image(cons, numerator, p3)
+    values = snapshot(image)
+    expected = oracles.decode_outputs(image.__getitem__, _REGMAP, cons)
+    assert decode_outputs(_OUTPUT_VIEW, values, cons) == expected
     if inside:
         assert all(ch.enabled and ch.f_out is not None for ch in expected)
-        assert decode_feedback(read, _REGMAP, cons).value == Fraction(numerator, p3)
+        assert decode_feedback(_OUTPUT_VIEW, values, cons).value == Fraction(numerator, p3)
     else:
         assert {ch.problem for ch in expected} == {"vco frequency outside window"}
         with pytest.raises(InconsistentEncodingError, match="vco frequency outside window"):
-            decode_feedback(read, _REGMAP, cons)
+            decode_feedback(_OUTPUT_VIEW, values, cons)
 
 
 def test_query_rails_formula_endpoint():
