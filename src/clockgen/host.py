@@ -83,12 +83,14 @@ class BridgeClient:
 
     After a timeout the responses still owed are counted; the next
     exchange reads and discards them before its own, so a late byte is
-    never handed to a later read.
+    never handed to a later read.  ``write_exchanges`` counts the
+    exchanges that carried a write, whoever sent them.
     """
 
     def __init__(self, session):
         self._session = session
         self._owed = 0  # response bytes of timed-out exchanges, not yet drained
+        self.write_exchanges = 0
 
     def exchange(self, commands: Sequence[BridgeCommand]) -> list[int]:
         """Send ``commands`` in one write; returns the values their reads
@@ -97,6 +99,8 @@ class BridgeClient:
             commands = PreparedBatch(commands)
         if not commands:
             return []
+        if commands.reads < len(commands):
+            self.write_exchanges += 1
         self._session.write_bytes(commands.frame)
         wanted = RESPONSE_LENGTH * commands.reads
         if not wanted:
@@ -119,19 +123,18 @@ class BridgeClient:
         writes each register they touch, once.
 
         Fields sharing a register are folded onto its ``current`` value
-        (:func:`fold_fields`).  Without ``current``, an exchange before it
-        reads each register the writes cover only in part, once
-        (:func:`partial_registers`); a caller that has read them already
-        passes them as ``current``.
+        (0 where it is fully overwritten).  Without ``current``, an
+        exchange before it reads each register the writes cover only in
+        part, once (:func:`partial_registers`); a caller that has read them
+        already passes them as ``current``.
         """
         if current is None:
-            current = self.read_registers(device, partial_registers(writes))
-        self.exchange([BridgeCommand.write(device, a, v)
-                       for a, v in fold_fields(writes, current).items()])
-
-    def read_registers(self, device: int, registers: list[int]) -> dict[int, int]:
-        """The values of ``registers`` of ``device``, by address, read in one exchange."""
-        return dict(zip(registers, self.exchange(prepared_reads(device, registers))))
+            registers = partial_registers(writes)
+            current = dict(zip(registers, self.exchange(prepared_reads(device, registers))))
+        folded: dict[int, int] = {}
+        for address, bits, mask in writes:
+            folded[address] = (folded.get(address, current.get(address, 0)) & ~mask) | bits
+        self.exchange([BridgeCommand.write(device, a, v) for a, v in folded.items()])
 
     def close(self) -> None:
         self._session.close()
@@ -142,10 +145,9 @@ class DeviceHandle:
 
     Holds the open bridge, the register maps, and the planning
     configuration.  Never touches the transport except through the bridge.
-    Its cached channel plans assume it is the board's only writer.  A
-    simulated board enforces that across both endpoints, in-process and TCP,
-    by holding one session at a time; raw register writes through
-    ``device.bridge`` bypass the cache.
+    Its cached channel plans are dropped when another writer has written
+    through its bridge since its own last write, or the bridge is a new
+    one; a second bus master on real hardware is not seen.
     """
 
     def __init__(self, bridge: BridgeClient, synth_map: RegisterMap,
@@ -155,6 +157,7 @@ class DeviceHandle:
         self.config = config
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
+        self._last_write = None  # (bridge, write_exchanges) after its own last write
         # the fixed read sets, each prepared once with the view that decodes it
         address = config.synth_address
         self._output_view = output_view(synth_map)
@@ -203,6 +206,7 @@ class DeviceHandle:
         quantum.
         """
         check_channel(channel)
+        self._drop_stale_plans()
         cons, view = self.constraints, self._retune_views[channel]
         values = self.bridge.exchange(self._retune_reads[channel])
         running = [k for k, on in enumerate(enabled_channels(view, values))
@@ -222,7 +226,7 @@ class DeviceHandle:
             raise UnsatisfiableFrequencyError(
                 f"{exc}; channels {', '.join(map(str, running))} run on that VCO"
             ) from None
-        self.bridge.write_fields(self.synth_address, channel_writes(
+        self._write(channel_writes(
             self.synth_map, channel, feedback=plan.feedback if feedback is None else None,
             output=plan.output, steps=0, enable=True), dict(zip(view.registers, values)))
         self._plans = {k: p for k, p in self._plans.items()
@@ -238,12 +242,26 @@ class DeviceHandle:
     ) -> PhasePlan:
         """Quantize and program a phase offset on a previously planned channel."""
         check_channel(channel)
+        self._drop_stale_plans()
         phase = plan_phase(self._current_plan(channel), seconds=seconds,
                            degrees=degrees,
                            step_limit=self.constraints.phase_step_limit)
-        self.bridge.write_fields(
-            self.synth_address, channel_writes(self.synth_map, channel, steps=phase.steps))
+        self._write(channel_writes(self.synth_map, channel, steps=phase.steps))
         return phase
+
+    def _drop_stale_plans(self) -> None:
+        """Forget the cached plans when the bridge is not the one this
+        handle last wrote through, or another writer has written through it
+        since."""
+        if self._last_write != (self.bridge, self.bridge.write_exchanges):
+            self._plans = {}
+
+    def _write(self, writes: list[tuple[int, int, int]],
+               current: dict[int, int] | None = None) -> None:
+        """Write the synthesizer's field ``writes``
+        (:meth:`BridgeClient.write_fields`) as this handle's own."""
+        self.bridge.write_fields(self.synth_address, writes, current)
+        self._last_write = (self.bridge, self.bridge.write_exchanges)
 
     def _current_plan(self, channel: int) -> FrequencyPlan:
         """The channel's plan; recovered from device registers when this
@@ -266,8 +284,7 @@ class DeviceHandle:
     def enable_output(self, channel: int, on: bool) -> None:
         """Toggle one channel's enable bit, leaving every other bit alone."""
         check_channel(channel)
-        self.bridge.write_fields(
-            self.synth_address, channel_writes(self.synth_map, channel, enable=on))
+        self._write(channel_writes(self.synth_map, channel, enable=on))
 
     # -- power rails -----------------------------------------------------------
 
@@ -276,6 +293,7 @@ class DeviceHandle:
         rail = self.config.rail(rail_id)
         setting = plan_voltage(rail, v_target)
         apply_supply(self.bridge, rail, setting, self.pot_map)
+        self._last_write = (self.bridge, self.bridge.write_exchanges)
         return setting
 
     # -- readback ----------------------------------------------------------------
@@ -301,19 +319,6 @@ class DeviceHandle:
         split = len(self._output_reads)
         return (decode_outputs(self._output_view, values[:split], self.constraints),
                 decode_rails(values[split:], self.config.rails))
-
-
-def fold_fields(writes: list[tuple[int, int, int]],
-                current: dict[int, int]) -> dict[int, int]:
-    """Register values after ``writes``: every field written to one
-    register is folded onto its ``current`` value (0 where it is fully
-    overwritten), one value per register, in the order the fields first
-    name it."""
-    folded: dict[int, int] = {}
-    for address, bits, mask in writes:
-        value = folded.get(address, current.get(address, 0))
-        folded[address] = (value & ~mask) | bits
-    return folded
 
 
 def bridge_init(

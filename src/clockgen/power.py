@@ -58,20 +58,14 @@ class RailModel:
             raise ValueError("pot channel must be 0..3")
 
     @cached_property
-    def v_zero(self) -> Fraction:
-        """Exact output voltage at code 0."""
-        return self.v_ref * (1 + self.r_wiper / self.r_fixed)
-
-    @cached_property
-    def volts_per_step(self) -> Fraction:
-        return self.v_ref * self.r_ab / (WIPER_STEPS * self.r_fixed)
-
-    @cached_property
     def line(self) -> tuple[int, int, int]:
-        """``(z, s, d)``: the volts at code ``c`` are ``(z + c*s) / d``."""
-        d = math.lcm(self.v_zero.denominator, self.volts_per_step.denominator)
-        return (self.v_zero.numerator * (d // self.v_zero.denominator),
-                self.volts_per_step.numerator * (d // self.volts_per_step.denominator), d)
+        """``(z, s, d)``: the volts at code ``c`` are ``(z + c*s) / d``,
+        with ``z / d`` the volts at code 0 and ``s / d`` the volts per step."""
+        v_zero = self.v_ref * (1 + self.r_wiper / self.r_fixed)
+        volts_per_step = self.v_ref * self.r_ab / (WIPER_STEPS * self.r_fixed)
+        d = math.lcm(v_zero.denominator, volts_per_step.denominator)
+        return (v_zero.numerator * (d // v_zero.denominator),
+                volts_per_step.numerator * (d // volts_per_step.denominator), d)
 
     def predict(self, code: int) -> Fraction:
         """Exact output voltage for one wiper code."""

@@ -238,16 +238,10 @@ class RegisterView:
         return fields
 
 
-def output_registers(regmap: RegisterMap) -> list[int]:
-    """Every synthesizer register :func:`decode_outputs` reads, in address
-    order: the snapshot the host reads in one exchange."""
-    return field_registers(regmap, _OUTPUT_FIELDS)
-
-
 def output_view(regmap: RegisterMap, registers: Iterable[int] | None = None
                 ) -> RegisterView:
-    """The view :func:`decode_outputs` decodes: over :func:`output_registers`,
-    or over ``registers`` that hold them (a board's whole register list)."""
+    """The view :func:`decode_outputs` decodes: over the registers it
+    reads, in address order, or over ``registers`` that hold them."""
     return RegisterView(regmap, _OUTPUT_FIELDS, registers)
 
 

@@ -8,11 +8,11 @@ calls (one main-loop iteration each); a raised flag is always consumed
 within five steps.
 
 :meth:`BoardState.step` is that single-step model.  The event pump calls
-:meth:`BoardState.ingest` and :meth:`BoardState.run_until_idle`, which frame
-a whole received chunk at once and serve every buffered command in one pass
-with the same tick accounting, flags and responses as repeated ``step``
-calls.  Both run the one dispatch loop, ``BoardState._serve``: ``step`` is
-that loop limited to one step.  The loop serves each command inline, with
+:meth:`BoardState.ingest`, the one receive path, and
+:meth:`BoardState.run_until_idle`, which serves every buffered command in
+one pass with the same ticks, flags and responses as repeated ``step``
+calls.  Both run the one dispatch loop, ``BoardState._serve``, bounded by
+one step or by the buffer.  The loop serves each command inline, with
 no call but ``decode_command`` per frame, on the live register lists of
 each device (:meth:`RegisterFile.cells`), trusting the decoder's range
 checks.  The board keeps cheap counters (commands served, frames dropped,
@@ -158,23 +158,18 @@ class BoardState:
         pending and no flag is raised, decode them and raise the flag."""
         if not 0 <= byte <= 0xFF:
             raise ValueError(f"byte {byte} outside 0..255")
-        self.firmware.rx_buffer.append(byte)
-        self._frame()
+        self.ingest(bytes((byte,)))
 
     def ingest(self, data: bytes) -> None:
-        """Receive a whole chunk: buffer it, then frame as
-        :meth:`ingest_byte` would have, byte by byte."""
-        self.firmware.rx_buffer.extend(data)
-        self._frame()
-
-    def _frame(self) -> None:
-        """Frame complete commands while no flag is raised.
+        """Receive a whole chunk: buffer it, then frame complete commands
+        while no flag is raised.  The one receive path.
 
         Undecodable frames (bad opcode, out-of-range address) discard their
         four bytes silently: the wire protocol has no error channel, exactly
         like an I2C master seeing a NACK.
         """
         fw = self.firmware
+        fw.rx_buffer.extend(data)
         if fw.phase is not Phase.MAIN_LOOP:
             return
         while fw.pending is None and len(fw.rx_buffer) >= COMMAND_LENGTH:
@@ -196,20 +191,18 @@ class BoardState:
         if not self._serve(1):
             self.firmware.step_counter += 1  # an idle iteration
 
-    def run_until_idle(self, limit: int = 100_000) -> None:
+    def run_until_idle(self) -> None:
         """Serve every buffered command, stepping until no flag is raised
         and no complete command is buffered.
 
-        Leaves the board as calling :meth:`step` that many times would, and
-        like that loop raises ``RuntimeError`` once ``limit`` steps have
-        run without going idle.
+        Leaves the board as calling :meth:`step` that many times would.
+        Each step serves the raised flag or takes a frame off the buffer,
+        so it ends within one step more than the frames buffered.
         """
         fw = self.firmware
-        if limit > 0 and fw.phase is not Phase.MAIN_LOOP \
-                and len(fw.rx_buffer) >= COMMAND_LENGTH:
+        if fw.phase is not Phase.MAIN_LOOP and len(fw.rx_buffer) >= COMMAND_LENGTH:
             self.step()  # refuses before boot
-        if self._serve(limit) >= limit:
-            raise RuntimeError("simulator failed to go idle")
+        self._serve(len(fw.rx_buffer) // COMMAND_LENGTH + 1)
 
     def _serve(self, limit: int) -> int:
         """Run main-loop steps until idle or ``limit`` steps have run;

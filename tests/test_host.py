@@ -40,7 +40,7 @@ from clockgen import (
 from clockgen.config import default_rails
 from clockgen.host import PreparedBatch
 from clockgen.planner import apply_plan
-from clockgen.readout import RegisterView, output_registers, output_view
+from clockgen.readout import RegisterView, channel_writes, output_view
 from clockgen.registers import RegisterMap
 from clockgen.transport import TcpSession
 
@@ -226,6 +226,18 @@ def test_late_response_is_never_handed_to_a_later_read(first):
     finally:
         bridge.close()
         device.close()
+
+
+def test_an_exchange_of_100000_reads_is_served_whole(device, board):
+    """However long a batch is, the board serves it to idle: every read is
+    answered in its own exchange and none is left queued for the next."""
+    device.set_frequency(0, 100 * MHZ)
+    values = device.bridge.exchange([BridgeCommand.read(0x70, 0)] * 100_000)
+    assert values == [board.devices[0x70].read(0)] * 100_000
+    outputs, rails = device.read_outputs(), device.read_rails()
+    assert outputs[0].enabled and outputs[0].f_out == 100 * MHZ
+    assert outputs == board.query_outputs()
+    assert rails == board.query_rails()
 
 
 _commands = st.one_of(
@@ -448,6 +460,63 @@ def test_set_phase_after_the_feedback_moved_uses_the_registers(counting_device, 
     phase = device.set_phase(1, degrees=45)
     assert phase.offset_achieved == board.query_outputs()[1].phase_offset
     assert counting.reads == 1
+
+
+def _move_the_vco_with_a_handle(handle):
+    """Retune channel 1 to 112.5 MHz on a fresh VCO (2.25 GHz) while
+    channel 0 stays on its output divider."""
+    handle.enable_output(0, False)
+    handle.set_frequency(1, Fraction(225, 2) * MHZ)  # no other channel on: joint
+    handle.enable_output(0, True)
+
+
+def _second_handle_on_the_bridge(a, board):
+    _move_the_vco_with_a_handle(DeviceHandle(a.bridge, a.synth_map, a.config, a.pot_map))
+
+
+def _new_bridge_after_another_turn(a, board):
+    a.close()
+    other = bridge_init(SessionConfig(), simulator=board)
+    _move_the_vco_with_a_handle(other)
+    other.close()
+    a.bridge = BridgeClient(open_session(SessionConfig(), board))
+
+
+def _raw_writes_through_the_bridge(a, board):
+    cons = a.constraints
+    plan = plan_frequency(cons.f_in, Fraction(225, 2) * MHZ, 1, cons)
+    for address, bits, mask in channel_writes(a.synth_map, 1, feedback=plan.feedback,
+                                              output=plan.output, enable=True):
+        current = a.bridge.read_register(a.synth_address, address)
+        a.bridge.write_register(a.synth_address, address, (current & ~mask) | bits)
+
+
+@pytest.mark.parametrize("second_writer", [
+    _second_handle_on_the_bridge, _new_bridge_after_another_turn,
+    _raw_writes_through_the_bridge,
+], ids=["second-handle", "new-bridge", "raw-writes"])
+def test_set_phase_after_another_writer_moved_the_vco_matches_the_board(board,
+                                                                       second_writer):
+    a = bridge_init(SessionConfig(), simulator=board)
+    assert a.set_frequency(0, 100 * MHZ).f_vco == 2200 * MHZ
+    second_writer(a, board)
+    phase = a.set_phase(0, seconds=Fraction(1, 10**9))
+    a.close()
+    # two steps of the 2.25 GHz VCO; the plan cached at 2.2 GHz gave 1/1.1e9 s
+    assert board.query_outputs()[0].phase_offset == Fraction(1, 1125 * MHZ)
+    assert phase.offset_achieved == board.query_outputs()[0].phase_offset
+
+
+def test_set_frequency_drops_the_plans_another_writer_made_stale(device, board):
+    device.set_frequency(0, 100 * MHZ)
+    device.set_frequency(1, 100 * MHZ)  # pinned to the 2.2 GHz VCO: divider 22
+    other = DeviceHandle(device.bridge, device.synth_map, device.config, device.pot_map)
+    other.set_frequency(1, 110 * MHZ)  # pinned too: divider 20
+    device.set_frequency(2, 50 * MHZ)  # this handle's own write comes in between
+    phase = device.set_phase(1, degrees=180)
+    # half a 110 MHz period is 10 VCO steps; the stale 100 MHz plan gave 11
+    assert phase.steps == 10
+    assert phase.offset_achieved == board.query_outputs()[1].phase_offset
 
 
 def test_set_phase_idempotent(device, board):
@@ -725,7 +794,7 @@ def test_readback_retune_and_recovery_make_no_unpack_calls(monkeypatch, device, 
 
 def test_a_view_over_a_read_set_missing_a_register_names_the_field():
     regmap = load_synth_map()
-    registers = [a for a in output_registers(regmap) if a != 0x62]
+    registers = [a for a in output_view(regmap).registers if a != 0x62]
     with pytest.raises(RegisterMapError, match="field ms2_phstep needs register 0x62"):
         output_view(regmap, registers)
     with pytest.raises(RegisterMapError, match="field fb_p2 needs register 0x15"):

@@ -39,8 +39,8 @@ def test_high_target_infeasible():
 
 
 def test_half_step_band_edges():
-    half = RAIL.volts_per_step / 2
     low, high = RAIL.predict(0), RAIL.predict(255)
+    half = (RAIL.predict(1) - low) / 2
     assert plan_voltage(RAIL, low - half).code == 0
     assert plan_voltage(RAIL, high + half).code == 255
     with pytest.raises(InfeasibleVoltageError):

@@ -29,6 +29,13 @@ def test_encode_read_forces_zero_payload():
     assert encode_command(cmd) == bytes([0x00, 0x70, 0x06, 0x00])
 
 
+def test_a_read_built_with_a_payload_drops_it():
+    cmd = BridgeCommand(Action.READ, 0x70, 6, 0x55)
+    assert cmd.payload == 0x00
+    assert encode_command(cmd) == bytes([0x00, 0x70, 0x06, 0x00])
+    assert cmd == BridgeCommand.read(0x70, 6)
+
+
 def test_encode_all_zero_write():
     cmd = BridgeCommand.write(0x00, 0x00, 0x00)
     assert encode_command(cmd) == bytes([0xFF, 0x00, 0x00, 0x00])

@@ -34,7 +34,6 @@ from clockgen.readout import (
     decode_outputs,
     decode_plan,
     enabled_channels,
-    output_registers,
     output_view,
     plan_view,
     retune_views,
@@ -295,7 +294,7 @@ _OUTPUT_VIEW = output_view(_REGMAP)
 
 def snapshot(image):
     """The values of ``image``'s output registers, in their read order."""
-    return [image[a] for a in output_registers(_REGMAP)]
+    return [image[a] for a in _OUTPUT_VIEW.registers]
 
 
 @st.composite
@@ -365,7 +364,7 @@ def register_image(draw, regmap, cons=_CONS):
         put(f"clk{k}_en", draw(st.integers(0, 1)))
         put(f"clk{k}_pdn", draw(st.sampled_from([0, 0, 0, 1])))
         put(f"ms{k}_phstep", draw(st.integers(0, 255)))
-    hit = draw(st.none() | st.tuples(st.sampled_from(output_registers(regmap)),
+    hit = draw(st.none() | st.tuples(st.sampled_from(output_view(regmap).registers),
                                      st.integers(0, 255)))
     if hit is not None:
         image[hit[0]] = hit[1]
@@ -584,33 +583,6 @@ def test_batch_service_matches_single_steps(prefix, chunks):
             stepped.ingest_byte(byte)
         _step_until_idle(stepped)
         assert _state(batched) == _state(stepped)
-
-
-@settings(max_examples=200, deadline=None)
-@given(prefix=st.binary(max_size=6), chunk=_chunks().map(b"".join),
-       limit=st.integers(-1, 12))
-def test_batch_step_limit_matches_single_steps(prefix, chunk, limit):
-    """run_until_idle(limit) raises exactly when ``limit`` steps do not
-    reach idle, after leaving the board as those steps would."""
-    batched, stepped = _booted_pair()
-    for board in (batched, stepped):
-        board.ingest(prefix)
-        board.ingest(chunk)
-    try:
-        batched.run_until_idle(limit)
-    except RuntimeError:
-        batched_raised = True
-    else:
-        batched_raised = False
-    fw = stepped.firmware
-    stepped_raised = True
-    for _ in range(limit):
-        if not fw.flag_raised and len(fw.rx_buffer) < 4:
-            stepped_raised = False
-            break
-        stepped.step()
-    assert batched_raised == stepped_raised
-    assert _state(batched) == _state(stepped)
 
 
 def test_run_until_idle_before_boot_refuses_like_step():
