@@ -146,8 +146,9 @@ class DeviceHandle:
     Holds the open bridge, the register maps, and the planning
     configuration.  Never touches the transport except through the bridge.
     Its cached channel plans are dropped when another writer has written
-    through its bridge since its own last write, or the bridge is a new
-    one; a second bus master on real hardware is not seen.
+    through its bridge since they were last known current, or the bridge is
+    a new one; each of its own writes and each use of a cached plan checks
+    first.  A second bus master on real hardware is not seen.
     """
 
     def __init__(self, bridge: BridgeClient, synth_map: RegisterMap,
@@ -157,7 +158,7 @@ class DeviceHandle:
         self.config = config
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
-        self._last_write = None  # (bridge, write_exchanges) after its own last write
+        self._plans_as_of = None  # (bridge, write_exchanges) when _plans was last current
         # the fixed read sets, each prepared once with the view that decodes it
         address = config.synth_address
         self._output_view = output_view(synth_map)
@@ -206,7 +207,6 @@ class DeviceHandle:
         quantum.
         """
         check_channel(channel)
-        self._drop_stale_plans()
         cons, view = self.constraints, self._retune_views[channel]
         values = self.bridge.exchange(self._retune_reads[channel])
         running = [k for k, on in enumerate(enabled_channels(view, values))
@@ -226,7 +226,7 @@ class DeviceHandle:
             raise UnsatisfiableFrequencyError(
                 f"{exc}; channels {', '.join(map(str, running))} run on that VCO"
             ) from None
-        self._write(channel_writes(
+        self._write(self.bridge.write_fields, self.synth_address, channel_writes(
             self.synth_map, channel, feedback=plan.feedback if feedback is None else None,
             output=plan.output, steps=0, enable=True), dict(zip(view.registers, values)))
         self._plans = {k: p for k, p in self._plans.items()
@@ -242,31 +242,35 @@ class DeviceHandle:
     ) -> PhasePlan:
         """Quantize and program a phase offset on a previously planned channel."""
         check_channel(channel)
-        self._drop_stale_plans()
         phase = plan_phase(self._current_plan(channel), seconds=seconds,
                            degrees=degrees,
                            step_limit=self.constraints.phase_step_limit)
-        self._write(channel_writes(self.synth_map, channel, steps=phase.steps))
+        self._write(self.bridge.write_fields, self.synth_address,
+                    channel_writes(self.synth_map, channel, steps=phase.steps))
         return phase
 
     def _drop_stale_plans(self) -> None:
-        """Forget the cached plans when the bridge is not the one this
-        handle last wrote through, or another writer has written through it
-        since."""
-        if self._last_write != (self.bridge, self.bridge.write_exchanges):
+        """Forget the cached plans when the bridge is not the one they were
+        current on, or another writer has written through it since; either
+        way they are current from now on."""
+        as_of = (self.bridge, self.bridge.write_exchanges)
+        if self._plans_as_of != as_of:
             self._plans = {}
+            self._plans_as_of = as_of
 
-    def _write(self, writes: list[tuple[int, int, int]],
-               current: dict[int, int] | None = None) -> None:
-        """Write the synthesizer's field ``writes``
-        (:meth:`BridgeClient.write_fields`) as this handle's own."""
-        self.bridge.write_fields(self.synth_address, writes, current)
-        self._last_write = (self.bridge, self.bridge.write_exchanges)
+    def _write(self, send, *args) -> None:
+        """Call ``send(*args)``, which writes through the bridge, as this
+        handle's own write.  Stale plans are dropped first, so another
+        writer's writes are never taken for this handle's."""
+        self._drop_stale_plans()
+        send(*args)
+        self._plans_as_of = (self.bridge, self.bridge.write_exchanges)
 
     def _current_plan(self, channel: int) -> FrequencyPlan:
         """The channel's plan; recovered from device registers when this
-        handle never programmed it (the registers are the state of record
-        across invocations)."""
+        handle never programmed it or dropped it as stale (the registers
+        are the state of record across invocations)."""
+        self._drop_stale_plans()
         plan = self._plans.get(channel)
         if plan is not None:
             return plan
@@ -284,7 +288,8 @@ class DeviceHandle:
     def enable_output(self, channel: int, on: bool) -> None:
         """Toggle one channel's enable bit, leaving every other bit alone."""
         check_channel(channel)
-        self._write(channel_writes(self.synth_map, channel, enable=on))
+        self._write(self.bridge.write_fields, self.synth_address,
+                    channel_writes(self.synth_map, channel, enable=on))
 
     # -- power rails -----------------------------------------------------------
 
@@ -292,8 +297,7 @@ class DeviceHandle:
         """Plan the nearest wiper code for ``v_target`` and store it."""
         rail = self.config.rail(rail_id)
         setting = plan_voltage(rail, v_target)
-        apply_supply(self.bridge, rail, setting, self.pot_map)
-        self._last_write = (self.bridge, self.bridge.write_exchanges)
+        self._write(apply_supply, self.bridge, rail, setting, self.pot_map)
         return setting
 
     # -- readback ----------------------------------------------------------------

@@ -11,12 +11,15 @@ within five steps.
 :meth:`BoardState.ingest`, the one receive path, and
 :meth:`BoardState.run_until_idle`, which serves every buffered command in
 one pass with the same ticks, flags and responses as repeated ``step``
-calls.  Both run the one dispatch loop, ``BoardState._serve``, bounded by
-one step or by the buffer.  The loop serves each command inline, with
-no call but ``decode_command`` per frame, on the live register lists of
-each device (:meth:`RegisterFile.cells`), trusting the decoder's range
-checks.  The board keeps cheap counters (commands served, frames dropped,
-worst dispatch steps) and only the most recent dispatch records.
+calls.  Both run the one dispatch body, ``BoardState._serve``, bounded by
+one step or by the buffer.  A pass decodes every whole buffered frame at
+once through the protocol's frame table
+(:func:`~clockgen.protocol.decode_frames`), serves the commands in one
+loop with no call per command on the live register lists of each device
+(:meth:`RegisterFile.cells`), trusting the decoder's range checks, and
+appends their dispatch records in one ``extend``.  The board keeps cheap
+counters (commands served, frames dropped, worst dispatch steps) and only
+the most recent dispatch records.
 
 The board also exposes oracle views (:meth:`BoardState.query_outputs`,
 :meth:`BoardState.query_rails`) that decode the stored register state into
@@ -39,6 +42,7 @@ from .protocol import (
     BridgeCommand,
     COMMAND_LENGTH,
     decode_command,
+    decode_frames,
 )
 from .readout import (
     ChannelStatus,
@@ -51,7 +55,7 @@ from .registers import REGISTER_COUNT, RegisterFile, RegisterMap
 
 ABSENT_DEVICE_VALUE = 0xFF
 DISPATCH_STEP_BOUND = 5
-# dispatch records kept; past it, the older half is dropped
+# dispatch records kept; past it, the oldest are dropped half of it at a time
 DISPATCH_HISTORY = 4096
 
 
@@ -125,8 +129,11 @@ class BoardState:
         }
         for rail in self.config.rails:
             self.devices.setdefault(rail.pot_address, RegisterFile.from_map(self.pot_map))
-        # each device's live (values, write masks), for _serve
-        self._ports = {address: device.cells() for address, device in self.devices.items()}
+        # each device's live (values, write masks) by address, None where
+        # no device answers, for _serve
+        self._ports = [None] * 0x80
+        for address, device in self.devices.items():
+            self._ports[address] = device.cells()
         self._rail_registers = rail_registers(self.config.rails, self.pot_map)
 
     # -- firmware lifecycle -------------------------------------------------
@@ -162,7 +169,9 @@ class BoardState:
 
     def ingest(self, data: bytes) -> None:
         """Receive a whole chunk: buffer it, then frame complete commands
-        while no flag is raised.  The one receive path.
+        while no flag is raised.  The one receive path.  Framing a chunk
+        once leaves the board as framing after each of its bytes would; an
+        empty chunk is no receive, so it frames nothing.
 
         Undecodable frames (bad opcode, out-of-range address) discard their
         four bytes silently: the wire protocol has no error channel, exactly
@@ -170,7 +179,7 @@ class BoardState:
         """
         fw = self.firmware
         fw.rx_buffer.extend(data)
-        if fw.phase is not Phase.MAIN_LOOP:
+        if fw.phase is not Phase.MAIN_LOOP or not data:
             return
         while fw.pending is None and len(fw.rx_buffer) >= COMMAND_LENGTH:
             frame = bytes(fw.rx_buffer[:COMMAND_LENGTH])
@@ -210,62 +219,64 @@ class BoardState:
 
         A step serves the raised flag, or else frames the next valid
         command and serves it in the same tick; undecodable frames on the
-        way are dropped.  A read queues its device's register, or
-        ``ABSENT_DEVICE_VALUE`` for an absent device; a write sets the
-        register's writable bits.  ``decode_command`` has proven address,
-        register and value in range, so they are not checked again.  Each
-        command is counted and keeps its record; past ``DISPATCH_HISTORY``
-        records the older half is dropped.  Frames are read in place and
-        cut from the buffer once.
+        way are dropped, and bad frames after the last command take one
+        step of their own.  So the whole pass is known from the decoded
+        frames: every whole buffered frame is decoded at once
+        (:func:`decode_frames`), and the commands within the limit are
+        served in one loop, then recorded with one ``extend``.  A read
+        queues its device's register, or ``ABSENT_DEVICE_VALUE`` for an
+        absent device; a write sets the register's writable bits.  The
+        decoder has proven address, register and value in range, so they
+        are not checked again.  Past ``DISPATCH_HISTORY`` records the
+        oldest are dropped, ``DISPATCH_HISTORY // 2`` at a time.
         """
         fw = self.firmware
-        buf, tx, log, ports = fw.rx_buffer, fw.tx_queue, self.dispatch_log, self._ports
-        decode, read, record = decode_command, Action.READ, DispatchRecord
-        command, set_tick, tick = fw.pending, fw.flag_set_tick, fw.step_counter
-        worst = self.max_dispatch_steps
-        pos, end = 0, len(buf) - COMMAND_LENGTH
-        steps = served = dropped = 0
-        try:
-            while steps < limit and (command is not None or pos <= end):
-                steps += 1
-                tick += 1
-                if command is None:
-                    while pos <= end:
-                        frame = buf[pos:pos + COMMAND_LENGTH]
-                        pos += COMMAND_LENGTH
-                        try:
-                            command = decode(frame)
-                        except ProtocolError:
-                            dropped += 1
-                            continue
-                        set_tick = tick
-                        break
-                    else:
-                        break  # the step only dropped frames
-                elif tick - set_tick > worst:
-                    worst = tick - set_tick
-                port = ports.get(command.i2c_address)
-                if command.action is read:
-                    tx.append(ABSENT_DEVICE_VALUE if port is None
-                              else port[0][command.register])
-                elif port is not None:
-                    values, masks = port
-                    register = command.register
-                    mask = masks[register]
-                    values[register] = (values[register] & ~mask) | (command.payload & mask)
-                log.append(record(command, set_tick, tick))
-                if len(log) > DISPATCH_HISTORY:
-                    del log[:DISPATCH_HISTORY // 2]
-                served += 1
-                command = None
-        finally:
-            del buf[:pos]
-            fw.pending = command
-            fw.flag_set_tick, fw.step_counter = set_tick, tick
-            self.commands_served += served
-            self.frames_dropped += dropped
-            self.max_dispatch_steps = worst
-        return steps
+        buf, log, pending, tick = fw.rx_buffer, self.dispatch_log, fw.pending, fw.step_counter
+        commands, drop_step = (), False
+        if len(buf) >= COMMAND_LENGTH:
+            frames = decode_frames(buf)
+            commands = list(filter(None, frames))
+            room = limit - (pending is not None)  # steps left for framed commands
+            trailing = frames[-1] is None  # bad frames after the last command
+            if len(commands) < room or len(commands) == room and not trailing:
+                # every frame is taken; trailing bad ones take a step of their own
+                taken, drop_step = len(frames), trailing
+            else:  # the limit ends the pass at the room-th command
+                commands = commands[:room]
+                taken = room and [i for i, c in enumerate(frames, 1) if c is not None][room - 1]
+            del buf[:taken * COMMAND_LENGTH]
+            self.frames_dropped += taken - len(commands)
+        if pending is None:
+            served = commands
+        else:  # the raised flag is served first, in the pass's first tick
+            served = [pending, *commands]
+            wait = tick + 1 - fw.flag_set_tick
+            if wait > self.max_dispatch_steps:
+                self.max_dispatch_steps = wait
+            log.append(DispatchRecord(pending, fw.flag_set_tick, tick + 1))
+            fw.pending = None
+        append, ports, read = fw.tx_queue.append, self._ports, Action.READ
+        for command in served:
+            port = ports[command.i2c_address]
+            if command.action is read:
+                append(ABSENT_DEVICE_VALUE if port is None else port[0][command.register])
+            elif port is not None:
+                values, masks = port
+                register = command.register
+                mask = masks[register]
+                values[register] = (values[register] & ~mask) | (command.payload & mask)
+        last = tick + len(served)
+        if commands:
+            # each framed command is set and served in its own step's tick
+            ticks = range(last - len(commands) + 1, last + 1)
+            log.extend(map(DispatchRecord, commands, ticks, ticks))
+            fw.flag_set_tick = last
+        if len(log) > DISPATCH_HISTORY:
+            half = DISPATCH_HISTORY // 2
+            del log[:(len(log) - DISPATCH_HISTORY + half - 1) // half * half]
+        fw.step_counter = last + drop_step
+        self.commands_served += len(served)
+        return len(served) + drop_step
 
     def take_output(self) -> bytes:
         """Drain queued read responses, oldest first."""

@@ -6,8 +6,9 @@ stdlib ``Fraction.limit_denominator`` instead of the hand-rolled mediant
 descent, exhaustive scans instead of analytic inversion, brute-force sweeps
 instead of staged search, per-call probing and bit-at-a-time packing instead
 of precomputed field layouts, divider images inverted as ``Fraction``s
-instead of on integer pairs.  Expected test values are computed from these, not
-from the code under test.
+instead of on integer pairs, and the board's firmware as a plain loop over
+bytes and frames instead of one pass over a decoded buffer.  Expected test
+values are computed from these, not from the code under test.
 """
 
 from __future__ import annotations
@@ -374,3 +375,95 @@ def decode_outputs(read, regmap, cons):
                 phase = steps * (1 / f_vco)
         statuses.append(ChannelStatus(k, enabled, f_out, phase, problem))
     return statuses
+
+
+class ReferenceFirmware:
+    """The simulated board's firmware, one byte and one frame at a time.
+
+    A receive interrupt buffers each byte and, while no flag is raised,
+    frames whole commands: a bad opcode or an address above 0x7F drops the
+    frame, a valid one raises the flag at the current tick.  Each step is
+    one tick: it serves the raised flag, or else frames buffered commands,
+    dropping bad ones, and serves the first valid one in the same tick; a
+    step that finds only bad frames drops them all.  A read answers its
+    register, or 0xFF from an absent device; a write sets the writable bits.
+    Commands are ``(action, address, register, payload)`` tuples, with
+    ``"read"``/``"write"`` and a read's payload 0.
+
+    ``devices`` maps each address to its register values and write masks,
+    copied.  :meth:`state` is what a test compares a board against.
+    """
+
+    def __init__(self, devices):
+        self.registers = {a: list(values) for a, (values, _masks) in devices.items()}
+        self.masks = {a: list(masks) for a, (_values, masks) in devices.items()}
+        self.rx, self.tx, self.records = bytearray(), bytearray(), []
+        self.pending, self.flag_set_tick, self.tick = None, 0, 0
+        self.served = self.dropped = self.worst = 0
+
+    @staticmethod
+    def parse(frame):
+        opcode, address, register, payload = frame
+        if address > 0x7F or opcode not in (0x00, 0xFF):
+            return None
+        if opcode == 0x00:
+            return ("read", address, register, 0)
+        return ("write", address, register, payload)
+
+    def _next_frame(self):
+        """Take the next whole frame off the buffer, parsed; counts a drop."""
+        command = self.parse(self.rx[:4])
+        del self.rx[:4]
+        if command is None:
+            self.dropped += 1
+        return command
+
+    def receive(self, byte):
+        self.rx.append(byte)
+        while self.pending is None and len(self.rx) >= 4:
+            command = self._next_frame()
+            if command is not None:
+                self.pending, self.flag_set_tick = command, self.tick
+
+    def step(self):
+        self.tick += 1
+        command = self.pending
+        if command is None:
+            while command is None and len(self.rx) >= 4:
+                command = self._next_frame()
+            if command is None:
+                return  # idle, or only bad frames were buffered
+            self.flag_set_tick = self.tick
+        self.pending = None
+        self.worst = max(self.worst, self.tick - self.flag_set_tick)
+        action, address, register, payload = command
+        if action == "read":
+            values = self.registers.get(address)
+            self.tx.append(0xFF if values is None else values[register])
+        elif address in self.registers:
+            mask = self.masks[address][register]
+            values = self.registers[address]
+            values[register] = (values[register] & ~mask) | (payload & mask)
+        self.records.append((command, self.flag_set_tick, self.tick))
+        self.served += 1
+
+    def run_until_idle(self):
+        while self.pending is not None or len(self.rx) >= 4:
+            self.step()
+
+    def state(self):
+        """Registers, drained responses, ticks, flags, buffer, records and
+        counters; the flags are (write raised, read raised, command, tick)."""
+        output, self.tx = bytes(self.tx), bytearray()
+        pending = self.pending
+        return {
+            "registers": {a: bytes(values) for a, values in self.registers.items()},
+            "output": output,
+            "ticks": self.tick,
+            "flags": (pending is not None and pending[0] == "write",
+                      pending is not None and pending[0] == "read",
+                      pending, self.flag_set_tick),
+            "rx": bytes(self.rx),
+            "records": list(self.records),
+            "counters": (self.served, self.dropped, self.worst),
+        }

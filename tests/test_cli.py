@@ -209,24 +209,54 @@ def test_simulate_port_out_of_range_exits_2(capsys, port):
     assert "listening" not in err
 
 
+def _without_core_dumps():
+    """In the child before it runs: the SIGABRT below leaves no core file."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+
+
 @contextlib.contextmanager
 def simulator_process():
     """``clockgen simulate --port 0`` in a child process, and the port it
-    reports; the child is killed if the test leaves it running."""
+    reports; the child is killed if the test leaves it running.
+
+    The child runs with ``PYTHONFAULTHANDLER=1``.  When a wait on it in the
+    test times out, it is sent ``SIGABRT``, so it writes every thread's
+    traceback to stderr, and the test fails with that stderr in its
+    message: a hang shows where the child was stuck."""
     src = str(Path(clockgen.__file__).parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONFAULTHANDLER": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "clockgen.cli", "simulate", "--port", "0"],
-                            stderr=subprocess.PIPE, text=True, env=env)
+                            stderr=subprocess.PIPE, text=True, env=env,
+                            preexec_fn=_without_core_dumps)
     try:
         line = proc.stderr.readline()
         match = re.fullmatch(r"simulator listening on 127\.0\.0\.1:(\d+)\n", line)
         assert match and int(match.group(1)) != 0, line
         yield proc, int(match.group(1))
+    except subprocess.TimeoutExpired as exc:
+        proc.send_signal(signal.SIGABRT)
+        try:
+            _out, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            _out, err = proc.communicate()
+        pytest.fail(f"clockgen simulate still ran after {exc.timeout} s; "
+                    f"its stderr after SIGABRT:\n{err}")
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_a_simulator_that_outlives_its_wait_fails_with_its_tracebacks():
+    with pytest.raises(pytest.fail.Exception) as failed:
+        with simulator_process() as (proc, _port):
+            proc.wait(0.5)  # no SIGINT was sent: it is still serving
+    message = str(failed.value)
+    assert "still ran after 0.5 s" in message
+    assert "most recent call first" in message and "serve_forever" in message
 
 
 def test_simulate_port_0_reports_the_bound_port(capsys):

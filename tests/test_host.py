@@ -519,6 +519,21 @@ def test_set_frequency_drops_the_plans_another_writer_made_stale(device, board):
     assert phase.offset_achieved == board.query_outputs()[1].phase_offset
 
 
+@pytest.mark.parametrize("own_write", [
+    lambda a: a.enable_output(2, False),
+    lambda a: a.set_rail_voltage(a.config.rails[0].rail_id, Fraction(5, 2)),
+], ids=["enable_output", "set_rail_voltage"])
+def test_a_write_after_another_writer_moved_the_vco_keeps_no_stale_plan(board, own_write):
+    a = bridge_init(SessionConfig(), simulator=board)
+    assert a.set_frequency(0, 100 * MHZ).f_vco == 2200 * MHZ
+    _second_handle_on_the_bridge(a, board)
+    own_write(a)  # must not pass for the handle's own last word on the VCO
+    phase = a.set_phase(0, seconds=Fraction(1, 10**9))
+    a.close()
+    assert board.query_outputs()[0].phase_offset == Fraction(1, 1125 * MHZ)
+    assert phase.offset_achieved == board.query_outputs()[0].phase_offset
+
+
 def test_set_phase_idempotent(device, board):
     device.set_frequency(0, 100 * MHZ)
     device.set_phase(0, degrees=45)

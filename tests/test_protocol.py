@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import random
 import re
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clockgen
 from clockgen import (
@@ -17,6 +19,8 @@ from clockgen import (
     decode_command,
     encode_command,
 )
+from clockgen import protocol
+from clockgen.protocol import FRAME_TABLE, decode_frames
 
 
 def test_encode_write():
@@ -146,6 +150,96 @@ def test_decode_agrees_with_the_constructors_on_every_frame():
                 assert type(written) is BridgeCommand
                 assert vars(written) == vars(expected)
                 assert written == expected and hash(written) == hash(expected)
+
+
+# -- the frame table ---------------------------------------------------------------
+
+def _frames():
+    """One 4-byte frame: a read (any payload byte) or a write of a valid or
+    out-of-range address, or any four bytes."""
+    byte = st.integers(0, 0xFF)
+    return st.one_of(
+        st.builds(lambda o, a, r, p: bytes((o, a, r, p)),
+                  st.sampled_from([0x00, 0xFF]), byte, byte, byte),
+        st.binary(min_size=4, max_size=4),
+    )
+
+
+def _per_frame(data):
+    """``decode_command`` on each whole frame of ``data``, None where it
+    raises."""
+    decoded = []
+    for start in range(0, len(data) - 3, 4):
+        try:
+            decoded.append(decode_command(data[start:start + 4]))
+        except ProtocolError:
+            decoded.append(None)
+    return decoded
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.lists(_frames(), max_size=24), tail=st.binary(max_size=3),
+       clear=st.booleans())
+def test_decode_frames_matches_decode_command_per_frame(frames, tail, clear):
+    if clear:
+        BridgeCommand.read.cache_clear()
+    data = b"".join(frames) + tail
+    decoded = decode_frames(bytearray(data))
+    assert decoded == _per_frame(data)
+    assert decode_frames(data) == decoded  # again, from the table
+    for frame, command in zip(frames, decoded):
+        if command is not None and command.action is Action.READ:
+            assert command is BridgeCommand.read(frame[1], frame[2])
+
+
+@contextlib.contextmanager
+def _frame_table_bound(bound):
+    """``FRAME_TABLE_BOUND`` set to ``bound`` on an empty table; the table
+    is emptied again afterwards."""
+    FRAME_TABLE.clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "FRAME_TABLE_BOUND", bound)
+            yield
+    finally:
+        FRAME_TABLE.clear()
+
+
+@settings(max_examples=50, deadline=None)
+@given(bound=st.integers(2, 40), frames=st.lists(_frames(), min_size=1, max_size=120))
+def test_the_frame_table_stays_within_its_bound(bound, frames):
+    writes = [bytes((0xFF, 0x70, n >> 8, n & 0xFF)) for n in range(2 * bound + 1)]
+    with _frame_table_bound(bound):
+        for frame in writes + frames:  # more distinct write frames than the bound
+            assert decode_frames(frame) == _per_frame(frame)
+            assert len(FRAME_TABLE) <= bound
+        read = decode_frames(bytes((0x00, 0x70, 0x06, 0x5A)))[0]
+        assert read is BridgeCommand.read(0x70, 0x06) is decode_command(bytes((0, 0x70, 6, 0)))
+        assert len(FRAME_TABLE) <= bound
+
+
+def test_the_frame_table_stays_within_its_shipped_bound():
+    bound = protocol.FRAME_TABLE_BOUND
+    data = b"".join(bytes((0xFF, address, n >> 8, n & 0xFF))
+                    for address in (0x70, 0x2C) for n in range(bound // 2 + 512))
+    with _frame_table_bound(bound):
+        assert decode_frames(data) == _per_frame(data)
+        assert len(FRAME_TABLE) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(address=st.integers(0, 0x7F), register=st.integers(0, 0xFF),
+       payload=st.integers(0, 0xFF))
+def test_a_decoded_read_is_the_shared_read(address, register, payload):
+    frame = bytes((0x00, address, register, payload))
+    for _ in range(2):
+        decoded = decode_frames(frame)[0]
+        assert decoded is BridgeCommand.read(address, register)
+        assert decode_command(frame) is decoded
+        BridgeCommand.read.cache_clear()
+    shared = BridgeCommand.read(address, register)
+    assert decode_frames(frame)[0] is shared
+    assert encode_command(shared) == frame[:3] + b"\x00"
 
 
 def _imported(tree):

@@ -585,6 +585,70 @@ def test_batch_service_matches_single_steps(prefix, chunks):
         assert _state(batched) == _state(stepped)
 
 
+def _reference(board):
+    """The reference firmware on a copy of ``board``'s registers."""
+    return oracles.ReferenceFirmware({a: d.cells() for a, d in board.devices.items()})
+
+
+def _as_reference(state):
+    """``_state`` with each command as the reference's plain tuple."""
+    def plain(command):
+        if command is None:
+            return None
+        return (command.action.value, command.i2c_address, command.register,
+                command.payload)
+
+    write, read, pending, set_tick = state["flags"]
+    return {**state, "flags": (write, read, plain(pending), set_tick),
+            "records": [(plain(r.command), r.flag_set_tick, r.dispatch_tick)
+                        for r in state["records"]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.binary(max_size=6), chunks=_chunks())
+def test_batch_service_and_single_steps_match_the_reference_firmware(prefix, chunks):
+    """ingest + run_until_idle, and ingest + step() until idle, each leave
+    the board as the byte-by-byte reference firmware leaves its copy."""
+    batched, stepped = _booted_pair()
+    reference = _reference(batched)
+    batched.ingest(prefix)
+    stepped.ingest(prefix)
+    for byte in prefix:
+        reference.receive(byte)
+    for chunk in chunks:
+        batched.ingest(chunk)
+        batched.run_until_idle()
+        stepped.ingest(chunk)
+        _step_until_idle(stepped)
+        for byte in chunk:
+            reference.receive(byte)
+        reference.run_until_idle()
+        expected = reference.state()
+        assert _as_reference(_state(batched)) == expected
+        assert _as_reference(_state(stepped)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunks=_chunks(), data=st.data())
+def test_steps_between_chunks_match_the_reference_firmware(chunks, data):
+    """A few steps after each chunk, not always enough to go idle, so a
+    raised flag may wait several ticks while more chunks arrive; then
+    run_until_idle serves the rest."""
+    board = booted()
+    reference = _reference(board)
+    for chunk in chunks:
+        board.ingest(chunk)
+        for byte in chunk:
+            reference.receive(byte)
+        for _ in range(data.draw(st.integers(0, 4), label="steps")):
+            board.step()
+            reference.step()
+        assert _as_reference(_state(board)) == reference.state()
+    board.run_until_idle()
+    reference.run_until_idle()
+    assert _as_reference(_state(board)) == reference.state()
+
+
 def test_run_until_idle_before_boot_refuses_like_step():
     board = BoardState()
     board.run_until_idle()  # nothing buffered: idle
