@@ -16,10 +16,12 @@ what it made of each frame, keyed by the frame's four bytes read as one
 native-order 32-bit integer (``None`` for a frame it refuses), and holds
 the shared read commands that :meth:`BridgeCommand.read` returns.  It
 holds at most :data:`FRAME_TABLE_BOUND` entries and is emptied when a
-miss finds it full.  :func:`decode_frames` looks up every whole frame of a
-receive buffer in it at once, which is how the simulated board decodes
-what it serves: about 0.08 µs a frame once the table holds it, against
-0.5-0.6 µs for a ``decode_command`` call (one CPU, Python 3.11).
+miss finds it full; each write entry costs about 170 bytes (the command,
+its key and its slot).  :func:`decode_frames` looks up every whole frame
+of a receive buffer in it at once, which is how the simulated board
+decodes what it serves: about 0.08 µs a frame once the table holds it,
+against about 0.3 µs for a ``decode_command`` call on a read frame and
+1.1 µs on a write frame (one CPU, Python 3.11).
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ WRITE_OPCODE = 0xFF
 READ_OPCODE = 0x00
 COMMAND_LENGTH = 4
 RESPONSE_LENGTH = 1
-# entries FRAME_TABLE holds at most
-FRAME_TABLE_BOUND = 1 << 16
+# entries FRAME_TABLE holds at most: twice the ~8,200 distinct frames that
+# 75,000 benchmark retune ops settle at, so that traffic never empties it;
+# about 3 MB when full
+FRAME_TABLE_BOUND = 1 << 14
 # the shifts that place a read's address and register bytes in its frame's
 # key; array("I") reads frames as keys, 4 bytes wherever CPython runs
 _ADDRESS_SHIFT, _REGISTER_SHIFT = (8, 16) if sys.byteorder == "little" else (16, 8)
@@ -154,13 +158,15 @@ def decode_command(data: bytes) -> BridgeCommand:
     elif opcode == WRITE_OPCODE:
         if address <= 0x7F:
             # every field is one frame byte in range, which is all that
-            # __post_init__ would check, so the fields are set directly
+            # __post_init__ would check, so the fields are set directly;
+            # through object.__setattr__, as the instance's __dict__ would
+            # add a dict of its own to each write the frame table keeps
             command = object.__new__(BridgeCommand)
-            fields = command.__dict__
-            fields["action"] = Action.WRITE
-            fields["i2c_address"] = address
-            fields["register"] = register
-            fields["payload"] = payload
+            setfield = object.__setattr__
+            setfield(command, "action", Action.WRITE)
+            setfield(command, "i2c_address", address)
+            setfield(command, "register", register)
+            setfield(command, "payload", payload)
             return command
     else:
         raise InvalidOpcodeError(f"unknown opcode 0x{opcode:02X}")

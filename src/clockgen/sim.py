@@ -12,10 +12,11 @@ within five steps.
 :meth:`BoardState.run_until_idle`, which serves every buffered command in
 one pass with the same ticks, flags and responses as repeated ``step``
 calls.  Both run the one dispatch body, ``BoardState._serve``, bounded by
-one step or by the buffer.  A pass decodes every whole buffered frame at
-once through the protocol's frame table
-(:func:`~clockgen.protocol.decode_frames`), serves the commands in one
-loop with no call per command on the live register lists of each device
+one step or by the buffer.  A pass decodes the buffered frames its limit
+can reach at once through the protocol's frame table
+(:func:`~clockgen.protocol.decode_frames`), which ``ingest`` decodes
+through too.  It then serves the commands in one loop with no call per
+command on the live register lists of each device
 (:meth:`RegisterFile.cells`), trusting the decoder's range checks, and
 appends their dispatch records in one ``extend``.  The board keeps cheap
 counters (commands served, frames dropped, worst dispatch steps) and only
@@ -28,6 +29,7 @@ achieved frequencies, phase offsets, and rail voltages.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,13 +37,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .config import StackConfig, default_config, load_pot_map, load_synth_map
-from .errors import ProtocolError
 from .power import plan_voltage
 from .protocol import (
     Action,
     BridgeCommand,
     COMMAND_LENGTH,
-    decode_command,
+    FRAME_TABLE,
     decode_frames,
 )
 from .readout import (
@@ -170,8 +171,9 @@ class BoardState:
     def ingest(self, data: bytes) -> None:
         """Receive a whole chunk: buffer it, then frame complete commands
         while no flag is raised.  The one receive path.  Framing a chunk
-        once leaves the board as framing after each of its bytes would; an
-        empty chunk is no receive, so it frames nothing.
+        once leaves the board as framing after each of its bytes would.
+        Frames are decoded through the protocol's frame table, as in
+        ``_serve``.
 
         Undecodable frames (bad opcode, out-of-range address) discard their
         four bytes silently: the wire protocol has no error channel, exactly
@@ -179,14 +181,14 @@ class BoardState:
         """
         fw = self.firmware
         fw.rx_buffer.extend(data)
-        if fw.phase is not Phase.MAIN_LOOP or not data:
+        if fw.phase is not Phase.MAIN_LOOP:
             return
-        while fw.pending is None and len(fw.rx_buffer) >= COMMAND_LENGTH:
-            frame = bytes(fw.rx_buffer[:COMMAND_LENGTH])
-            del fw.rx_buffer[:COMMAND_LENGTH]
-            try:
-                command = decode_command(frame)
-            except ProtocolError:
+        buf = fw.rx_buffer
+        while fw.pending is None and len(buf) >= COMMAND_LENGTH:
+            # the table's key: the frame read as a native-order integer
+            command = FRAME_TABLE[int.from_bytes(buf[:COMMAND_LENGTH], sys.byteorder)]
+            del buf[:COMMAND_LENGTH]
+            if command is None:
                 self.frames_dropped += 1
                 continue
             fw.pending = command
@@ -221,9 +223,12 @@ class BoardState:
         command and serves it in the same tick; undecodable frames on the
         way are dropped, and bad frames after the last command take one
         step of their own.  So the whole pass is known from the decoded
-        frames: every whole buffered frame is decoded at once
+        frames: the buffered frames the limit can reach are decoded at once
         (:func:`decode_frames`), and the commands within the limit are
-        served in one loop, then recorded with one ``extend``.  A read
+        served in one loop, then recorded with one ``extend``.  Those are
+        every whole frame when the limit is the buffer's, and otherwise a
+        prefix of ``limit`` frames, widened while bad frames leave it short
+        of commands, so a step costs the same however long the buffer.  A read
         queues its device's register, or ``ABSENT_DEVICE_VALUE`` for an
         absent device; a write sets the register's writable bits.  The
         decoder has proven address, register and value in range, so they
@@ -233,17 +238,23 @@ class BoardState:
         fw = self.firmware
         buf, log, pending, tick = fw.rx_buffer, self.dispatch_log, fw.pending, fw.step_counter
         commands, drop_step = (), False
-        if len(buf) >= COMMAND_LENGTH:
-            frames = decode_frames(buf)
-            commands = list(filter(None, frames))
-            room = limit - (pending is not None)  # steps left for framed commands
-            trailing = frames[-1] is None  # bad frames after the last command
-            if len(commands) < room or len(commands) == room and not trailing:
+        whole = len(buf) // COMMAND_LENGTH
+        room = limit - (pending is not None)  # steps left for framed commands
+        if whole and room:
+            span = room  # frames decoded: the room-th command is among them
+            while True:  # unless bad frames leave too few, or all are decoded
+                frames = decode_frames(buf if span >= whole else buf[:span * COMMAND_LENGTH])
+                commands = list(filter(None, frames))
+                if len(commands) >= room or span >= whole:
+                    break
+                span *= 2
+            if len(commands) < room:
                 # every frame is taken; trailing bad ones take a step of their own
-                taken, drop_step = len(frames), trailing
+                taken, drop_step = len(frames), frames[-1] is None
             else:  # the limit ends the pass at the room-th command
-                commands = commands[:room]
-                taken = room and [i for i, c in enumerate(frames, 1) if c is not None][room - 1]
+                taken = room if len(commands) == len(frames) else \
+                    [i for i, c in enumerate(frames, 1) if c is not None][room - 1]
+                del commands[room:]
             del buf[:taken * COMMAND_LENGTH]
             self.frames_dropped += taken - len(commands)
         if pending is None:

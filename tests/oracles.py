@@ -380,8 +380,8 @@ def decode_outputs(read, regmap, cons):
 class ReferenceFirmware:
     """The simulated board's firmware, one byte and one frame at a time.
 
-    A receive interrupt buffers each byte and, while no flag is raised,
-    frames whole commands: a bad opcode or an address above 0x7F drops the
+    A receive interrupt buffers each byte (an empty chunk is one interrupt
+    with no byte) and, while no flag is raised, frames whole commands: a bad opcode or an address above 0x7F drops the
     frame, a valid one raises the flag at the current tick.  Each step is
     one tick: it serves the raised flag, or else frames buffered commands,
     dropping bad ones, and serves the first valid one in the same tick; a
@@ -418,8 +418,16 @@ class ReferenceFirmware:
             self.dropped += 1
         return command
 
-    def receive(self, byte):
-        self.rx.append(byte)
+    def receive(self, data):
+        """One receive interrupt per byte of ``data``, or one for an empty
+        chunk, which frames what is already buffered."""
+        for byte in data:
+            self.rx.append(byte)
+            self._interrupt()
+        if not data:
+            self._interrupt()
+
+    def _interrupt(self):
         while self.pending is None and len(self.rx) >= 4:
             command = self._next_frame()
             if command is not None:

@@ -613,15 +613,13 @@ def test_batch_service_and_single_steps_match_the_reference_firmware(prefix, chu
     reference = _reference(batched)
     batched.ingest(prefix)
     stepped.ingest(prefix)
-    for byte in prefix:
-        reference.receive(byte)
+    reference.receive(prefix)
     for chunk in chunks:
         batched.ingest(chunk)
         batched.run_until_idle()
         stepped.ingest(chunk)
         _step_until_idle(stepped)
-        for byte in chunk:
-            reference.receive(byte)
+        reference.receive(chunk)
         reference.run_until_idle()
         expected = reference.state()
         assert _as_reference(_state(batched)) == expected
@@ -638,8 +636,7 @@ def test_steps_between_chunks_match_the_reference_firmware(chunks, data):
     reference = _reference(board)
     for chunk in chunks:
         board.ingest(chunk)
-        for byte in chunk:
-            reference.receive(byte)
+        reference.receive(chunk)
         for _ in range(data.draw(st.integers(0, 4), label="steps")):
             board.step()
             reference.step()
