@@ -227,10 +227,11 @@ class BoardState:
         (:func:`decode_frames`), and the commands within the limit are
         served in one loop, then recorded with one ``extend``.  Those are
         every whole frame when the limit is the buffer's, and otherwise a
-        prefix of ``limit`` frames, widened while bad frames leave it short
-        of commands, so a step costs the same however long the buffer.  A read
-        queues its device's register, or ``ABSENT_DEVICE_VALUE`` for an
-        absent device; a write sets the register's writable bits.  The
+        prefix with one frame per step left, widened while bad frames leave
+        it short of commands, so a step costs the same however long the
+        buffer.  A read queues its device's register, or
+        ``ABSENT_DEVICE_VALUE`` for an absent device; a write sets the
+        register's writable bits.  The
         decoder has proven address, register and value in range, so they
         are not checked again.  Past ``DISPATCH_HISTORY`` records the
         oldest are dropped, ``DISPATCH_HISTORY // 2`` at a time.
