@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 domain error (planning, transport, parsing),
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -22,8 +21,6 @@ from .errors import ClockgenError
 from .host import DeviceHandle, bridge_init
 from .planner import CHANNEL_COUNT, FrequencyPlan, PhasePlan, RationalDivider, as_fraction
 from .power import SupplySetting
-from .server import SimulatorServer
-from .sim import BoardState
 from .transport import SessionConfig
 
 _FREQ_RE = re.compile(r"^(\d+(?:\.\d+)?)\s*([kM]?)(?:Hz)?$")
@@ -258,6 +255,10 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "simulate":
+            # here, not at the top: no other command serves a board
+            from .server import SimulatorServer
+            from .sim import BoardState
+
             board = BoardState(load_synth_map(args.map), load_config(args.config),
                                load_pot_map())
             try:
@@ -294,7 +295,11 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(json.dumps(payload) if args.json else text)
+    if args.json:
+        import json  # here: only --json prints a document
+
+        text = json.dumps(payload)
+    print(text)
     return 0
 
 

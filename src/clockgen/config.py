@@ -18,7 +18,6 @@ whole-configuration rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .errors import ConfigError
 from .planner import PlannerConstraints, as_fraction
 from .power import RailModel
 from .registers import RegisterMap, parse_register_map
+from .value import Value, setfield
 
 DEFAULT_SYNTH_ADDRESS = 0x70
 DEFAULT_TCP_PORT = 53380
@@ -45,7 +45,7 @@ def _parse_fraction(text: str, lineno: int) -> Fraction:
         raise ConfigError(f"expected a number, got {text!r}", line=lineno) from None
 
 
-# constraint keys: config name -> (dataclass field, parser)
+# constraint keys: config name -> (PlannerConstraints field, parser)
 _CONSTRAINT_KEYS = {
     "f_in_hz": ("f_in", _parse_fraction),
     "vco_min_hz": ("vco_min", _parse_fraction),
@@ -80,8 +80,7 @@ _DEFAULT_RAIL_PLAN = (
 )
 
 
-@dataclass(frozen=True)
-class StackConfig:
+class StackConfig(Value):
     """Everything the host stack and the simulator share.
 
     Building one checks the rules that span the whole configuration: a
@@ -90,11 +89,11 @@ class StackConfig:
     A broken rule raises ``ValueError``.
     """
 
-    constraints: PlannerConstraints
-    rails: tuple[RailModel, ...]
-    synth_address: int = DEFAULT_SYNTH_ADDRESS
-
-    def __post_init__(self):
+    def __init__(self, constraints: PlannerConstraints, rails: tuple[RailModel, ...],
+                 synth_address: int = DEFAULT_SYNTH_ADDRESS):
+        setfield(self, "constraints", constraints)
+        setfield(self, "rails", rails)
+        setfield(self, "synth_address", synth_address)
         cons = self.constraints
         if not cons.f_in_min <= cons.f_in <= cons.f_in_max:
             raise ValueError(f"f_in {cons.f_in} Hz outside the reference window "

@@ -50,7 +50,6 @@ from .readout import (
     retune_views,
 )
 from .registers import RegisterMap
-from .sim import BoardState
 from .transport import SessionConfig, open_session
 
 
@@ -350,6 +349,8 @@ def bridge_init(
         synth_map = load_synth_map(map_path)
         pot_map = load_pot_map()
         if session_config.endpoint == "sim":
+            from .sim import BoardState  # here: a TCP client never loads the simulator
+
             simulator = BoardState(synth_map, config, pot_map)
     session = open_session(session_config, simulator)
     return DeviceHandle(BridgeClient(session), synth_map, config, pot_map)

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
 from .errors import PhaseRangeError, UnsatisfiableFrequencyError
+from .value import Value, setfield
 
 FrequencyLike = Union[int, str, Fraction]
 
@@ -76,8 +76,7 @@ def as_fraction(value: FrequencyLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class PlannerConstraints:
+class PlannerConstraints(Value):
     """Divider-range and VCO-window parameters, all configurable.
 
     The defaults model a four-output any-frequency synthesizer family:
@@ -86,21 +85,35 @@ class PlannerConstraints:
     signed 8-bit count of VCO periods.
     """
 
-    f_in: Fraction = Fraction(25_000_000)
-    vco_min: Fraction = Fraction(2_200_000_000)
-    vco_max: Fraction = Fraction(2_840_000_000)
-    fb_int_min: int = 8
-    fb_int_max: int = 566
-    ms_int_min: int = 5
-    ms_int_max: int = 2048
-    max_denominator: int = DENOMINATOR_HARD_CAP
-    phase_step_limit: int = 127
-    f_out_min: Fraction = Fraction(5_000_000)
-    f_out_max: Fraction = Fraction(200_000_000)
-    f_in_min: Fraction = Fraction(10_000_000)
-    f_in_max: Fraction = Fraction(50_000_000)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        f_in: Fraction = Fraction(25_000_000),
+        vco_min: Fraction = Fraction(2_200_000_000),
+        vco_max: Fraction = Fraction(2_840_000_000),
+        fb_int_min: int = 8,
+        fb_int_max: int = 566,
+        ms_int_min: int = 5,
+        ms_int_max: int = 2048,
+        max_denominator: int = DENOMINATOR_HARD_CAP,
+        phase_step_limit: int = 127,
+        f_out_min: Fraction = Fraction(5_000_000),
+        f_out_max: Fraction = Fraction(200_000_000),
+        f_in_min: Fraction = Fraction(10_000_000),
+        f_in_max: Fraction = Fraction(50_000_000),
+    ):
+        setfield(self, "f_in", f_in)
+        setfield(self, "vco_min", vco_min)
+        setfield(self, "vco_max", vco_max)
+        setfield(self, "fb_int_min", fb_int_min)
+        setfield(self, "fb_int_max", fb_int_max)
+        setfield(self, "ms_int_min", ms_int_min)
+        setfield(self, "ms_int_max", ms_int_max)
+        setfield(self, "max_denominator", max_denominator)
+        setfield(self, "phase_step_limit", phase_step_limit)
+        setfield(self, "f_out_min", f_out_min)
+        setfield(self, "f_out_max", f_out_max)
+        setfield(self, "f_in_min", f_in_min)
+        setfield(self, "f_in_max", f_in_max)
         if not 1 <= self.max_denominator <= DENOMINATOR_HARD_CAP:
             raise ValueError(f"max_denominator must be 1..{DENOMINATOR_HARD_CAP}")
         if not 1 <= self.phase_step_limit <= 127:
@@ -132,27 +145,25 @@ class PlannerConstraints:
 DEFAULT_CONSTRAINTS = PlannerConstraints()
 
 
-@dataclass(frozen=True)
-class RationalDivider:
+class RationalDivider(Value):
     """Divider ratio ``a + b/c`` held exactly, with b/c in lowest terms."""
 
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.c < 1:
+    def __init__(self, a: int, b: int, c: int):
+        if c < 1:
             raise ValueError("divider denominator must be >= 1")
-        if not 0 <= self.b < self.c:
+        if not 0 <= b < c:
             raise ValueError("divider requires 0 <= b < c")
-        if self.b and math.gcd(self.b, self.c) != 1:
+        if b and math.gcd(b, c) != 1:
             raise ValueError("divider fraction must be in lowest terms")
-        if not self.b and self.c != 1:
+        if not b and c != 1:
             raise ValueError("integer divider must use c = 1")
-        if self.c > DENOMINATOR_HARD_CAP:
+        if c > DENOMINATOR_HARD_CAP:
             raise ValueError(f"divider denominator exceeds {DENOMINATOR_HARD_CAP}")
-        if self.a < 0:
+        if a < 0:
             raise ValueError("divider integer part must be nonnegative")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
 
     @property
     def value(self) -> Fraction:
@@ -171,28 +182,32 @@ class RationalDivider:
         return cls(a, b, d) if b else cls(a, 0, 1)
 
 
-@dataclass(frozen=True)
-class FrequencyPlan:
+class FrequencyPlan(Value):
     """One fully worked divider assignment for a requested output frequency."""
 
-    f_in: Fraction
-    f_target: Fraction
-    feedback: RationalDivider
-    output: RationalDivider
-    f_vco: Fraction
-    f_achieved: Fraction
-    rel_error: Fraction
-    channel: int = 0
+    def __init__(self, f_in: Fraction, f_target: Fraction, feedback: RationalDivider,
+                 output: RationalDivider, f_vco: Fraction, f_achieved: Fraction,
+                 rel_error: Fraction, channel: int = 0):
+        setfield(self, "f_in", f_in)
+        setfield(self, "f_target", f_target)
+        setfield(self, "feedback", feedback)
+        setfield(self, "output", output)
+        setfield(self, "f_vco", f_vco)
+        setfield(self, "f_achieved", f_achieved)
+        setfield(self, "rel_error", rel_error)
+        setfield(self, "channel", channel)
 
 
-@dataclass(frozen=True)
-class PhasePlan:
+class PhasePlan(Value):
     """Quantized phase offset: a signed count of VCO periods."""
 
-    steps: int
-    quantum: Fraction  # seconds, = 1 / f_vco
-    offset_achieved: Fraction  # seconds
-    residual: Fraction  # requested minus achieved, |residual| <= quantum/2
+    def __init__(self, steps: int, quantum: Fraction, offset_achieved: Fraction,
+                 residual: Fraction):
+        setfield(self, "steps", steps)
+        setfield(self, "quantum", quantum)  # seconds, = 1 / f_vco
+        setfield(self, "offset_achieved", offset_achieved)  # seconds
+        # requested minus achieved, |residual| <= quantum/2
+        setfield(self, "residual", residual)
 
 
 def _descent(n: int, d: int, cap: int) -> list[tuple[int, int, int]]:

@@ -24,32 +24,33 @@ exhaustive argmin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InfeasibleVoltageError
 from .planner import FrequencyLike, as_fraction
+from .value import Value, setfield
 
 WIPER_STEPS = 256
 
 
-@dataclass(frozen=True)
-class RailModel:
+class RailModel(Value):
     """One supply rail: a pot channel feeding an adjustable regulator."""
 
-    rail_id: int
-    pot_address: int = 0x2C
-    pot_channel: int = 0
-    v_ref: Fraction = Fraction("1.25")
-    r_fixed: Fraction = Fraction(10_000)
-    r_ab: Fraction = Fraction(20_000)
-    r_wiper: Fraction = Fraction(60)
-    v_default: Fraction = Fraction("2.5")
-
-    def __post_init__(self):
-        for name in ("v_ref", "r_fixed", "r_ab", "r_wiper", "v_default"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+    def __init__(self, rail_id: int, pot_address: int = 0x2C, pot_channel: int = 0,
+                 v_ref: FrequencyLike = Fraction("1.25"),
+                 r_fixed: FrequencyLike = Fraction(10_000),
+                 r_ab: FrequencyLike = Fraction(20_000),
+                 r_wiper: FrequencyLike = Fraction(60),
+                 v_default: FrequencyLike = Fraction("2.5")):
+        setfield(self, "rail_id", rail_id)
+        setfield(self, "pot_address", pot_address)
+        setfield(self, "pot_channel", pot_channel)
+        setfield(self, "v_ref", as_fraction(v_ref))
+        setfield(self, "r_fixed", as_fraction(r_fixed))
+        setfield(self, "r_ab", as_fraction(r_ab))
+        setfield(self, "r_wiper", as_fraction(r_wiper))
+        setfield(self, "v_default", as_fraction(v_default))
         if min(self.r_fixed, self.r_ab, self.r_wiper) <= 0 or self.v_ref <= 0:
             raise ValueError("rail resistances and reference must be positive")
         if not 0 <= self.pot_address <= 0x7F:
@@ -75,13 +76,13 @@ class RailModel:
         return Fraction(z + code * s, d)
 
 
-@dataclass(frozen=True)
-class SupplySetting:
+class SupplySetting(Value):
     """Planned wiper code with its predicted voltage and absolute error."""
 
-    code: int
-    v_predicted: Fraction
-    v_error: Fraction
+    def __init__(self, code: int, v_predicted: Fraction, v_error: Fraction):
+        setfield(self, "code", code)
+        setfield(self, "v_predicted", v_predicted)
+        setfield(self, "v_error", v_error)
 
 
 def plan_voltage(rail: RailModel, v_target: FrequencyLike) -> SupplySetting:

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FramingError, InvalidOpcodeError, ProtocolError
+from .value import Value, setfield
 
 WRITE_OPCODE = 0xFF
 READ_OPCODE = 0x00
@@ -51,30 +51,25 @@ class Action(Enum):
     READ = "read"
 
 
-@dataclass(frozen=True)
-class BridgeCommand:
+class BridgeCommand(Value):
     """One register read or write crossing the bridge.
 
     ``payload`` carries the write value; for reads it is normalized to 0x00
     (the wire transmits the byte but the device ignores it).
     """
 
-    action: Action
-    i2c_address: int
-    register: int
-    payload: int = 0x00
-
-    def __post_init__(self):
-        if not 0 <= self.i2c_address <= 0x7F:
-            raise ValueError(
-                f"i2c address 0x{self.i2c_address:02X} outside 7-bit range"
-            )
-        if not 0 <= self.register <= 0xFF:
-            raise ValueError(f"register address {self.register} outside 0..255")
-        if not 0 <= self.payload <= 0xFF:
-            raise ValueError(f"payload {self.payload} outside 0..255")
-        if self.action is Action.READ and self.payload != 0x00:
-            object.__setattr__(self, "payload", 0x00)
+    def __init__(self, action: Action, i2c_address: int, register: int,
+                 payload: int = 0x00):
+        if not 0 <= i2c_address <= 0x7F:
+            raise ValueError(f"i2c address 0x{i2c_address:02X} outside 7-bit range")
+        if not 0 <= register <= 0xFF:
+            raise ValueError(f"register address {register} outside 0..255")
+        if not 0 <= payload <= 0xFF:
+            raise ValueError(f"payload {payload} outside 0..255")
+        setfield(self, "action", action)
+        setfield(self, "i2c_address", i2c_address)
+        setfield(self, "register", register)
+        setfield(self, "payload", 0x00 if action is Action.READ else payload)
 
     @classmethod
     def write(cls, i2c_address: int, register: int, value: int) -> "BridgeCommand":
@@ -158,11 +153,10 @@ def decode_command(data: bytes) -> BridgeCommand:
     elif opcode == WRITE_OPCODE:
         if address <= 0x7F:
             # every field is one frame byte in range, which is all that
-            # __post_init__ would check, so the fields are set directly;
-            # through object.__setattr__, as the instance's __dict__ would
-            # add a dict of its own to each write the frame table keeps
+            # __init__ would check, so the fields are set directly; through
+            # setfield, as the instance's __dict__ would add a dict of its
+            # own to each write the frame table keeps
             command = object.__new__(BridgeCommand)
-            setfield = object.__setattr__
             setfield(command, "action", Action.WRITE)
             setfield(command, "i2c_address", address)
             setfield(command, "register", register)

@@ -19,7 +19,6 @@ holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,6 +32,7 @@ from .planner import (
 )
 from .power import RailModel, wiper_register
 from .registers import RegisterMap
+from .value import Value, setfield
 
 # register field widths of the divider parameters
 P1_BITS = 18
@@ -115,8 +115,7 @@ def phase_steps_from_byte(byte: int) -> int:
     return byte - 256 if byte >= 128 else byte
 
 
-@dataclass(frozen=True)
-class ChannelStatus:
+class ChannelStatus(Value):
     """Observable state of one output channel.
 
     ``f_out`` and ``phase_offset`` are exact rationals, present only when
@@ -124,11 +123,13 @@ class ChannelStatus:
     ``problem`` names the misconfiguration otherwise.
     """
 
-    channel: int
-    enabled: bool
-    f_out: Fraction | None
-    phase_offset: Fraction | None
-    problem: str | None
+    def __init__(self, channel: int, enabled: bool, f_out: Fraction | None,
+                 phase_offset: Fraction | None, problem: str | None):
+        setfield(self, "channel", channel)
+        setfield(self, "enabled", enabled)
+        setfield(self, "f_out", f_out)
+        setfield(self, "phase_offset", phase_offset)
+        setfield(self, "problem", problem)
 
 
 def channel_writes(regmap: RegisterMap, channel: int, *,

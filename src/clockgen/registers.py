@@ -23,10 +23,10 @@ when the map is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import RegisterMapError
+from .value import Value, setfield
 
 REGISTER_COUNT = 256
 
@@ -38,20 +38,18 @@ _FIELD_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class BitField:
+class BitField(Value):
     """A named bit range inside one register."""
 
-    name: str
-    address: int
-    msb: int
-    lsb: int
-
-    def __post_init__(self):
-        if not 0 <= self.address < REGISTER_COUNT:
-            raise ValueError(f"field {self.name}: address {self.address} outside 0..255")
-        if not 0 <= self.lsb <= self.msb <= 7:
-            raise ValueError(f"field {self.name}: bad bit range [{self.msb}:{self.lsb}]")
+    def __init__(self, name: str, address: int, msb: int, lsb: int):
+        if not 0 <= address < REGISTER_COUNT:
+            raise ValueError(f"field {name}: address {address} outside 0..255")
+        if not 0 <= lsb <= msb <= 7:
+            raise ValueError(f"field {name}: bad bit range [{msb}:{lsb}]")
+        setfield(self, "name", name)
+        setfield(self, "address", address)
+        setfield(self, "msb", msb)
+        setfield(self, "lsb", lsb)
 
     @property
     def width(self) -> int:
@@ -62,17 +60,15 @@ class BitField:
         return ((1 << self.width) - 1) << self.lsb
 
 
-@dataclass(frozen=True)
-class MapEntry:
-    address: int
-    reset: int
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.address < REGISTER_COUNT:
-            raise ValueError(f"address 0x{self.address:X} out of range")
-        if not (0 <= self.reset <= 0xFF and 0 <= self.mask <= 0xFF):
+class MapEntry(Value):
+    def __init__(self, address: int, reset: int, mask: int):
+        if not 0 <= address < REGISTER_COUNT:
+            raise ValueError(f"address 0x{address:X} out of range")
+        if not (0 <= reset <= 0xFF and 0 <= mask <= 0xFF):
             raise ValueError("reset/mask must fit one byte")
+        setfield(self, "address", address)
+        setfield(self, "reset", reset)
+        setfield(self, "mask", mask)
 
 
 class _Layout(NamedTuple):

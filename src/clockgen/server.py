@@ -39,10 +39,12 @@ class SimulatorServer:
         self.error: OSError | None = None  # why serving ended on its own
 
     def start(self) -> None:
-        """Bind, listen, and serve from a background thread."""
+        """Bind, listen, and serve from a background thread.  A host with a
+        colon, an IPv6 address, is bound over IPv6."""
         if self._running:
             raise RuntimeError("server already running")
-        listener = socket.create_server((self.host, self.port), backlog=1)
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        listener = socket.create_server((self.host, self.port), family=family, backlog=1)
         listener.settimeout(_POLL_S)
         self.port = listener.getsockname()[1]
         self._listener = listener

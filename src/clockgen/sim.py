@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -53,6 +52,7 @@ from .readout import (
     rail_registers,
 )
 from .registers import REGISTER_COUNT, RegisterFile, RegisterMap
+from .value import Record
 
 ABSENT_DEVICE_VALUE = 0xFF
 DISPATCH_STEP_BOUND = 5
@@ -66,25 +66,31 @@ class Phase(Enum):
     MAIN_LOOP = "main-loop"
 
 
-@dataclass(slots=True)
-class DispatchRecord:
+class DispatchRecord(Record):
     """One executed command, with the ticks its flag was raised and served."""
 
-    command: BridgeCommand
-    flag_set_tick: int
-    dispatch_tick: int
+    # slots, and no frozen __setattr__: the board builds one per command served
+    __slots__ = ("command", "flag_set_tick", "dispatch_tick")
+
+    def __init__(self, command: BridgeCommand, flag_set_tick: int, dispatch_tick: int):
+        self.command = command
+        self.flag_set_tick = flag_set_tick
+        self.dispatch_tick = dispatch_tick
 
 
-@dataclass
-class FirmwareState:
+class FirmwareState(Record):
     """Flags, buffers, and queues of the simulated MCU."""
 
-    phase: Phase = Phase.STARTUP
-    pending: BridgeCommand | None = None  # the raised flag's command
-    rx_buffer: bytearray = field(default_factory=bytearray)
-    tx_queue: bytearray = field(default_factory=bytearray)
-    step_counter: int = 0
-    flag_set_tick: int = 0
+    def __init__(self, phase: Phase = Phase.STARTUP,
+                 pending: BridgeCommand | None = None,
+                 rx_buffer: bytearray | None = None, tx_queue: bytearray | None = None,
+                 step_counter: int = 0, flag_set_tick: int = 0):
+        self.phase = phase
+        self.pending = pending  # the raised flag's command
+        self.rx_buffer = bytearray() if rx_buffer is None else rx_buffer
+        self.tx_queue = bytearray() if tx_queue is None else tx_queue
+        self.step_counter = step_counter
+        self.flag_set_tick = flag_set_tick
 
     @property
     def flag_raised(self) -> bool:

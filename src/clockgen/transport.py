@@ -16,7 +16,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import dataclass
 
 from .config import DEFAULT_TCP_PORT
 from .errors import (
@@ -26,31 +25,31 @@ from .errors import (
     SessionBusyError,
     SessionClosedError,
 )
-from .sim import BoardState, Phase
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Value):
     """Where to connect and how long reads may wait."""
 
-    endpoint: str = "sim"  # "sim" or "tcp"
-    host: str = "127.0.0.1"
-    port: int = DEFAULT_TCP_PORT
-    read_timeout: float = 1.0
-
-    def __post_init__(self):
-        if self.endpoint not in ("sim", "tcp"):
-            raise ValueError(f"unknown endpoint {self.endpoint!r}")
-        if not self.host:
+    def __init__(self, endpoint: str = "sim", host: str = "127.0.0.1",
+                 port: int = DEFAULT_TCP_PORT, read_timeout: float = 1.0):
+        if endpoint not in ("sim", "tcp"):
+            raise ValueError(f"unknown endpoint {endpoint!r}")
+        if not host:
             raise ValueError("host must not be empty")
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port {self.port} outside 1..65535")
-        if self.read_timeout <= 0:
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port {port} outside 1..65535")
+        if read_timeout <= 0:
             raise ValueError("read_timeout must be positive")
+        setfield(self, "endpoint", endpoint)
+        setfield(self, "host", host)
+        setfield(self, "port", port)
+        setfield(self, "read_timeout", read_timeout)
 
     @classmethod
     def parse(cls, text: str) -> "SessionConfig":
-        """Parse an endpoint string: ``sim`` or ``tcp:HOST:PORT``."""
+        """Parse an endpoint string: ``sim`` or ``tcp:HOST:PORT``, with an
+        IPv6 host in brackets (``tcp:[::1]:PORT``)."""
         if text == "sim":
             return cls(endpoint="sim")
         if text.startswith("tcp:"):
@@ -58,6 +57,8 @@ class SessionConfig:
             host, sep, port_s = rest.rpartition(":")
             if not sep or not host or not port_s.isdigit():
                 raise ValueError(f"bad tcp endpoint {text!r}, want tcp:HOST:PORT")
+            if host.startswith("[") and host.endswith("]"):
+                host = host[1:-1]
             return cls(endpoint="tcp", host=host, port=int(port_s))
         raise ValueError(f"unknown transport {text!r}, want sim or tcp:HOST:PORT")
 
@@ -77,6 +78,8 @@ class InProcessSession:
     """
 
     def __init__(self, board: BoardState):
+        from .sim import Phase  # here: a TCP client never loads the simulator
+
         if not board.session_lock.acquire(blocking=False):
             raise AlreadyOpenError("simulator already has an open session")
         board.session = self
@@ -130,8 +133,11 @@ class TcpSession:
 
     @classmethod
     def connect(cls, host: str, port: int, read_timeout: float = 1.0) -> "TcpSession":
+        # an ASCII host goes to getaddrinfo as bytes, which spares loading
+        # the idna codec (and unicodedata) that a str host needs
+        address = host.encode() if host.isascii() else host
         try:
-            sock = socket.create_connection((host, port), timeout=read_timeout)
+            sock = socket.create_connection((address, port), timeout=read_timeout)
         except OSError as exc:
             raise ConnectError(f"cannot connect to {host}:{port}: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import pytest
@@ -19,6 +20,16 @@ def no_simulator_server_outlives_the_session():
     yield
     alive = [t for t in threading.enumerate() if t.name == "clockgen-sim"]
     assert not alive, f"{len(alive)} simulator server thread(s) still running"
+
+
+@pytest.fixture
+def ipv6_loopback():
+    """Skip the test where the machine has no IPv6 loopback."""
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        pytest.skip("no IPv6 loopback")
 
 
 @pytest.fixture

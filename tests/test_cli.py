@@ -216,9 +216,9 @@ def _without_core_dumps():
 
 
 @contextlib.contextmanager
-def simulator_process():
-    """``clockgen simulate --port 0`` in a child process, and the port it
-    reports; the child is killed if the test leaves it running.
+def simulator_process(host="127.0.0.1"):
+    """``clockgen simulate --host HOST --port 0`` in a child process, and
+    the port it reports; the child is killed if the test leaves it running.
 
     The child runs with ``PYTHONFAULTHANDLER=1``.  When a wait on it in the
     test times out, it is sent ``SIGABRT``, so it writes every thread's
@@ -227,12 +227,13 @@ def simulator_process():
     src = str(Path(clockgen.__file__).parents[1])
     env = {**os.environ, "PYTHONFAULTHANDLER": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "clockgen.cli", "simulate", "--port", "0"],
+    proc = subprocess.Popen([sys.executable, "-m", "clockgen.cli", "simulate",
+                             "--host", host, "--port", "0"],
                             stderr=subprocess.PIPE, text=True, env=env,
                             preexec_fn=_without_core_dumps)
     try:
         line = proc.stderr.readline()
-        match = re.fullmatch(r"simulator listening on 127\.0\.0\.1:(\d+)\n", line)
+        match = re.fullmatch(rf"simulator listening on {re.escape(host)}:(\d+)\n", line)
         assert match and int(match.group(1)) != 0, line
         yield proc, int(match.group(1))
     except subprocess.TimeoutExpired as exc:
@@ -262,6 +263,13 @@ def test_a_simulator_that_outlives_its_wait_fails_with_its_tracebacks():
 def test_simulate_port_0_reports_the_bound_port(capsys):
     with simulator_process() as (proc, port):
         assert run(["--transport", f"tcp:127.0.0.1:{port}", "status"]) == 0
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(10) == 0
+
+
+def test_simulate_serves_the_ipv6_loopback(capsys, ipv6_loopback):
+    with simulator_process("::1") as (proc, port):
+        assert run(["--transport", f"tcp:[::1]:{port}", "status"]) == 0
         proc.send_signal(signal.SIGINT)
         assert proc.wait(10) == 0
 

@@ -8,7 +8,6 @@ edges are not whole numbers of Hz.  Plans on the benchmark's seeded targets
 are pinned by digest, and every stage's plan is checked for exact values.
 """
 
-import dataclasses
 import hashlib
 import logging
 import math
@@ -152,7 +151,12 @@ def test_pinned_plans_agree_with_fraction_window_checks(case):
 @given(edge_cases())
 def test_decode_feedback_agrees_with_fraction_window_checks(case):
     cons, f_in, _target, feedback = case
-    cons = dataclasses.replace(cons, f_in=f_in)
+    cons = PlannerConstraints(
+        f_in=f_in, vco_min=cons.vco_min, vco_max=cons.vco_max, f_in_min=cons.f_in_min,
+        f_in_max=cons.f_in_max, f_out_min=cons.f_out_min, f_out_max=cons.f_out_max,
+        fb_int_min=cons.fb_int_min, fb_int_max=cons.fb_int_max,
+        ms_int_min=cons.ms_int_min, ms_int_max=cons.ms_int_max,
+        max_denominator=cons.max_denominator)
     image = dict.fromkeys(range(256), 0)
     for address, bits, mask in channel_writes(REGMAP, 0, feedback=feedback):
         image[address] = image[address] & ~mask | bits

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -19,6 +18,7 @@ from clockgen import (
     DeviceHandle,
     InconsistentEncodingError,
     Phase,
+    PlannerConstraints,
     RationalDivider,
     RegisterMap,
     SimulatorServer,
@@ -378,9 +378,10 @@ def test_decode_outputs_matches_independent_oracle(image):
         oracles.decode_outputs(image.__getitem__, _REGMAP, _CONS)
 
 
-# a reference that is not a whole number of Hz, so the VCO's pair and the
-# window's edges meet real denominators in the cross-multiplied check
-_ODD_CONS = dataclasses.replace(_CONS, f_in=Fraction(100_000_001, 4))
+# the board's constraints, the defaults, with a reference that is not a
+# whole number of Hz, so the VCO's pair and the window's edges meet real
+# denominators in the cross-multiplied check
+_ODD_CONS = PlannerConstraints(f_in=Fraction(100_000_001, 4))
 
 
 @settings(max_examples=400, deadline=None)

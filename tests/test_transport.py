@@ -14,6 +14,7 @@ from clockgen import (
     SessionBusyError,
     SessionClosedError,
     SessionConfig,
+    SimulatorServer,
     TransportError,
     bridge_init,
     encode_command,
@@ -37,6 +38,11 @@ def test_parse_sim_endpoint():
 def test_parse_tcp_endpoint():
     config = SessionConfig.parse("tcp:10.1.2.3:5000")
     assert (config.endpoint, config.host, config.port) == ("tcp", "10.1.2.3", 5000)
+
+
+def test_parse_tcp_endpoint_with_a_bracketed_ipv6_host():
+    config = SessionConfig.parse("tcp:[::1]:5000")
+    assert (config.endpoint, config.host, config.port) == ("tcp", "::1", 5000)
 
 
 @pytest.mark.parametrize("spec", ["usb", "tcp:", "tcp:host", "tcp:host:port"])
@@ -215,6 +221,20 @@ def test_tcp_echo_roundtrip(tcp_server):
     session.write_bytes(READ_06)
     assert session.read_bytes(1) == b"\xab"
     session.close()
+
+
+def test_a_server_on_the_ipv6_loopback_serves_a_bracketed_endpoint(ipv6_loopback):
+    server = SimulatorServer(BoardState(), host="::1", port=0)
+    server.start()
+    try:
+        device = bridge_init(SessionConfig.parse(f"tcp:[::1]:{server.port}"))
+        try:
+            plan = device.set_frequency(0, 100_000_000)
+            assert device.read_outputs()[0].f_out == plan.f_achieved
+        finally:
+            device.close()
+    finally:
+        server.stop()
 
 
 def test_tcp_read_timeout(tcp_server):
