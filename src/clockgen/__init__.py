@@ -16,66 +16,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "AlreadyOpenError",
-    "BitField",
-    "BoardState",
-    "BridgeClient",
-    "BridgeCommand",
-    "ChannelStatus",
-    "ClockgenError",
-    "ConfigError",
-    "ConnectError",
-    "DEFAULT_CONSTRAINTS",
-    "DeviceHandle",
-    "EncodingError",
-    "FieldOverflowError",
-    "FramingError",
-    "FrequencyPlan",
-    "InconsistentEncodingError",
-    "InfeasibleVoltageError",
-    "InvalidOpcodeError",
-    "MapEntry",
-    "NoPlanError",
-    "Phase",
-    "PhasePlan",
-    "PhaseRangeError",
-    "PlanError",
-    "PlannerConstraints",
-    "ProtocolError",
-    "RailModel",
-    "RationalDivider",
-    "ReadTimeoutError",
-    "RegisterFile",
-    "RegisterMap",
-    "RegisterMapError",
-    "SessionBusyError",
-    "SessionClosedError",
-    "SessionConfig",
-    "SimulatorServer",
-    "StackConfig",
-    "SupplySetting",
-    "TransportError",
-    "UnsatisfiableFrequencyError",
-    "bridge_init",
-    "decode_command",
-    "decode_divider",
-    "default_config",
-    "encode_command",
-    "encode_divider",
-    "load_config",
-    "load_pot_map",
-    "load_synth_map",
-    "open_session",
-    "parse_config",
-    "parse_register_map",
-    "plan_frequency",
-    "plan_phase",
-    "plan_voltage",
-]
-
-# the module that defines each name of __all__
+# the module that defines each top-level name
 _MODULES = {name: module for module, names in {
     "config": ("StackConfig", "default_config", "load_config", "load_pot_map",
                "load_synth_map", "parse_config"),
@@ -98,6 +39,8 @@ _MODULES = {name: module for module, names in {
     "sim": ("BoardState", "Phase"),
     "transport": ("SessionConfig", "open_session"),
 }.items() for name in names}
+
+__all__ = sorted(_MODULES)
 
 
 def __getattr__(name):

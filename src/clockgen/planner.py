@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .errors import PhaseRangeError, UnsatisfiableFrequencyError
@@ -82,38 +81,44 @@ class PlannerConstraints(Value):
     The defaults model a four-output any-frequency synthesizer family:
     VCO window 2.2-2.84 GHz, feedback integer part 8..566, output divider
     integer part 5..2048, denominators up to 2**30 - 1, phase steps a
-    signed 8-bit count of VCO periods.
+    signed 8-bit count of VCO periods.  The rational fields take what
+    :func:`as_fraction` takes, so a float is refused here.
+
+    ``windows`` holds the VCO, ``f_in`` and ``f_out`` windows, in that
+    order, each as ``(low_n, low_d, high_n, high_d)``: its edges as integer
+    pairs in lowest terms, for checks by cross-multiplication.  It is not a
+    field, so repr, equality and hash leave it out.
     """
 
     def __init__(
         self,
-        f_in: Fraction = Fraction(25_000_000),
-        vco_min: Fraction = Fraction(2_200_000_000),
-        vco_max: Fraction = Fraction(2_840_000_000),
+        f_in: FrequencyLike = Fraction(25_000_000),
+        vco_min: FrequencyLike = Fraction(2_200_000_000),
+        vco_max: FrequencyLike = Fraction(2_840_000_000),
         fb_int_min: int = 8,
         fb_int_max: int = 566,
         ms_int_min: int = 5,
         ms_int_max: int = 2048,
         max_denominator: int = DENOMINATOR_HARD_CAP,
         phase_step_limit: int = 127,
-        f_out_min: Fraction = Fraction(5_000_000),
-        f_out_max: Fraction = Fraction(200_000_000),
-        f_in_min: Fraction = Fraction(10_000_000),
-        f_in_max: Fraction = Fraction(50_000_000),
+        f_out_min: FrequencyLike = Fraction(5_000_000),
+        f_out_max: FrequencyLike = Fraction(200_000_000),
+        f_in_min: FrequencyLike = Fraction(10_000_000),
+        f_in_max: FrequencyLike = Fraction(50_000_000),
     ):
-        setfield(self, "f_in", f_in)
-        setfield(self, "vco_min", vco_min)
-        setfield(self, "vco_max", vco_max)
+        setfield(self, "f_in", as_fraction(f_in))
+        setfield(self, "vco_min", as_fraction(vco_min))
+        setfield(self, "vco_max", as_fraction(vco_max))
         setfield(self, "fb_int_min", fb_int_min)
         setfield(self, "fb_int_max", fb_int_max)
         setfield(self, "ms_int_min", ms_int_min)
         setfield(self, "ms_int_max", ms_int_max)
         setfield(self, "max_denominator", max_denominator)
         setfield(self, "phase_step_limit", phase_step_limit)
-        setfield(self, "f_out_min", f_out_min)
-        setfield(self, "f_out_max", f_out_max)
-        setfield(self, "f_in_min", f_in_min)
-        setfield(self, "f_in_max", f_in_max)
+        setfield(self, "f_out_min", as_fraction(f_out_min))
+        setfield(self, "f_out_max", as_fraction(f_out_max))
+        setfield(self, "f_in_min", as_fraction(f_in_min))
+        setfield(self, "f_in_max", as_fraction(f_in_max))
         if not 1 <= self.max_denominator <= DENOMINATOR_HARD_CAP:
             raise ValueError(f"max_denominator must be 1..{DENOMINATOR_HARD_CAP}")
         if not 1 <= self.phase_step_limit <= 127:
@@ -130,16 +135,13 @@ class PlannerConstraints(Value):
                           ("ms_int_min", "ms_int_max")):
             if getattr(self, low) > getattr(self, high):
                 raise ValueError(f"empty constraint window: {low} > {high}")
-
-    @cached_property
-    def windows(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The VCO, ``f_in`` and ``f_out`` windows, in that order, each as
-        ``(low_n, low_d, high_n, high_d)``: its edges as integer pairs in
-        lowest terms, for checks by cross-multiplication."""
-        return tuple((low.numerator, low.denominator, high.numerator, high.denominator)
-                     for low, high in ((self.vco_min, self.vco_max),
-                                       (self.f_in_min, self.f_in_max),
-                                       (self.f_out_min, self.f_out_max)))
+        # stored now, not as a cached_property: filling __dict__ later would
+        # slow every field read that follows
+        setfield(self, "windows", tuple(
+            (low.numerator, low.denominator, high.numerator, high.denominator)
+            for low, high in ((self.vco_min, self.vco_max),
+                              (self.f_in_min, self.f_in_max),
+                              (self.f_out_min, self.f_out_max))))
 
 
 DEFAULT_CONSTRAINTS = PlannerConstraints()

@@ -11,16 +11,15 @@ within five steps.
 :meth:`BoardState.ingest`, the one receive path, and
 :meth:`BoardState.run_until_idle`, which serves every buffered command in
 one pass with the same ticks, flags and responses as repeated ``step``
-calls.  Both run the one dispatch body, ``BoardState._serve``, bounded by
-one step or by the buffer.  A pass decodes the buffered frames its limit
-can reach at once through the protocol's frame table
-(:func:`~clockgen.protocol.decode_frames`), which ``ingest`` decodes
-through too.  It then serves the commands in one loop with no call per
-command on the live register lists of each device
-(:meth:`RegisterFile.cells`), trusting the decoder's range checks, and
-appends their dispatch records in one ``extend``.  The board keeps cheap
-counters (commands served, frames dropped, worst dispatch steps) and only
-the most recent dispatch records.
+calls.  ``ingest`` and ``step`` frame commands through one receive loop,
+which decodes one frame at a time.  ``run_until_idle`` decodes the whole
+buffer at once (:func:`~clockgen.protocol.decode_frames`) and hands it to
+``BoardState._serve``, the one dispatch body, which serves the raised flag
+and then those commands in one loop with no call per command on the live
+register lists of each device (:meth:`RegisterFile.cells`), trusting the
+decoder's range checks, and appends their dispatch records in one
+``extend``.  The board keeps cheap counters (commands served, frames
+dropped, worst dispatch steps) and only the most recent dispatch records.
 
 The board also exposes oracle views (:meth:`BoardState.query_outputs`,
 :meth:`BoardState.query_rails`) that decode the stored register state into
@@ -29,7 +28,6 @@ achieved frequencies, phase offsets, and rail voltages.
 
 from __future__ import annotations
 
-import sys
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -41,7 +39,6 @@ from .protocol import (
     Action,
     BridgeCommand,
     COMMAND_LENGTH,
-    FRAME_TABLE,
     decode_frames,
 )
 from .readout import (
@@ -178,8 +175,6 @@ class BoardState:
         """Receive a whole chunk: buffer it, then frame complete commands
         while no flag is raised.  The one receive path.  Framing a chunk
         once leaves the board as framing after each of its bytes would.
-        Frames are decoded through the protocol's frame table, as in
-        ``_serve``.
 
         Undecodable frames (bad opcode, out-of-range address) discard their
         four bytes silently: the wire protocol has no error channel, exactly
@@ -187,83 +182,72 @@ class BoardState:
         """
         fw = self.firmware
         fw.rx_buffer.extend(data)
-        if fw.phase is not Phase.MAIN_LOOP:
-            return
+        if fw.phase is Phase.MAIN_LOOP:
+            self._frame(fw.step_counter)
+
+    def _frame(self, tick: int) -> None:
+        """The receive loop: while no flag is raised, take frames off the
+        buffer up to the first valid command and raise its flag at
+        ``tick``; each bad frame on the way is dropped.  One frame is
+        decoded at a time, so a frame left on the buffer is not decoded."""
+        fw = self.firmware
         buf = fw.rx_buffer
         while fw.pending is None and len(buf) >= COMMAND_LENGTH:
-            # the table's key: the frame read as a native-order integer
-            command = FRAME_TABLE[int.from_bytes(buf[:COMMAND_LENGTH], sys.byteorder)]
+            [command] = decode_frames(buf[:COMMAND_LENGTH])
             del buf[:COMMAND_LENGTH]
             if command is None:
                 self.frames_dropped += 1
-                continue
-            fw.pending = command
-            fw.flag_set_tick = fw.step_counter
+            else:
+                fw.pending, fw.flag_set_tick = command, tick
 
     def step(self) -> None:
-        """One main-loop iteration: serve the raised flag, or else frame
-        the next valid buffered command and serve it, if there is one."""
-        if self.firmware.phase is not Phase.MAIN_LOOP:
+        """One main-loop iteration, one tick: serve the raised flag, or
+        else frame the next valid buffered command and serve it in the
+        same tick, if there is one."""
+        fw = self.firmware
+        if fw.phase is not Phase.MAIN_LOOP:
             raise RuntimeError("step() requires the firmware main loop (boot first)")
-        if not self._serve(1):
-            self.firmware.step_counter += 1  # an idle iteration
+        self._frame(fw.step_counter + 1)  # frames only if no flag is raised
+        if fw.pending is None:
+            fw.step_counter += 1  # idle, or only bad frames were buffered
+        else:
+            self._serve(())
 
     def run_until_idle(self) -> None:
         """Serve every buffered command, stepping until no flag is raised
         and no complete command is buffered.
 
-        Leaves the board as calling :meth:`step` that many times would.
-        Each step serves the raised flag or takes a frame off the buffer,
-        so it ends within one step more than the frames buffered.
+        Leaves the board as calling :meth:`step` that many times would:
+        every whole buffered frame is decoded at once
+        (:func:`decode_frames`) and served in one pass.
         """
         fw = self.firmware
         if fw.phase is not Phase.MAIN_LOOP and len(fw.rx_buffer) >= COMMAND_LENGTH:
             self.step()  # refuses before boot
-        self._serve(len(fw.rx_buffer) // COMMAND_LENGTH + 1)
+        self._serve(decode_frames(fw.rx_buffer))
 
-    def _serve(self, limit: int) -> int:
-        """Run main-loop steps until idle or ``limit`` steps have run;
-        return the steps run.  The one dispatch body of the board.
+    def _serve(self, frames: list[BridgeCommand | None]) -> None:
+        """Serve the raised flag, then ``frames``, the decoded frames at the
+        head of the buffer (``None`` for a bad one), which are taken off it.
+        The one dispatch body of the board.
 
-        A step serves the raised flag, or else frames the next valid
-        command and serves it in the same tick; undecodable frames on the
-        way are dropped, and bad frames after the last command take one
-        step of their own.  So the whole pass is known from the decoded
-        frames: the buffered frames the limit can reach are decoded at once
-        (:func:`decode_frames`), and the commands within the limit are
-        served in one loop, then recorded with one ``extend``.  Those are
-        every whole frame when the limit is the buffer's, and otherwise a
-        prefix with one frame per step left, widened while bad frames leave
-        it short of commands, so a step costs the same however long the
-        buffer.  A read queues its device's register, or
+        The raised flag is served in the next tick.  Each command of
+        ``frames`` is then framed and served in a tick of its own, as a
+        :meth:`step` would: the bad frames before it are dropped in its
+        tick, and bad frames after the last command take one tick more.
+        The commands are served in one loop, then recorded with one
+        ``extend``.  A read queues its device's register, or
         ``ABSENT_DEVICE_VALUE`` for an absent device; a write sets the
-        register's writable bits.  The
-        decoder has proven address, register and value in range, so they
-        are not checked again.  Past ``DISPATCH_HISTORY`` records the
-        oldest are dropped, ``DISPATCH_HISTORY // 2`` at a time.
+        register's writable bits.  The decoder has proven address, register
+        and value in range, so they are not checked again.  Past
+        ``DISPATCH_HISTORY`` records the oldest are dropped,
+        ``DISPATCH_HISTORY // 2`` at a time.
         """
         fw = self.firmware
-        buf, log, pending, tick = fw.rx_buffer, self.dispatch_log, fw.pending, fw.step_counter
-        commands, drop_step = (), False
-        whole = len(buf) // COMMAND_LENGTH
-        room = limit - (pending is not None)  # steps left for framed commands
-        if whole and room:
-            span = room  # frames decoded: the room-th command is among them
-            while True:  # unless bad frames leave too few, or all are decoded
-                frames = decode_frames(buf if span >= whole else buf[:span * COMMAND_LENGTH])
-                commands = list(filter(None, frames))
-                if len(commands) >= room or span >= whole:
-                    break
-                span *= 2
-            if len(commands) < room:
-                # every frame is taken; trailing bad ones take a step of their own
-                taken, drop_step = len(frames), frames[-1] is None
-            else:  # the limit ends the pass at the room-th command
-                taken = room if len(commands) == len(frames) else \
-                    [i for i, c in enumerate(frames, 1) if c is not None][room - 1]
-                del commands[room:]
-            del buf[:taken * COMMAND_LENGTH]
-            self.frames_dropped += taken - len(commands)
+        log, pending, tick = self.dispatch_log, fw.pending, fw.step_counter
+        commands = list(filter(None, frames))
+        del fw.rx_buffer[:len(frames) * COMMAND_LENGTH]
+        self.frames_dropped += len(frames) - len(commands)
         if pending is None:
             served = commands
         else:  # the raised flag is served first, in the pass's first tick
@@ -292,9 +276,10 @@ class BoardState:
         if len(log) > DISPATCH_HISTORY:
             half = DISPATCH_HISTORY // 2
             del log[:(len(log) - DISPATCH_HISTORY + half - 1) // half * half]
-        fw.step_counter = last + drop_step
+        if frames and frames[-1] is None:
+            last += 1  # trailing bad frames are dropped by a step of their own
+        fw.step_counter = last
         self.commands_served += len(served)
-        return len(served) + drop_step
 
     def take_output(self) -> bytes:
         """Drain queued read responses, oldest first."""

@@ -98,6 +98,8 @@ def test_floats_rejected():
         plan_voltage(RailModel(rail_id=0), 2.5)
     with pytest.raises(TypeError):
         RailModel(rail_id=0, v_default=2.5)
+    with pytest.raises(TypeError):
+        PlannerConstraints(vco_min=2.2e9)
 
 
 def test_plan_deterministic():

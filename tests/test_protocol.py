@@ -132,7 +132,7 @@ def _outcome(frame):
 def test_decode_agrees_with_the_constructors_on_every_frame():
     # every opcode class (read, write, any other) x address x register, with
     # a few payloads: the typed error decoding has always raised, or the
-    # command the public constructor builds; a read is the shared instance
+    # command the public constructor builds
     for address in range(256):
         for register in range(256):
             other = 1 + (address << 8 | register) % 254
@@ -141,7 +141,7 @@ def test_decode_agrees_with_the_constructors_on_every_frame():
             for payload in (0x00, 0xA5, 0xFF):
                 assert _outcome(bytes((other, address, register, payload))) \
                     is InvalidOpcodeError
-                assert _outcome(bytes((0x00, address, register, payload))) is read
+                assert _outcome(bytes((0x00, address, register, payload))) == read
                 written = _outcome(bytes((0xFF, address, register, payload)))
                 if address > 0x7F:
                     assert written is FramingError
@@ -182,14 +182,14 @@ def _per_frame(data):
        clear=st.booleans())
 def test_decode_frames_matches_decode_command_per_frame(frames, tail, clear):
     if clear:
-        BridgeCommand.read.cache_clear()
+        FRAME_TABLE.clear()
     data = b"".join(frames) + tail
     decoded = decode_frames(bytearray(data))
     assert decoded == _per_frame(data)
     assert decode_frames(data) == decoded  # again, from the table
     for frame, command in zip(frames, decoded):
         if command is not None and command.action is Action.READ:
-            assert command is BridgeCommand.read(frame[1], frame[2])
+            assert command == BridgeCommand.read(frame[1], frame[2])
 
 
 @contextlib.contextmanager
@@ -214,7 +214,7 @@ def test_the_frame_table_stays_within_its_bound(bound, frames):
             assert decode_frames(frame) == _per_frame(frame)
             assert len(FRAME_TABLE) <= bound
         read = decode_frames(bytes((0x00, 0x70, 0x06, 0x5A)))[0]
-        assert read is BridgeCommand.read(0x70, 0x06) is decode_command(bytes((0, 0x70, 6, 0)))
+        assert read == BridgeCommand.read(0x70, 0x06) == decode_command(bytes((0, 0x70, 6, 0)))
         assert len(FRAME_TABLE) <= bound
 
 
@@ -230,16 +230,16 @@ def test_the_frame_table_stays_within_its_shipped_bound():
 @settings(max_examples=200, deadline=None)
 @given(address=st.integers(0, 0x7F), register=st.integers(0, 0xFF),
        payload=st.integers(0, 0xFF))
-def test_a_decoded_read_is_the_shared_read(address, register, payload):
+def test_a_decoded_read_equals_the_built_read(address, register, payload):
     frame = bytes((0x00, address, register, payload))
     for _ in range(2):
         decoded = decode_frames(frame)[0]
-        assert decoded is BridgeCommand.read(address, register)
-        assert decode_command(frame) is decoded
-        BridgeCommand.read.cache_clear()
-    shared = BridgeCommand.read(address, register)
-    assert decode_frames(frame)[0] is shared
-    assert encode_command(shared) == frame[:3] + b"\x00"
+        assert decoded == BridgeCommand.read(address, register)
+        assert decode_command(frame) == decoded
+        FRAME_TABLE.clear()
+    built = BridgeCommand.read(address, register)
+    assert decode_frames(frame)[0] == built
+    assert encode_command(built) == frame[:3] + b"\x00"
 
 
 def _imported(tree):

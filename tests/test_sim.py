@@ -29,6 +29,7 @@ from clockgen import (
     plan_voltage,
 )
 from clockgen.planner import apply_plan
+from clockgen.protocol import FRAME_TABLE
 from clockgen.readout import (
     decode_feedback,
     decode_outputs,
@@ -659,14 +660,31 @@ def test_run_until_idle_before_boot_refuses_like_step():
     assert board.devices[0x70].read(0x06) == 0xAB
 
 
-def test_read_commands_are_shared_values():
-    assert BridgeCommand.read(0x70, 0x06) is BridgeCommand.read(0x70, 0x06)
+def test_a_step_decodes_only_the_frames_it_takes_off_the_buffer():
+    # a step that decoded the whole buffer would make stepping it to idle
+    # quadratic; the frame table gains one entry per distinct frame decoded
+    board = booted()
+    frames = [encode_command(BridgeCommand.write(0x70, n >> 8, n & 0xFF))
+              for n in range(1000)]
+    for n in (1, 2, 5, 700):
+        frames[n] = bytes((0x01, 0x70, n >> 8, n & 0xFF))  # bad opcode
+    FRAME_TABLE.clear()
+    board.ingest(b"".join(frames))
+    for _ in range(5):
+        board.step()
+        taken = len(frames) - len(board.firmware.rx_buffer) // 4
+        assert len(FRAME_TABLE) == taken
+    assert (taken, board.frames_dropped, board.commands_served) == (8, 3, 5)
+
+
+def test_read_commands_are_equal_values():
+    assert BridgeCommand.read(0x70, 0x06) == BridgeCommand.read(0x70, 0x06)
     assert BridgeCommand.write(0x70, 0x06, 1) is not BridgeCommand.write(0x70, 0x06, 1)
     with pytest.raises(ValueError):
         BridgeCommand.read(0x80, 0x06)
-    # 6.0 and True equal ints; the cache must not hand their instances
-    # to callers passing plain ints, even when they come first
-    BridgeCommand.read.cache_clear()
+    # 6.0 and True equal ints; the frame table must not hand their
+    # instances to callers passing plain ints, even when they come first
+    FRAME_TABLE.clear()
     BridgeCommand.read(0x70, 6.0)
     BridgeCommand.read(0x70, True)
     for register in (6, 1):
