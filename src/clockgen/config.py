@@ -18,12 +18,13 @@ whole-configuration rules.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from pathlib import Path
+from functools import cache
 
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleVoltageError
 from .planner import PlannerConstraints, as_fraction
-from .power import RailModel
+from .power import RailModel, plan_voltage
 from .registers import RegisterMap, parse_register_map
 from .value import Value, setfield
 
@@ -85,7 +86,8 @@ class StackConfig(Value):
 
     Building one checks the rules that span the whole configuration: a
     reference ``f_in`` inside its window, a 7-bit synthesizer address, unique
-    rail ids, one rail per pot slot and no pot on the synthesizer's address.
+    rail ids, one rail per pot slot, no pot on the synthesizer's address,
+    and a ``v_default`` each rail can be planned to, as boot programs it.
     A broken rule raises ``ValueError``.
     """
 
@@ -110,6 +112,11 @@ class StackConfig(Value):
             if rail.pot_address == self.synth_address:
                 raise ValueError(f"rail {rail.rail_id}: pot shares the synthesizer's "
                                  f"i2c address 0x{self.synth_address:02X}")
+            try:
+                plan_voltage(rail, rail.v_default)
+            except (InfeasibleVoltageError, ValueError) as exc:
+                raise ValueError(f"rail {rail.rail_id}: v_default does not plan ({exc})"
+                                 ) from None
             ids.add(rail.rail_id)
             slots.add(slot)
 
@@ -128,7 +135,10 @@ def default_rails() -> tuple[RailModel, ...]:
     )
 
 
+@cache
 def default_config() -> StackConfig:
+    """The compiled-in configuration, built and checked once: it never
+    changes, and checking its rails plans each one's default."""
     return StackConfig(constraints=PlannerConstraints(), rails=default_rails())
 
 
@@ -187,19 +197,23 @@ def parse_config(text: str) -> StackConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _read(path: str | os.PathLike) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _packaged(name: str) -> str:
-    return (Path(__file__).parent / "data" / name).read_text("utf-8")
+    return _read(os.path.join(os.path.dirname(__file__), "data", name))
 
 
-def load_config(path: str | Path | None = None) -> StackConfig:
+def load_config(path: str | os.PathLike | None = None) -> StackConfig:
     """Load a config file, or :func:`default_config` when ``path`` is None."""
-    return parse_config(Path(path).read_text("utf-8")) if path else default_config()
+    return parse_config(_read(path)) if path else default_config()
 
 
-def load_synth_map(path: str | Path | None = None) -> RegisterMap:
+def load_synth_map(path: str | os.PathLike | None = None) -> RegisterMap:
     """Load a synthesizer register map, defaulting to the shipped one."""
-    text = Path(path).read_text("utf-8") if path else _packaged("synth.map")
-    return parse_register_map(text)
+    return parse_register_map(_read(path) if path else _packaged("synth.map"))
 
 
 def load_pot_map() -> RegisterMap:

@@ -1,14 +1,15 @@
 """Layered host stack above the transport.
 
 The bridge layer packs register reads and writes into wire commands and is
-the only path to the transport.  It sends a batch of commands as one write
-and reads all of their responses with one read, so each device operation
-costs at most one round trip however many registers it touches.  A batch
-that never changes (the output snapshot, the rails, both together for
-status, each channel's retune reads) is a :class:`PreparedBatch`, encoded
-once when the device handle is built and sent as it is on every call; the
-values a synthesizer read set returns are decoded as they come, through
-the :class:`~clockgen.readout.RegisterView` built for it.  The device
+the only path to the transport.  It sends an exchange's frame (its commands
+encoded, in order) as one write and reads all of their responses with one
+read, so each device operation costs at most one round trip however many
+registers it touches.  Each read set that never changes (the output
+snapshot, the rails, each channel's retune reads and plan reads) is encoded
+once per device handle into the frame it sends as it is on every call;
+status sends the output frame and the rail frame as one.  The values a
+synthesizer read set returns are decoded as they come, through the
+:class:`~clockgen.readout.RegisterView` built beside its frame.  The device
 layer on top exposes the operator-facing operations: frequency, phase,
 output enables, and rail voltages.  All device operations are synchronous
 and idempotent; repeating one leaves identical register state.  The
@@ -17,9 +18,9 @@ device layer names no register field; :mod:`clockgen.readout` does.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
 from .errors import InconsistentEncodingError, NoPlanError, UnsatisfiableFrequencyError
@@ -33,7 +34,13 @@ from .planner import (
     plan_phase,
 )
 from .power import SupplySetting, apply_supply, plan_voltage
-from .protocol import RESPONSE_LENGTH, Action, BridgeCommand, encode_command
+from .protocol import (
+    COMMAND_LENGTH,
+    READ_OPCODE,
+    RESPONSE_LENGTH,
+    BridgeCommand,
+    encode_command,
+)
 from .readout import (
     ChannelStatus,
     RegisterView,
@@ -53,32 +60,18 @@ from .registers import RegisterMap
 from .transport import SessionConfig, open_session
 
 
-class PreparedBatch(tuple):
-    """A fixed sequence of :class:`BridgeCommand` for one exchange, with its
-    wire ``frame`` (every command encoded, in order) and its count of
-    ``reads`` worked out once, when it is built."""
-
-    def __new__(cls, commands: Iterable[BridgeCommand]) -> PreparedBatch:
-        batch = super().__new__(cls, commands)
-        batch.frame = b"".join(map(encode_command, batch))
-        batch.reads = sum(c.action is Action.READ for c in batch)
-        return batch
-
-
-def prepared_reads(device: int, registers: Iterable[int]) -> PreparedBatch:
-    """The reads of ``registers`` of ``device``, in that order, prepared."""
-    return PreparedBatch(BridgeCommand.read(device, r) for r in registers)
+def _reads(device: int, registers: Iterable[int]) -> bytes:
+    """The frame that reads ``registers`` of ``device``, in that order."""
+    return b"".join(encode_command(BridgeCommand.read(device, r)) for r in registers)
 
 
 class BridgeClient:
     """Register access over an open session: exchange, read, write, close.
 
-    :meth:`exchange` is the one path to the session: a batch of commands
+    :meth:`exchange` is the one path to the session: a frame of commands
     goes out as one write and their responses come back with one read,
     which blocks until every response byte arrives or the session times
-    out.  The wire keeps order, so responses arrive in command order.  A
-    :class:`PreparedBatch` goes out as the frame it holds; any other
-    sequence of commands is encoded on the way.
+    out.  The wire keeps order, so responses arrive in command order.
 
     After a timeout the responses still owed are counted; the next
     exchange reads and discards them before its own, so a late byte is
@@ -91,17 +84,17 @@ class BridgeClient:
         self._owed = 0  # response bytes of timed-out exchanges, not yet drained
         self.write_exchanges = 0
 
-    def exchange(self, commands: Sequence[BridgeCommand]) -> list[int]:
-        """Send ``commands`` in one write; returns the values their reads
-        fetched, in command order."""
-        if not isinstance(commands, PreparedBatch):
-            commands = PreparedBatch(commands)
-        if not commands:
+    def exchange(self, frame: bytes) -> list[int]:
+        """Send ``frame``, commands as :func:`encode_command` encodes them,
+        in one write; returns the values its reads fetched, in command
+        order."""
+        if not frame:
             return []
-        if commands.reads < len(commands):
+        reads = frame[::COMMAND_LENGTH].count(READ_OPCODE)
+        if reads * COMMAND_LENGTH < len(frame):
             self.write_exchanges += 1
-        self._session.write_bytes(commands.frame)
-        wanted = RESPONSE_LENGTH * commands.reads
+        self._session.write_bytes(frame)
+        wanted = RESPONSE_LENGTH * reads
         if not wanted:
             return []
         owed = self._owed
@@ -111,10 +104,10 @@ class BridgeClient:
         return list(data[owed::RESPONSE_LENGTH])
 
     def write_register(self, device: int, register: int, value: int) -> None:
-        self.exchange([BridgeCommand.write(device, register, value)])
+        self.exchange(encode_command(BridgeCommand.write(device, register, value)))
 
     def read_register(self, device: int, register: int) -> int:
-        return self.exchange([BridgeCommand.read(device, register)])[0]
+        return self.exchange(encode_command(BridgeCommand.read(device, register)))[0]
 
     def write_fields(self, device: int, writes: list[tuple[int, int, int]],
                      current: dict[int, int] | None = None) -> None:
@@ -129,11 +122,12 @@ class BridgeClient:
         """
         if current is None:
             registers = partial_registers(writes)
-            current = dict(zip(registers, self.exchange(prepared_reads(device, registers))))
+            current = dict(zip(registers, self.exchange(_reads(device, registers))))
         folded: dict[int, int] = {}
         for address, bits, mask in writes:
             folded[address] = (folded.get(address, current.get(address, 0)) & ~mask) | bits
-        self.exchange([BridgeCommand.write(device, a, v) for a, v in folded.items()])
+        self.exchange(b"".join(encode_command(BridgeCommand.write(device, a, v))
+                               for a, v in folded.items()))
 
     def close(self) -> None:
         self._session.close()
@@ -158,24 +152,21 @@ class DeviceHandle:
         self.pot_map = pot_map
         self._plans: dict[int, FrequencyPlan] = {}
         self._plans_as_of = None  # (bridge, write_exchanges) when _plans was last current
-        # the fixed read sets, each prepared once with the view that decodes it
+        # the fixed read sets, each encoded once beside the view that decodes it
         address = config.synth_address
         self._output_view = output_view(synth_map)
-        self._output_reads = prepared_reads(address, self._output_view.registers)
-        self._retune_views = retune_views(synth_map)
-        self._retune_reads = [prepared_reads(address, view.registers)
-                              for view in self._retune_views]
-        self._rail_reads = PreparedBatch(BridgeCommand.read(*where)
-                                         for where in rail_registers(config.rails, pot_map))
-
-    # built when first used: only status and plan recovery need them
-    @cached_property
-    def _status_reads(self) -> PreparedBatch:
-        return PreparedBatch(self._output_reads + self._rail_reads)
+        self._output_reads = _reads(address, self._output_view.registers)
+        self._retune_reads = [(view, _reads(address, view.registers))
+                              for view in retune_views(synth_map)]
+        self._rail_reads = b"".join(encode_command(BridgeCommand.read(*where))
+                                    for where in rail_registers(config.rails, pot_map))
 
     @cached_property
-    def _plan_views(self) -> list[RegisterView]:
-        return [plan_view(self.synth_map, k) for k in range(CHANNEL_COUNT)]
+    def _plan_reads(self) -> list[tuple[RegisterView, bytes]]:
+        """Per channel, the view and frame of its plan reads; built when
+        first used, as only plan recovery needs them."""
+        views = [plan_view(self.synth_map, k) for k in range(CHANNEL_COUNT)]
+        return [(view, _reads(self.synth_address, view.registers)) for view in views]
 
     @property
     def constraints(self):
@@ -206,8 +197,8 @@ class DeviceHandle:
         quantum.
         """
         check_channel(channel)
-        cons, view = self.constraints, self._retune_views[channel]
-        values = self.bridge.exchange(self._retune_reads[channel])
+        cons, (view, reads) = self.constraints, self._retune_reads[channel]
+        values = self.bridge.exchange(reads)
         running = [k for k, on in enumerate(enabled_channels(view, values))
                    if on and k != channel]
         feedback = None
@@ -273,8 +264,8 @@ class DeviceHandle:
         plan = self._plans.get(channel)
         if plan is not None:
             return plan
-        view = self._plan_views[channel]
-        values = self.bridge.exchange(prepared_reads(self.synth_address, view.registers))
+        view, reads = self._plan_reads[channel]
+        values = self.bridge.exchange(reads)
         try:
             plan = decode_plan(view, values, self.constraints, channel)
         except InconsistentEncodingError as exc:
@@ -303,23 +294,23 @@ class DeviceHandle:
 
     def read_outputs(self) -> list[ChannelStatus]:
         """Per-channel status decoded from one snapshot of the synthesizer
-        registers, read over the bridge in one exchange of the prepared
-        output reads and decoded through their view."""
+        registers, read over the bridge in one exchange of the output
+        frame and decoded through its view."""
         return decode_outputs(self._output_view, self.bridge.exchange(self._output_reads),
                               self.constraints)
 
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
-        one exchange of the prepared rail reads."""
+        one exchange of the rail frame."""
         return decode_rails(self.bridge.exchange(self._rail_reads),
                             self.config.rails)
 
     def read_status(self) -> tuple[list[ChannelStatus], dict[int, Fraction]]:
         """:meth:`read_outputs` and :meth:`read_rails` in one exchange: the
-        prepared output reads and rail reads go out as one batch, and each
-        slice of the values is decoded as its own call decodes it."""
-        values = self.bridge.exchange(self._status_reads)
-        split = len(self._output_reads)
+        output frame and the rail frame go out as one, and each slice of
+        the values is decoded as its own call decodes it."""
+        values = self.bridge.exchange(self._output_reads + self._rail_reads)
+        split = len(self._output_view.registers)
         return (decode_outputs(self._output_view, values[:split], self.constraints),
                 decode_rails(values[split:], self.config.rails))
 

@@ -41,12 +41,11 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Union
 
 from .errors import PhaseRangeError, UnsatisfiableFrequencyError
 from .value import Value, setfield
 
-FrequencyLike = Union[int, str, Fraction]
+FrequencyLike = int | str | Fraction
 
 # a divider's denominator is its 30-bit P3 register parameter
 DENOMINATOR_HARD_CAP = (1 << 30) - 1

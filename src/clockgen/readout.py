@@ -19,8 +19,8 @@ holds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import FieldOverflowError, InconsistentEncodingError, RegisterMapError
 from .planner import (
@@ -304,11 +304,15 @@ def decode_feedback(view: RegisterView, values: Sequence[int],
     return RationalDivider.from_pair(*_feedback_pair(view.fields(values), view.slot, cons))
 
 
-def enabled_channels(view: RegisterView, values: Sequence[int]) -> list[bool]:
+def _running(fields: list[int], slot: dict[str, int]) -> list[bool]:
     """Per channel, whether it runs: its enable bit set, its power-down
     clear."""
-    fields, slot = view.fields(values), view.slot
     return [fields[slot[en]] == 1 and fields[slot[pdn]] == 0 for en, pdn in _ENABLE]
+
+
+def enabled_channels(view: RegisterView, values: Sequence[int]) -> list[bool]:
+    """Per channel, whether it runs, from ``values`` read through ``view``."""
+    return _running(view.fields(values), view.slot)
 
 
 def decode_plan(view: RegisterView, values: Sequence[int], cons: PlannerConstraints,
@@ -338,7 +342,7 @@ def decode_outputs(
     only ``Fraction``s built are the two an enabled channel's status holds,
     ``f_out = f_vco / output`` and ``phase = steps / f_vco``."""
     fields, slot = view.fields(values), view.slot
-    enabled = [fields[slot[en]] == 1 and fields[slot[pdn]] == 0 for en, pdn in _ENABLE]
+    enabled = _running(fields, slot)
     try:
         fb_n, fb_d = _feedback_pair(fields, slot, constraints)
     except InconsistentEncodingError as exc:

@@ -23,7 +23,7 @@ when the map is built.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, NamedTuple
+from collections.abc import Callable, Iterable
 
 from .errors import RegisterMapError
 from .value import Value, setfield
@@ -71,12 +71,9 @@ class MapEntry(Value):
         setfield(self, "mask", mask)
 
 
-class _Layout(NamedTuple):
-    """Where one field or composite lives, least significant part first."""
-
-    fields: tuple[BitField, ...]
-    width: int  # total bits
-    parts: tuple[tuple[int, int, int, int], ...]  # (address, mask, lsb, offset)
+# where one field or composite lives, least significant part first:
+# (fields, total bits, parts), each part (address, mask, lsb, offset)
+_Layout = tuple[tuple[BitField, ...], int, tuple[tuple[int, int, int, int], ...]]
 
 
 def _resolve(fields: tuple[BitField, ...]) -> _Layout:
@@ -85,7 +82,7 @@ def _resolve(fields: tuple[BitField, ...]) -> _Layout:
     for field in fields:
         parts.append((field.address, field.mask, field.lsb, offset))
         offset += field.width
-    return _Layout(fields, offset, tuple(parts))
+    return fields, offset, tuple(parts)
 
 
 class RegisterMap:
@@ -150,7 +147,7 @@ class RegisterMap:
 
     def group(self, name: str) -> tuple[BitField, ...]:
         """Resolve a field name or composite base name, least significant first."""
-        return self._layout(name).fields
+        return self._layout(name)[0]
 
     def pack(self, name: str, value: int) -> list[tuple[int, int, int]]:
         """Split ``value`` into (address, placed-bits, bit-mask) register writes."""
@@ -163,7 +160,7 @@ class RegisterMap:
     def unpack(self, name: str, read: Callable[[int], int]) -> int:
         """Assemble a field or composite value using ``read(address)``."""
         value = 0
-        for address, mask, lsb, offset in self._layout(name).parts:
+        for address, mask, lsb, offset in self._layout(name)[2]:
             value |= (read(address) & mask) >> lsb << offset
         return value
 

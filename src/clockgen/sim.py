@@ -89,18 +89,6 @@ class FirmwareState(Record):
         self.step_counter = step_counter
         self.flag_set_tick = flag_set_tick
 
-    @property
-    def flag_raised(self) -> bool:
-        return self.pending is not None
-
-    @property
-    def flag_write(self) -> bool:
-        return self.pending is not None and self.pending.action is Action.WRITE
-
-    @property
-    def flag_read(self) -> bool:
-        return self.pending is not None and self.pending.action is Action.READ
-
     def clear_queues(self) -> None:
         self.pending = None
         self.rx_buffer.clear()

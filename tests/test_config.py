@@ -297,3 +297,32 @@ def test_a_reference_outside_its_window_fails_before_any_session(tmp_path, capsy
         assert err.count("error:") == 1 and "Traceback" not in err
         assert "f_in 60000000 Hz outside the reference window" in err
     assert tcp_server.board.commands_served == 0
+
+
+# -- each rail's default is a voltage boot can program ----------------------------
+
+@pytest.mark.parametrize("v_default", [9, 1, -1], ids=["above", "below", "negative"])
+def test_stack_config_refuses_a_rail_default_that_does_not_plan(v_default):
+    rail = RailModel(rail_id=3, pot_address=0x2C, pot_channel=0, v_default=v_default)
+    with pytest.raises(ValueError, match=r"^rail 3: v_default does not plan"):
+        StackConfig(constraints=PlannerConstraints(), rails=(rail,))
+
+
+def test_parse_reports_a_rail_default_outside_its_band():
+    with pytest.raises(ConfigError, match=r"rail 0: v_default does not plan \(rail 0: "
+                                          r"9 V outside reachable band \[1\.2575, "):
+        parse_config("rail0_v_default = 9\n")
+
+
+def test_a_rail_default_outside_its_band_fails_before_any_session(tmp_path, capsys,
+                                                                  tcp_server):
+    from clockgen.cli import run
+
+    conf = tmp_path / "rail.conf"
+    conf.write_text("rail0_v_default = 9\n")
+    for transport in ("sim", f"tcp:127.0.0.1:{tcp_server.port}"):
+        assert run(["--transport", transport, "--config", str(conf), "status"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "rail 0: v_default does not plan" in err
+    assert tcp_server.board.commands_served == 0

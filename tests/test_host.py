@@ -38,7 +38,6 @@ from clockgen import (
     plan_voltage,
 )
 from clockgen.config import default_rails
-from clockgen.host import PreparedBatch
 from clockgen.planner import apply_plan
 from clockgen.readout import RegisterView, channel_writes, output_view
 from clockgen.registers import RegisterMap
@@ -58,6 +57,11 @@ def frames(written):
     """The commands in a stream of written bytes, in order."""
     return [decode_command(bytes(written[i:i + 4]))
             for i in range(0, len(written), 4)]
+
+
+def encoded(commands):
+    """The frame of ``commands``: each encoded, in order."""
+    return b"".join(map(encode_command, commands))
 
 
 def field_addresses(regmap, prefixes):
@@ -206,9 +210,10 @@ class SlowRegisterDevice:
 
 
 @pytest.mark.parametrize("first", [
-    lambda bridge: bridge.exchange([BridgeCommand.read(0x70, 0x42)]),
-    lambda bridge: bridge.exchange([BridgeCommand.read(0x70, r) for r in (0x01, 0x42, 0x03)]),
-    # 0x42 is among the 61 prepared output reads
+    lambda bridge: bridge.exchange(encode_command(BridgeCommand.read(0x70, 0x42))),
+    lambda bridge: bridge.exchange(encoded(BridgeCommand.read(0x70, r)
+                                           for r in (0x01, 0x42, 0x03))),
+    # 0x42 is among the 61 output reads
     lambda bridge: DeviceHandle(bridge, load_synth_map(), load_config(),
                                 load_pot_map()).read_outputs(),
 ], ids=["single-read", "partial-batch", "prepared-batch"])
@@ -221,7 +226,7 @@ def test_late_response_is_never_handed_to_a_later_read(first):
             first(bridge)
         for register in (0x10, 0x11, 0x12):
             assert bridge.read_register(0x70, register) == register ^ 0xA5
-        assert bridge.exchange([BridgeCommand.read(0x70, r) for r in (0x20, 0x21)]) \
+        assert bridge.exchange(encoded(BridgeCommand.read(0x70, r) for r in (0x20, 0x21))) \
             == [0x20 ^ 0xA5, 0x21 ^ 0xA5]
     finally:
         bridge.close()
@@ -232,7 +237,7 @@ def test_an_exchange_of_100000_reads_is_served_whole(device, board):
     """However long a batch is, the board serves it to idle: every read is
     answered in its own exchange and none is left queued for the next."""
     device.set_frequency(0, 100 * MHZ)
-    values = device.bridge.exchange([BridgeCommand.read(0x70, 0)] * 100_000)
+    values = device.bridge.exchange(encode_command(BridgeCommand.read(0x70, 0)) * 100_000)
     assert values == [board.devices[0x70].read(0)] * 100_000
     outputs, rails = device.read_outputs(), device.read_rails()
     assert outputs[0].enabled and outputs[0].f_out == 100 * MHZ
@@ -247,12 +252,33 @@ _commands = st.one_of(
 )
 
 
+class EchoSession:
+    """Answers each read it is sent with its device address xor its
+    register, and keeps every byte written."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self._answers = bytearray()
+
+    def write_bytes(self, data):
+        self.written += data
+        self._answers += bytes(device ^ register for opcode, device, register, _
+                               in zip(*[iter(data)] * 4) if opcode == 0x00)
+
+    def read_bytes(self, n):
+        out, self._answers = bytes(self._answers[:n]), self._answers[n:]
+        return out
+
+
 @given(st.lists(_commands, max_size=80))
-def test_prepared_batch_holds_the_frame_and_read_count_the_codec_gives(commands):
-    batch = PreparedBatch(commands)
-    assert batch == tuple(commands)
-    assert batch.frame == b"".join(map(encode_command, commands))
-    assert batch.reads == sum(c.action is Action.READ for c in commands)
+def test_exchange_sends_the_frame_and_returns_the_reads_in_command_order(commands):
+    session, frame = EchoSession(), encoded(commands)
+    bridge = BridgeClient(session)
+    values = bridge.exchange(frame)
+    assert session.written == frame
+    assert values == [c.i2c_address ^ c.register for c in commands
+                      if c.action is Action.READ]
+    assert bridge.write_exchanges == any(c.action is Action.WRITE for c in commands)
 
 
 # -- device layer: frequency ---------------------------------------------------------

@@ -132,3 +132,14 @@ def test_each_import_loads_only_what_it_uses():
     assert loaded["idna"] is False
     assert set(PUBLIC) <= set(loaded["dir"])
     assert loaded["missing"] == "module 'clockgen' has no attribute 'no_such_name'"
+
+
+def test_the_command_line_loads_neither_typing_nor_pathlib():
+    """Run without ``site`` (``-S``), which may load both itself."""
+    src = str(Path(clockgen.__file__).parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import clockgen.cli; "
+             "print(sorted({'typing', 'pathlib'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -61,12 +61,11 @@ class DirectBridge(BridgeClient):
     def __init__(self, board):
         self.board = board
 
-    def exchange(self, commands):
-        for cmd in commands:
-            feed(self.board, cmd)
+    def exchange(self, frame):
+        self.board.ingest(frame)
         self.board.run_until_idle()
         out = self.board.take_output()
-        assert len(out) == sum(cmd.action is Action.READ for cmd in commands)
+        assert len(out) == frame[::4].count(0x00)
         return list(out)
 
 
@@ -86,7 +85,7 @@ def test_boot_twice_idempotent():
     board.boot()
     assert {a: d.snapshot() for a, d in board.devices.items()} == snapshots
     assert board.firmware.phase is Phase.MAIN_LOOP
-    assert not board.firmware.flag_raised
+    assert board.firmware.pending is None
 
 
 def test_bytes_ingested_before_main_loop_survive_boot():
@@ -110,22 +109,19 @@ def test_write_command_sets_flag_and_pending():
     board = booted()
     for byte in (0xFF, 0x70, 0x06, 0xAB):
         board.ingest_byte(byte)
-    assert board.firmware.flag_write
-    assert not board.firmware.flag_read
     assert board.firmware.pending == BridgeCommand.write(0x70, 0x06, 0xAB)
 
 
 def test_read_command_sets_read_flag():
     board = booted()
     feed(board, BridgeCommand.read(0x70, 0x06))
-    assert board.firmware.flag_read
-    assert not board.firmware.flag_write
+    assert board.firmware.pending == BridgeCommand.read(0x70, 0x06)
 
 
 def test_invalid_opcode_discarded_silently():
     board = booted()
     board.ingest(bytes([0x02, 0x70, 0x06, 0xAB]))
-    assert not board.firmware.flag_raised
+    assert board.firmware.pending is None
     assert len(board.firmware.rx_buffer) == 0
     board.run_until_idle()
     assert board.dispatch_log == []
@@ -134,7 +130,7 @@ def test_invalid_opcode_discarded_silently():
 def test_out_of_range_address_discarded_silently():
     board = booted()
     board.ingest(bytes([0xFF, 0x80, 0x06, 0xAB]))
-    assert not board.firmware.flag_raised
+    assert board.firmware.pending is None
     assert len(board.firmware.rx_buffer) == 0
 
 
@@ -149,7 +145,7 @@ def test_framing_recovers_after_discarded_frame():
 def test_command_arriving_while_flag_set_is_buffered():
     board = booted()
     feed(board, BridgeCommand.write(0x70, 0x06, 0x11))
-    assert board.firmware.flag_write
+    assert board.firmware.pending == BridgeCommand.write(0x70, 0x06, 0x11)
     feed(board, BridgeCommand.write(0x70, 0x07, 0x22))  # parked behind the flag
     assert board.firmware.pending == BridgeCommand.write(0x70, 0x06, 0x11)
     assert len(board.firmware.rx_buffer) == 4
@@ -165,7 +161,7 @@ def test_partial_frame_keeps_buffer_under_four():
     for byte in (0xFF, 0x70, 0x06):
         board.ingest_byte(byte)
     assert len(board.firmware.rx_buffer) == 3
-    assert not board.firmware.flag_raised
+    assert board.firmware.pending is None
 
 
 # -- step dispatch ---------------------------------------------------------------
@@ -176,7 +172,7 @@ def test_write_dispatch_within_five_steps():
     set_tick = board.firmware.flag_set_tick
     for _ in range(5):
         board.step()
-    assert not board.firmware.flag_raised
+    assert board.firmware.pending is None
     assert board.devices[0x70].read(0x06) == 0xAB
     record = board.dispatch_log[-1]
     assert record.dispatch_tick - set_tick <= 5
@@ -201,7 +197,7 @@ def test_write_unknown_device_ignored_flag_cleared():
     board = booted()
     feed(board, BridgeCommand.write(0x5A, 0x06, 0xAB))
     board.run_until_idle()
-    assert not board.firmware.flag_raised
+    assert board.firmware.pending is None
     assert len(board.dispatch_log) == 1
     snapshots = [d.snapshot() for d in board.devices.values()]
     assert all(s == d.snapshot() for s, d in zip(snapshots, board.devices.values()))
@@ -554,7 +550,9 @@ def _state(board):
         "registers": {a: d.snapshot() for a, d in board.devices.items()},
         "output": board.take_output(),
         "ticks": fw.step_counter,
-        "flags": (fw.flag_write, fw.flag_read, fw.pending, fw.flag_set_tick),
+        "flags": (fw.pending is not None and fw.pending.action is Action.WRITE,
+                  fw.pending is not None and fw.pending.action is Action.READ,
+                  fw.pending, fw.flag_set_tick),
         "rx": bytes(fw.rx_buffer),
         "records": list(board.dispatch_log),
         "counters": (board.commands_served, board.frames_dropped,
@@ -564,7 +562,7 @@ def _state(board):
 
 def _step_until_idle(board):
     fw = board.firmware
-    while fw.flag_raised or len(fw.rx_buffer) >= 4:
+    while fw.pending is not None or len(fw.rx_buffer) >= 4:
         board.step()
 
 
@@ -807,7 +805,7 @@ def _step_valid_frames(reference, data):
         if frame[0] in (0x00, 0xFF) and frame[1] <= 0x7F:
             reference.ingest(frame)
             reference.step()
-            assert not reference.firmware.flag_raised
+            assert reference.firmware.pending is None
     return reference.take_output()
 
 
