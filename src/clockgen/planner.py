@@ -216,14 +216,13 @@ def _descent(n: int, d: int, cap: int) -> list[tuple[int, int, int]]:
     each as ``(p, q, |d*p - n*q|)`` with ``p/q`` in lowest terms and
     ``q <= cap``: one when ``n/d`` fits the cap, else one on each side.
 
-    ``n/d`` need not be in lowest terms (``d >= 1``).  Euclid on ``(n, d)``
-    leaves ``x`` and ``y`` the errors ``|d*p - n*q|`` of the last two
-    convergents, so the convergent's error is ``y`` and the
+    ``n/d`` need not be in lowest terms (``d >= 1``), and ``cap >= 1``,
+    as :class:`PlannerConstraints` holds ``max_denominator``.  Euclid on
+    ``(n, d)`` leaves ``x`` and ``y`` the errors ``|d*p - n*q|`` of the
+    last two convergents, so the convergent's error is ``y`` and the
     semiconvergent's ``x - k*y``.  Only denominators are tracked: a
     neighbor below is ``floor(n*q/d)/q``, one above the ceiling.
     """
-    if cap < 1:
-        raise ValueError("max_denominator must be >= 1")
     q0, q1, x, y = 1, 0, n, d
     below = False  # the convergent of denominator q1 lies below n/d
     while y:

@@ -46,16 +46,15 @@ def encode_divider(divider: RationalDivider) -> tuple[int, int, int]:
         P1 = floor(((a*c + b) * 128) / c) - 512
         P2 = (b * 128) mod c
         P3 = c
+
+    Only P1 can overflow its field: :class:`RationalDivider` holds
+    ``P2 < P3 = c <= 2**30 - 1``.
     """
     a, b, c = divider.a, divider.b, divider.c
     p1 = ((a * c + b) * 128) // c - 512
-    p2 = (b * 128) % c
-    p3 = c
     if p1 < 0 or p1 >= (1 << P1_BITS):
         raise FieldOverflowError(f"P1 = {p1} outside {P1_BITS}-bit field")
-    if p2 >= (1 << P2_BITS) or p3 >= (1 << P3_BITS):
-        raise FieldOverflowError("P2/P3 outside 30-bit field")
-    return p1, p2, p3
+    return p1, (b * 128) % c, c
 
 
 def divider_pair(

@@ -3,10 +3,12 @@
 Serves the raw byte protocol on a socket so the host stack (or any other
 client) can drive the simulator exactly as it would real hardware.  The
 server is a socket relay: it serves each client through its own
-:class:`~clockgen.transport.InProcessSession`, which boots the board on its
-first open, pumps it, and on close keeps the registers and clears the
-queues.  So one client at a time, and none while the board is open in this
-process: such a client's connection is closed at once.
+:class:`~clockgen.transport.InProcessSession`, which claims the board
+(booting it on the first open), pumps it, and on close keeps the registers,
+clears the queues and frees the board.  So one client at a time, and none
+while the board is open in this process: such a client's connection is
+closed at once.  Any other failure to serve, a failed accept or a board
+whose boot raised, ends serving with that exception in ``error``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class SimulatorServer:
         self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
         self._running = False
-        self.error: OSError | None = None  # why serving ended on its own
+        self.error: Exception | None = None  # why serving ended on its own
 
     def start(self) -> None:
         """Bind, listen, and serve from a background thread.  A host with a
@@ -64,8 +66,8 @@ class SimulatorServer:
 
     def serve_forever(self) -> bool:
         """After :meth:`start`, serve until interrupted (True) or until
-        serving ends on its own (False, with the socket error that ended it
-        in ``error``); for the command line."""
+        serving ends on its own (False, with the exception that ended it in
+        ``error``); for the command line."""
         try:
             while self._thread.is_alive():
                 self._thread.join(_POLL_S)
@@ -76,25 +78,27 @@ class SimulatorServer:
             self.stop()
 
     def _serve(self) -> None:
-        while self._running:
-            try:
-                conn, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                self.error = exc
-                break
-            with conn:
+        try:
+            while self._running:
                 try:
-                    session = InProcessSession(self.board)
-                except AlreadyOpenError:
-                    continue  # the board is open elsewhere: close at once
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.settimeout(_POLL_S)
-                try:
-                    self._serve_client(conn, session)
-                finally:
-                    session.close()  # registers persist, queues start clean
+                    conn, _peer = self._listener.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    try:
+                        session = InProcessSession(self.board)
+                    except AlreadyOpenError:
+                        continue  # the board is open elsewhere: close at once
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    conn.settimeout(_POLL_S)
+                    try:
+                        self._serve_client(conn, session)
+                    finally:
+                        session.close()  # registers persist, queues start clean
+        except Exception as exc:
+            # a failed accept or a board that cannot be opened (its boot
+            # raised) ends serving; serve_forever reports it
+            self.error = exc
 
     def _serve_client(self, conn: socket.socket, session: InProcessSession) -> None:
         while self._running:

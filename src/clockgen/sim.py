@@ -21,6 +21,12 @@ decoder's range checks, and appends their dispatch records in one
 ``extend``.  The board keeps cheap counters (commands served, frames
 dropped, worst dispatch steps) and only the most recent dispatch records.
 
+The board keeps its own claim rules: :meth:`BoardState.open` claims it for
+one session at a time (booting it on the first open, and leaving it free
+if that boot raises) and :meth:`BoardState.release` frees it.
+:class:`~clockgen.transport.InProcessSession` is their one caller, for a
+caller in this process and for each client the TCP server relays.
+
 The board also exposes oracle views (:meth:`BoardState.query_outputs`,
 :meth:`BoardState.query_rails`) that decode the stored register state into
 achieved frequencies, phase offsets, and rail voltages.
@@ -34,6 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .config import StackConfig, default_config, load_pot_map, load_synth_map
+from .errors import AlreadyOpenError
 from .power import plan_voltage
 from .protocol import (
     Action,
@@ -89,11 +96,6 @@ class FirmwareState(Record):
         self.step_counter = step_counter
         self.flag_set_tick = flag_set_tick
 
-    def clear_queues(self) -> None:
-        self.pending = None
-        self.rx_buffer.clear()
-        self.tx_queue.clear()
-
 
 class BoardState:
     """The whole evaluation board: register files per I2C device plus the
@@ -127,6 +129,38 @@ class BoardState:
         for address, device in self.devices.items():
             self._ports[address] = device.cells()
         self._rail_registers = rail_registers(self.config.rails, self.pot_map)
+
+    # -- session claim --------------------------------------------------------
+
+    def open(self, session) -> None:
+        """Claim the board for ``session``, booting it on the first open.
+
+        Takes ``session_lock`` without waiting, so of threads racing to
+        open one board exactly one gets it; the others get
+        :class:`AlreadyOpenError`.  A boot that raises releases the lock
+        before the error propagates, so the board stays free.
+        ``session`` is recorded in ``self.session`` only once booted.
+        """
+        if not self.session_lock.acquire(blocking=False):
+            raise AlreadyOpenError("simulator already has an open session")
+        try:
+            if self.firmware.phase is not Phase.MAIN_LOOP:
+                self.boot()
+        except BaseException:
+            self.session_lock.release()
+            raise
+        self.session = session
+
+    def release(self, session) -> None:
+        """Free the board if ``session`` holds it: the registers persist,
+        the command and response queues start clean.  A no-op otherwise."""
+        if self.session is session:
+            fw = self.firmware
+            fw.pending = None
+            fw.rx_buffer.clear()
+            fw.tx_queue.clear()
+            self.session = None
+            self.session_lock.release()
 
     # -- firmware lifecycle -------------------------------------------------
 

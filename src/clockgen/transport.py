@@ -5,10 +5,12 @@ Two endpoints are provided: an in-process channel straight into a simulated
 bytes.  The stream has no extra framing; fixed-length commands and responses
 keep it self-delimiting.  A session belongs to one logical owner; the device
 side allows exactly one session at a time, mirroring exclusive access to a
-USB device.  :class:`InProcessSession` is the one place that opens, pumps and
-releases a simulated board: the board records its open session in
-``board.session``, and :class:`SimulatorServer` serves each TCP client
-through one, so an in-process open and a TCP client exclude each other.
+USB device.  A simulated board keeps its own claim rules
+(:meth:`BoardState.open`, :meth:`BoardState.release`), which record the open
+session in ``board.session``; :class:`InProcessSession` is their one caller
+and the one place that pumps the board.  :class:`SimulatorServer` serves
+each TCP client through one, so an in-process open and a TCP client exclude
+each other.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import time
 
 from .config import DEFAULT_TCP_PORT
 from .errors import (
-    AlreadyOpenError,
     ConnectError,
     ReadTimeoutError,
     SessionBusyError,
@@ -66,28 +67,22 @@ class SessionConfig(Value):
 class InProcessSession:
     """Session straight into a simulated :class:`BoardState`.
 
-    The first open boots the board.  While open the session owns the board's
-    event pump: bytes written are ingested and the firmware runs until idle,
-    so responses are ready at once.  The board holds at most one session
-    (``board.session``), whether a caller in this process or
-    :class:`SimulatorServer` serving a TCP client opened it; opening a second
-    raises :class:`AlreadyOpenError` until the first closes.  An open claims
-    ``board.session_lock`` without waiting, so threads racing to open one
-    board get one session between them.  Closing keeps the registers,
-    clears the command and response queues and releases the claim.
+    The board keeps the claim rules (:meth:`BoardState.open` and
+    :meth:`BoardState.release`) and this session is their one caller: the
+    first open boots the board, an open while another session holds it
+    raises :class:`AlreadyOpenError`, whether a caller in this process or
+    :class:`SimulatorServer` serving a TCP client opened that one, and a
+    boot that fails leaves the board free.  The session is open while the
+    board records it in ``board.session``.  While open it owns the board's
+    event pump: bytes written are ingested and the firmware runs until
+    idle, so responses are ready at once.  Closing keeps the registers,
+    clears the command and response queues and frees the board.
     """
 
     def __init__(self, board: BoardState):
-        from .sim import Phase  # here: a TCP client never loads the simulator
-
-        if not board.session_lock.acquire(blocking=False):
-            raise AlreadyOpenError("simulator already has an open session")
-        board.session = self
-        if board.firmware.phase is not Phase.MAIN_LOOP:
-            board.boot()
         self._board = board
-        self._open = True
         self._rx = bytearray()
+        board.open(self)
 
     def write_bytes(self, data: bytes) -> None:
         self._require_open()
@@ -108,16 +103,10 @@ class InProcessSession:
         return out
 
     def close(self) -> None:
-        if self._open:
-            self._open = False
-            board = self._board
-            # register state persists; command/response queues start clean
-            board.firmware.clear_queues()
-            board.session = None
-            board.session_lock.release()
+        self._board.release(self)  # a no-op once the board is not ours
 
     def _require_open(self) -> None:
-        if not self._open:
+        if self._board.session is not self:
             raise SessionClosedError("session is closed")
 
 

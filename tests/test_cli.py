@@ -74,6 +74,11 @@ def test_bad_transport_exits_2(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_a_rail_voltage_divided_by_zero_exits_2(capsys):
+    assert run(["set-rail", "--rail", "0", "--volts", "1/0"]) == 2
+    assert "bad number '1/0'" in capsys.readouterr().err
+
+
 def test_set_rail_json(capsys):
     payload = run_json(capsys, ["--json", "set-rail", "--rail", "0",
                                 "--volts", "2.5"])

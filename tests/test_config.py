@@ -78,6 +78,13 @@ def test_bad_number_reports_line():
     assert info.value.line == 1
 
 
+def test_a_number_divided_by_zero_reports_its_line():
+    with pytest.raises(ConfigError, match="expected a number, got '1/0'") as info:
+        parse_config("f_in_hz = 1/0\n")
+    assert info.value.line == 1
+    assert str(info.value).startswith("line 1: ")
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_denominator_cap_below_one_rejected(cap):
     with pytest.raises(ConfigError, match="max_denominator"):

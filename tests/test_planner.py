@@ -713,6 +713,18 @@ def test_pinned_plan_ties_go_to_the_lower_divider():
     assert plan.rel_error == (hi - x) / hi == Fraction(1, 44 * cap + 1)
 
 
+def test_pinned_plan_skips_a_nearer_neighbor_past_ms_int_max():
+    # f_vco / target sits 1e-20 below ms_int_max + 1 = 101: that integer is
+    # the nearer neighbor but no legal divider, so the one below it is kept
+    cons = PlannerConstraints(ms_int_max=100)
+    cap = cons.max_denominator
+    x = 101 - Fraction(1, 10**20)
+    plan = plan_frequency(F_IN, 2_200 * MHZ / x, constraints=cons,
+                          feedback=RationalDivider(88, 0, 1))
+    assert plan.output == RationalDivider(100, cap - 1, cap)
+    assert plan.rel_error == (x - plan.output.value) / plan.output.value <= Fraction(1, 10**9)
+
+
 def test_pinned_plan_refuses_a_feedback_outside_the_vco_window():
     with pytest.raises(ValueError, match="VCO window"):
         plan_frequency(F_IN, 100 * MHZ, feedback=RationalDivider(80, 0, 1))

@@ -208,6 +208,37 @@ def test_threads_racing_to_open_a_fresh_board_claim_it_once():
         sys.setswitchinterval(interval)
 
 
+class BootFailure(Exception):
+    pass
+
+
+def _boot_fails_once(monkeypatch):
+    """Make the next BoardState.boot raise BootFailure; later boots run."""
+    boot = BoardState.boot
+    failed = []
+
+    def boot_once(board):
+        if not failed:
+            failed.append(True)
+            raise BootFailure("power-init failed")
+        boot(board)
+
+    monkeypatch.setattr(BoardState, "boot", boot_once)
+
+
+def test_a_board_whose_boot_fails_keeps_no_claim(monkeypatch, board):
+    _boot_fails_once(monkeypatch)
+    with pytest.raises(BootFailure):
+        open_session(SessionConfig(), board)
+    assert board.session is None and not board.session_lock.locked()
+    session = open_session(SessionConfig(), board)  # boots, this time
+    assert board.session is session
+    session.write_bytes(WRITE_06 + READ_06)
+    assert session.read_bytes(1) == b"\xab"
+    session.close()
+    assert board.session is None and not board.session_lock.locked()
+
+
 # -- tcp sessions ----------------------------------------------------------------------
 
 def test_tcp_connect_refused():
@@ -242,6 +273,47 @@ def test_tcp_read_timeout(tcp_server):
     with pytest.raises(ReadTimeoutError):
         session.read_bytes(1)
     session.close()
+
+
+def test_tcp_read_fails_when_the_peer_closes_mid_read():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        session = TcpSession.connect("127.0.0.1", listener.getsockname()[1])
+        conn, _peer = listener.accept()
+        with conn:
+            conn.sendall(b"\x01")  # one of the two bytes wanted
+        with pytest.raises(SessionClosedError, match="closed by the device side"):
+            session.read_bytes(2)
+        session.close()
+
+
+def test_a_server_refuses_a_second_start():
+    server = SimulatorServer(BoardState(), port=0)
+    server.start()
+    try:
+        port = server.port
+        with pytest.raises(RuntimeError, match="already running"):
+            server.start()
+        assert server.port == port and server._thread.is_alive()
+    finally:
+        server.stop()
+
+
+def test_a_server_whose_board_fails_to_boot_stops_with_the_error_and_no_claim(monkeypatch):
+    _boot_fails_once(monkeypatch)
+    board = BoardState()
+    server = SimulatorServer(board, port=0)
+    server.start()
+    result = []
+    waiter = threading.Thread(target=lambda: result.append(server.serve_forever()),
+                              daemon=True)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as client:
+        waiter.start()
+        waiter.join(5.0)
+        assert not waiter.is_alive(), "serving went on after the board failed to open"
+        assert client.recv(1) == b""  # the client was turned away
+    assert result == [False]
+    assert isinstance(server.error, BootFailure)
+    assert board.session is None and not board.session_lock.locked()
 
 
 def test_tcp_stream_reassembles_partial_writes(tcp_server):
