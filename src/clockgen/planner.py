@@ -17,15 +17,20 @@ registers: :mod:`clockgen.readout` maps them onto register fields and back.
 
 Search order: exact integer/integer plans first, then exact plans where one
 divider is fractional (the lowest valid VCO wins, so each scan stops at its
-first valid candidate), then a minimal-error approximation built from
-Stern-Brocot (Farey mediant) neighbors with the denominator capped, whose
-relative errors come from the descent's Euclidean remainders and are
-compared by cross-multiplication.  With ``f_in / target = kn / kd`` in
-lowest terms, an integer feedback ``a`` needs an output divider of
-denominator at least ``kd / a``, and an integer output ``o`` a feedback of
-denominator at least ``kn / o``: stage 1 visits only multiples of ``kd``,
-and stage 2 skips a family whose best case is over the cap.  Ties are
-broken by lowest VCO frequency, then smallest feedback denominator.
+first valid candidate), then a minimal-error approximation.  With
+``f_in / target = kn / kd`` in lowest terms, an integer feedback ``a``
+needs an output divider of denominator at least ``kd / a``, and an integer
+output ``o`` a feedback of denominator at least ``kn / o``: stage 1 visits
+only multiples of ``kd``, and stage 2 skips a family whose best case is
+over the cap.  Ties are broken by lowest VCO frequency, then smallest
+feedback denominator.
+
+Stage 3 is one pass over both integer-divider families: for each integer
+divider in range, one Euclidean descent gives the Stern-Brocot (Farey
+mediant) neighbors of its exact partner divider, denominators capped.  The
+descent alternates a half-step below the partner with one above, so no
+step tracks its side, and its remainders are the neighbors' errors; the
+pass keeps the legal neighbors as they come and the best by error.
 
 Every output divides the one VCO, so while another output runs the VCO is
 fixed: given its feedback divider, only the output divider is planned, as
@@ -218,27 +223,35 @@ def _descent(n: int, d: int, cap: int) -> list[tuple[int, int, int]]:
 
     ``n/d`` need not be in lowest terms (``d >= 1``), and ``cap >= 1``,
     as :class:`PlannerConstraints` holds ``max_denominator``.  Euclid on
-    ``(n, d)`` leaves ``x`` and ``y`` the errors ``|d*p - n*q|`` of the
-    last two convergents, so the convergent's error is ``y`` and the
-    semiconvergent's ``x - k*y``.  Only denominators are tracked: a
-    neighbor below is ``floor(n*q/d)/q``, one above the ceiling.
+    ``(n, d)`` alternates two half-steps: one makes ``q0`` the next
+    convergent below ``n/d`` and leaves its error ``|d*p - n*q|``, the
+    remainder, in ``x``; the other does the same above, in ``q1`` and
+    ``y``.  A convergent past the cap steps back ``-k`` times to the
+    semiconvergent within it, adding ``-k`` times the other side's error
+    to its own.  Only denominators are tracked: a neighbor below is
+    ``floor(n*q/d)/q``, one above the ceiling, which past the cap is
+    inexact and so the floor plus one.
     """
     q0, q1, x, y = 1, 0, n, d
-    below = False  # the convergent of denominator q1 lies below n/d
-    while y:
+    while True:
         a = x // y
-        q2 = q0 + a * q1
-        if q2 > cap:
-            # the semiconvergent q lies on the other side of n/d; both are
-            # inexact, so the ceiling above is the floor plus one
+        x -= a * y
+        q0 += a * q1
+        if q0 > cap:
             k = (cap - q0) // q1
-            q, e = q0 + k * q1, x - k * y
-            if below:
-                return [(n * q1 // d, q1, y), (n * q // d + 1, q, e)]
-            return [(n * q // d, q, e), (n * q1 // d + 1, q1, y)]
-        q0, q1, x, y = q1, q2, y, x - a * y
-        below = not below
-    return [(n * q1 // d, q1, 0)]
+            q = q0 + k * q1
+            return [(n * q // d, q, x - k * y), (n * q1 // d + 1, q1, y)]
+        if not x:
+            return [(n * q0 // d, q0, 0)]
+        a = y // x
+        y -= a * x
+        q1 += a * q0
+        if q1 > cap:
+            k = (cap - q1) // q0
+            q = q1 + k * q0
+            return [(n * q0 // d, q0, x), (n * q // d + 1, q, y - k * x)]
+        if not y:
+            return [(n * q1 // d, q1, 0)]
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -357,27 +370,7 @@ def plan_frequency(
         return _chosen("exactfrac", fin, target, *best, channel, examined)
 
     # stage 3: minimal-error approximation via bounded-denominator neighbors
-    best = best_error = None
-    for candidate, error_n, error_d in _neighbor_candidates(
-            fin, kn, kd, fb_ints, ms_ints, cons):
-        examined += 1
-        # rel_error = error_n / (kd * error_d); kd is shared by every candidate
-        if best is not None:
-            lhs, rhs = error_n * best_error[1], best_error[0] * error_d
-            if lhs > rhs or (lhs == rhs and not _precedes(candidate, best)):
-                continue
-        best, best_error = candidate, (error_n, error_d)
-    if best is None:
-        raise UnsatisfiableFrequencyError(
-            f"no divider pair reaches {float(target):.6g} Hz inside the VCO window"
-        )
-    error_n, error_d = best_error
-    if error_n * 10**9 > kd * error_d:
-        raise UnsatisfiableFrequencyError(
-            f"best achievable plan misses {float(target):.6g} Hz by "
-            f"{error_n / (kd * error_d):.3g} relative"
-        )
-    return _chosen("approx", fin, target, best[:2], best[2:], channel, examined)
+    return _approximate(fin, target, kn, kd, fb_ints, ms_ints, channel, cons, examined)
 
 
 def _pinned(fin, target, feedback, channel, cons):
@@ -412,11 +405,10 @@ def _pinned(fin, target, feedback, channel, cons):
     return _chosen("pinned", fin, target, fb, best, channel, len(candidates))
 
 
-def _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
-    """Stage-3 candidates ``((fb_n, fb_d, out_n, out_d), error_n, error_d)``,
-    all legal: for each integer divider in range, the bounded-denominator
-    neighbors of the exact partner divider, with the relative error
-    ``error_n / (kd * error_d)`` taken from the descent."""
+def _approximate(fin, target, kn, kd, fb_ints, ms_ints, channel, cons, examined):
+    """Stage 3 in one pass: of the legal bounded-denominator neighbors of
+    each integer divider's exact partner, each counted in ``examined``, the
+    one of least relative error wins, :func:`_precedes` settling ties."""
     cap = cons.max_denominator
     fn, fd = fin.numerator, fin.denominator
     # the VCO window in feedback units, vco / f_in
@@ -426,22 +418,38 @@ def _neighbor_candidates(fin, kn, kd, fb_ints, ms_ints, cons):
     # the descent keeps q <= cap, so of :func:`_fits` only the range is left
     fb_lo, fb_hi = cons.fb_int_min, cons.fb_int_max + 1
     ms_lo, ms_hi = cons.ms_int_min, cons.ms_int_max + 1
+    # the winner and its error best_n / (kd * best_d); 1/0 loses to any candidate
+    best, best_n, best_d = None, 1, 0
     for o in ms_ints:
-        # feedback p/q for output o misses by |kn*p - kd*o*q| / (kd*o*q)
-        inside = [c for c in _descent(kd * o, kn, cap)
-                  if lo_n * c[1] <= c[0] * lo_d and c[0] * hi_d <= hi_n * c[1]]
-        if not inside:
-            # window edges are valid fallbacks when both neighbors overshoot it
-            inside = [(p, q, abs(kn * p - kd * o * q))
-                      for p, q in ((lo_n, lo_d), (hi_n, hi_d)) if q <= cap]
-        for p, q, error in inside:
-            if fb_lo * q <= p < fb_hi * q:
-                yield (p, q, o, 1), error, q * o
+        # feedback p/q for output o misses by |kn*p - kd*o*q| / (kd*o*q).
+        # Its exact feedback is in the VCO window, and each neighbor is the
+        # nearest capped fraction on its side: when both leave the window,
+        # no capped feedback is in it, its edges included
+        for p, q, error in _descent(kd * o, kn, cap):
+            if (lo_n * q <= p * lo_d and p * hi_d <= hi_n * q
+                    and fb_lo * q <= p < fb_hi * q):
+                examined += 1
+                lhs, rhs = error * best_d, best_n * q * o
+                if lhs < rhs or (lhs == rhs and _precedes((p, q, o, 1), best)):
+                    best, best_n, best_d = (p, q, o, 1), error, q * o
     for a in fb_ints:
         # output p/q for feedback a misses by |kd*p - kn*a*q| / (kd*p)
         for p, q, error in _descent(kn * a, kd, cap):
             if ms_lo * q <= p < ms_hi * q:
-                yield (a, 1, p, q), error, p
+                examined += 1
+                lhs, rhs = error * best_d, best_n * p
+                if lhs < rhs or (lhs == rhs and _precedes((a, 1, p, q), best)):
+                    best, best_n, best_d = (a, 1, p, q), error, p
+    if best is None:
+        raise UnsatisfiableFrequencyError(
+            f"no divider pair reaches {float(target):.6g} Hz inside the VCO window"
+        )
+    if best_n * 10**9 > kd * best_d:
+        raise UnsatisfiableFrequencyError(
+            f"best achievable plan misses {float(target):.6g} Hz by "
+            f"{best_n / (kd * best_d):.3g} relative"
+        )
+    return _chosen("approx", fin, target, best[:2], best[2:], channel, examined)
 
 
 def _precedes(c: tuple[int, int, int, int], d: tuple[int, int, int, int]) -> bool:

@@ -296,6 +296,13 @@ def descent_inputs(draw):
 @example((6, 4, 2))            # fits once reduced, though d = 4 > cap
 @example((0, 10, 1))           # zero
 @example((10**12, 10**12 - 1, 10**6))
+# each exit of the two half-steps, 3/7 = [0; 2, 3] and 43/30 = [1; 2, 3, 4]:
+@example((3, 7, 5))            # below step passes the cap (7 > 5): 2/5 and 1/2
+@example((43, 30, 29))         # above step passes it (30 > 29): 10/7 and 33/23
+@example((3, 7, 7))            # below step ends exact
+@example((43, 30, 30))         # above step ends exact
+@example((5, 3, 1))            # cap 1, passed in a below step: 1 and 2
+@example((0, 7, 2**30 - 1))    # zero under the hard cap
 def test_descent_gives_both_capped_neighbors_and_their_errors(args):
     n, d, cap = args
     value = Fraction(n, d)

@@ -4,8 +4,10 @@ shortcut, against ``Fraction`` references.
 Window checks run on reference inputs and targets that sit on a window edge
 (the reference and band edges, and the VCO edges divided by a whole
 divider) or 1e-12 relative either side of one, under constraints whose
-edges are not whole numbers of Hz.  Plans on the benchmark's seeded targets
-are pinned by digest, and every stage's plan is checked for exact values.
+edges are not whole numbers of Hz.  Rough targets under denominator caps
+from 1 to the hard cap hold stage 3's endings to the same reference.  Plans
+on the benchmark's seeded targets are pinned by digest, and every stage's
+plan is checked for exact values.
 """
 
 import hashlib
@@ -137,6 +139,45 @@ def test_stage_three_keeps_a_fractional_feedback_on_a_vco_edge(edge, n, o, side)
     assert plan == oracles.reference_plan(f_in, target, EDGE_CONS, 1)
     assert (plan.feedback.value, plan.output.value, plan.f_vco) == \
         (Fraction(n, 2), o, vco_edge)
+
+
+@st.composite
+def rough_cases(draw):
+    """``(cons, f_in, target)`` for stage 3: the windows and integer ranges
+    of :func:`edge_cases` under a denominator cap of 1, 113, 5000 or the
+    hard cap.  The reference input is anywhere in its window or, as often,
+    the one :func:`edge_cases` draws, which can put a VCO edge exactly on a
+    capped feedback.  The target is ``n / q`` with ``q`` near 1e6 in the
+    band or, as often, a VCO frequency ``n / q`` over a whole output
+    divider that can take the band into the VCO window.  In a narrow VCO
+    window both capped neighbors of that output's feedback can then leave
+    the window, where the reference falls back to the window's edges."""
+    cons, edge_f_in, _target, _feedback = draw(edge_cases())
+    fields = dict(zip(cons._fields, cons._values(cons)))
+    fields["max_denominator"] = draw(st.sampled_from([1, 113, 5000, DENOMINATOR_HARD_CAP]))
+    cons = PlannerConstraints(**fields)
+    f_in = draw(st.sampled_from([edge_f_in, cons.f_in_min + (
+        cons.f_in_max - cons.f_in_min) * Fraction(draw(st.integers(0, 1000)), 1000)]))
+    q = draw(st.integers(10**6 - 1000, 10**6 + 1000))
+    first = max(cons.ms_int_min, math.ceil(cons.vco_min / cons.f_out_max))
+    last = min(cons.ms_int_max, math.floor(cons.vco_max / cons.f_out_min))
+    if first <= last and draw(st.booleans()):
+        o, low, high = draw(st.integers(first, last)), cons.vco_min, cons.vco_max
+    else:
+        o, low, high = 1, cons.f_out_min, cons.f_out_max
+    low, high = math.ceil(low * q), math.floor(high * q)
+    # outside its window only when the window is narrower than 1/q
+    return cons, f_in, Fraction(draw(st.integers(low, max(low, high))), q * o)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rough_cases())
+def test_rough_target_plans_agree_with_the_oracle(case):
+    """Stage 3's three endings, a plan, "no divider pair reaches" and
+    "misses by", each as the reference works them out."""
+    cons, f_in, target = case
+    assert outcome(lambda: plan_frequency(f_in, target, 3, cons)) == \
+        outcome(lambda: oracles.reference_plan(f_in, target, cons, 3))
 
 
 @settings(max_examples=150, deadline=None)
