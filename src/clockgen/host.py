@@ -14,6 +14,14 @@ layer on top exposes the operator-facing operations: frequency, phase,
 output enables, and rail voltages.  All device operations are synchronous
 and idempotent; repeating one leaves identical register state.  The
 device layer names no register field; :mod:`clockgen.readout` does.
+
+Readback sends every read on every call but decodes a steady register
+image once.  For each decoded read set (the output snapshot and the rails)
+the handle keeps one entry: the last values the bridge returned and what
+they decoded to.  A set is decoded again only when its values differ from
+those; its view, frame and constraints are fixed when the handle is built,
+so the values alone decide.  Each call returns a new list or dict of the
+shared, immutable statuses and volts.
 """
 
 from __future__ import annotations
@@ -141,7 +149,9 @@ class DeviceHandle:
     Its cached channel plans are dropped when another writer has written
     through its bridge since they were last known current, or the bridge is
     a new one; each of its own writes and each use of a cached plan checks
-    first.  A second bus master on real hardware is not seen.
+    first.  A second bus master on real hardware is not seen.  Readback
+    keeps one entry per decoded read set, its last values and their decode,
+    and never skips a read: a changed register is always seen.
     """
 
     def __init__(self, bridge: BridgeClient, synth_map: RegisterMap,
@@ -160,6 +170,9 @@ class DeviceHandle:
                               for view in retune_views(synth_map)]
         self._rail_reads = b"".join(encode_command(BridgeCommand.read(*where))
                                     for where in rail_registers(config.rails, pot_map))
+        # per decoded read set, the last values read and what they decoded to
+        self._last_outputs: tuple[list[int] | None, list[ChannelStatus]] = (None, [])
+        self._last_rails: tuple[list[int] | None, dict[int, Fraction]] = (None, {})
 
     @cached_property
     def _plan_reads(self) -> list[tuple[RegisterView, bytes]]:
@@ -293,26 +306,46 @@ class DeviceHandle:
     # -- readback ----------------------------------------------------------------
 
     def read_outputs(self) -> list[ChannelStatus]:
-        """Per-channel status decoded from one snapshot of the synthesizer
-        registers, read over the bridge in one exchange of the output
-        frame and decoded through its view."""
-        return decode_outputs(self._output_view, self.bridge.exchange(self._output_reads),
-                              self.constraints)
+        """Per-channel status of one snapshot of the synthesizer registers,
+        read over the bridge in one exchange of the output frame.  The
+        values are decoded through the output view only when they differ
+        from the last output values read; a new list is returned either
+        way."""
+        return self._outputs(self.bridge.exchange(self._output_reads))
 
     def read_rails(self) -> dict[int, Fraction]:
         """Per-rail predicted volts from wiper codes read over the bridge in
-        one exchange of the rail frame."""
-        return decode_rails(self.bridge.exchange(self._rail_reads),
-                            self.config.rails)
+        one exchange of the rail frame, decoded only when they differ from
+        the last rail codes read; a new dict is returned either way."""
+        return self._rails(self.bridge.exchange(self._rail_reads))
 
     def read_status(self) -> tuple[list[ChannelStatus], dict[int, Fraction]]:
         """:meth:`read_outputs` and :meth:`read_rails` in one exchange: the
         output frame and the rail frame go out as one, and each slice of
-        the values is decoded as its own call decodes it."""
+        the values is checked against that set's last values and decoded
+        only where it differs, as its own call would."""
         values = self.bridge.exchange(self._output_reads + self._rail_reads)
         split = len(self._output_view.registers)
-        return (decode_outputs(self._output_view, values[:split], self.constraints),
-                decode_rails(values[split:], self.config.rails))
+        return self._outputs(values[:split]), self._rails(values[split:])
+
+    def _outputs(self, values: list[int]) -> list[ChannelStatus]:
+        """A new list of the statuses the output set's ``values`` decode to;
+        :func:`decode_outputs` runs only when they are not the last
+        values."""
+        last, channels = self._last_outputs
+        if values != last:
+            channels = decode_outputs(self._output_view, values, self.constraints)
+            self._last_outputs = values, channels
+        return list(channels)
+
+    def _rails(self, codes: list[int]) -> dict[int, Fraction]:
+        """A new dict of the volts the rail set's ``codes`` decode to;
+        :func:`decode_rails` runs only when they are not the last codes."""
+        last, volts = self._last_rails
+        if codes != last:
+            volts = decode_rails(codes, self.config.rails)
+            self._last_rails = codes, volts
+        return dict(volts)
 
 
 def bridge_init(

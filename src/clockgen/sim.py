@@ -241,12 +241,15 @@ class BoardState:
 
         Leaves the board as calling :meth:`step` that many times would:
         every whole buffered frame is decoded at once
-        (:func:`decode_frames`) and served in one pass.
+        (:func:`decode_frames`) and served in one pass.  A buffer with no
+        whole frame, as after :meth:`ingest` framed a chunk's only command,
+        is not handed to the decoder.
         """
         fw = self.firmware
-        if fw.phase is not Phase.MAIN_LOOP and len(fw.rx_buffer) >= COMMAND_LENGTH:
+        whole = len(fw.rx_buffer) >= COMMAND_LENGTH
+        if fw.phase is not Phase.MAIN_LOOP and whole:
             self.step()  # refuses before boot
-        self._serve(decode_frames(fw.rx_buffer))
+        self._serve(decode_frames(fw.rx_buffer) if whole else ())
 
     def _serve(self, frames: list[BridgeCommand | None]) -> None:
         """Serve the raised flag, then ``frames``, the decoded frames at the

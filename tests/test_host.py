@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clockgen import (
     Action,
@@ -37,9 +37,10 @@ from clockgen import (
     plan_frequency,
     plan_voltage,
 )
+from clockgen import host
 from clockgen.config import default_rails
 from clockgen.planner import apply_plan
-from clockgen.readout import RegisterView, channel_writes, output_view
+from clockgen.readout import RegisterView, channel_writes, output_view, rail_registers
 from clockgen.registers import RegisterMap
 from clockgen.transport import TcpSession
 
@@ -811,6 +812,165 @@ def test_read_status_is_read_outputs_and_read_rails_in_one_exchange(counting_dev
     assert (counting.writes, counting.reads) == (1, 1)
     assert channels == board.query_outputs() == device.read_outputs()
     assert rails == board.query_rails() == device.read_rails()
+
+
+# -- readback memo: one decode per steady register image ---------------------------
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Calls the host makes to each readout decoder, counted by set."""
+    counts = {"outputs": 0, "rails": 0}
+    for name in counts:
+        decode = getattr(host, f"decode_{name}")
+
+        def counted(*args, _decode=decode, _name=name):
+            counts[_name] += 1
+            return _decode(*args)
+
+        monkeypatch.setattr(host, f"decode_{name}", counted)
+    return counts
+
+
+def test_a_steady_board_polled_twice_decodes_once(counting_device, board, decodes):
+    device, counting = counting_device
+    device.set_frequency(0, 100 * MHZ)
+    counting.reset()
+    for _ in range(2):
+        assert device.read_outputs() == board.query_outputs()
+        assert device.read_rails() == board.query_rails()
+    # every read still goes out: 61 + 5 reads, twice, one round trip each
+    assert (len(frames(counting.written)), counting.reads) == (132, 4)
+    assert decodes == {"outputs": 1, "rails": 1}
+    # one register write between two polls: that set is decoded again
+    device.set_phase(0, degrees=45)
+    device.set_rail_voltage(2, Fraction("2.2"))
+    assert device.read_outputs() == board.query_outputs()
+    assert device.read_rails() == board.query_rails()
+    assert decodes == {"outputs": 2, "rails": 2}
+
+
+def test_read_status_shares_the_memo_of_each_read_set(counting_device, board, decodes):
+    device, counting = counting_device
+    device.set_frequency(1, 125 * MHZ)
+    device.read_outputs()
+    device.read_rails()
+    counting.reset()
+    # a status read right after a poll decodes nothing, and still reads all 66
+    assert device.read_status() == (board.query_outputs(), board.query_rails())
+    assert (len(frames(counting.written)), counting.reads) == (66, 1)
+    assert decodes == {"outputs": 1, "rails": 1}
+    # only the slice that changed is decoded again, by either call
+    device.set_rail_voltage(0, Fraction("2.2"))
+    assert device.read_status() == (board.query_outputs(), board.query_rails())
+    assert device.read_rails() == board.query_rails()
+    assert decodes == {"outputs": 1, "rails": 2}
+
+
+def test_editing_a_readback_result_leaves_the_next_read_as_it_was(device, board):
+    device.set_frequency(0, 75 * MHZ)
+    device.set_phase(0, degrees=45)
+    outputs, rails = device.read_outputs(), device.read_rails()
+    outputs.clear()
+    rails[0] = Fraction(99)
+    del rails[1]
+    assert device.read_outputs() == board.query_outputs()
+    assert device.read_rails() == board.query_rails()
+    channels, rails = device.read_status()
+    channels.pop()
+    rails.clear()
+    assert device.read_status() == (board.query_outputs(), board.query_rails())
+
+
+class TimeOutOnce:
+    """Session wrapper whose next read, once armed, times out, leaving the
+    responses queued as a late wire would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.armed = False
+
+    def write_bytes(self, data):
+        self.inner.write_bytes(data)
+
+    def read_bytes(self, n):
+        if self.armed:
+            self.armed = False
+            raise ReadTimeoutError(f"wanted {n} byte(s), none arrived")
+        return self.inner.read_bytes(n)
+
+    def close(self):
+        self.inner.close()
+
+
+def test_a_read_that_times_out_leaves_the_memo_as_it_was(board, decodes):
+    session = TimeOutOnce(open_session(SessionConfig(), board))
+    device = DeviceHandle(BridgeClient(session), board.synth_map, board.config,
+                          board.pot_map)
+    try:
+        device.set_frequency(0, 100 * MHZ)
+        steady = device.read_outputs()
+        address = device.synth_map.field("ms0_phstep").address
+        image = board.devices[device.synth_address].read(address)
+        device.bridge.write_register(device.synth_address, address, image ^ 0x01)
+        session.armed = True
+        with pytest.raises(ReadTimeoutError):
+            device.read_outputs()
+        # back to the image the memo holds: the next poll decodes nothing
+        device.bridge.write_register(device.synth_address, address, image)
+        assert device.read_outputs() == steady == board.query_outputs()
+        assert decodes["outputs"] == 1
+    finally:
+        device.close()
+
+
+# a raw write: an index into the 61 output reads or the 5 rail reads, and a
+# byte, or None for the byte the set-up wrote there
+_raw_writes = st.one_of(st.tuples(st.just("synth"), st.integers(0, 60)),
+                        st.tuples(st.just("rail"), st.integers(0, 4)))
+_images = st.one_of(st.none(), st.integers(0, 0xFF))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.tuples(_raw_writes, _images), max_size=2),
+                          st.sampled_from(["outputs", "rails", "status"])),
+                max_size=25))
+def test_readback_memo_reads_what_the_board_holds(steps):
+    """Raw register writes, invalid divider images among them, each step's
+    few followed by a poll: each readback equals the board's oracle view,
+    however the memo was left by the reads and edits before it."""
+    board = BoardState()
+    device = bridge_init(SessionConfig(), simulator=board)
+    try:
+        targets = (100 * MHZ, Fraction(777777777, 7), 33 * MHZ, 150 * MHZ)
+        for channel, target in enumerate(targets):
+            device.set_frequency(channel, target)
+            device.set_phase(channel, degrees=30 * (channel + 1))
+        where = {"synth": [(device.synth_address, r)
+                           for r in output_view(device.synth_map).registers],
+                 "rail": rail_registers(device.config.rails, device.pot_map)}
+        configured = {a: board.devices[a].snapshot() for a in board.devices}
+        for writes, poll in steps:
+            for (kind, index), image in writes:
+                address, register = where[kind][index]
+                if image is None:
+                    image = configured[address][register]
+                device.bridge.write_register(address, register, image)
+            outputs, rails = board.query_outputs(), board.query_rails()
+            if poll == "outputs":
+                read = device.read_outputs()
+                assert read == outputs
+            elif poll == "rails":
+                read = device.read_rails()
+                assert read == rails
+            else:
+                read = device.read_status()
+                assert read == (outputs, rails)
+                read[1].clear()
+                read = read[0]
+            read.clear()  # the caller's copy; the next read must not see it
+    finally:
+        device.close()
 
 
 def test_readback_retune_and_recovery_make_no_unpack_calls(monkeypatch, device, board):
