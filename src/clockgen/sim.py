@@ -5,10 +5,13 @@ accumulates command bytes and raises a flag variable; the main loop polls
 the flags, performs the register access on the addressed device, and for
 reads queues the one-byte response.  Time is counted in discrete ``step``
 calls (one main-loop iteration each); a raised flag is always consumed
-within five steps.
+within five steps.  :class:`BoardState` holds that firmware state itself
+(phase, raised flag, receive buffer, response queue, tick counter) beside
+the register files it drives.
 
-:meth:`BoardState.step` is that single-step model.  The event pump calls
-:meth:`BoardState.ingest`, the one receive path, and
+:meth:`BoardState.step` is that single-step model.
+:meth:`BoardState.ingest` is the board's one receive entry, for a chunk of
+any length down to one byte.  The event pump calls it, then
 :meth:`BoardState.run_until_idle`, which serves every buffered command in
 one pass with the same ticks, flags and responses as repeated ``step``
 calls.  ``ingest`` and ``step`` frame commands through one receive loop,
@@ -82,24 +85,15 @@ class DispatchRecord(Record):
         self.dispatch_tick = dispatch_tick
 
 
-class FirmwareState(Record):
-    """Flags, buffers, and queues of the simulated MCU."""
-
-    def __init__(self, phase: Phase = Phase.STARTUP,
-                 pending: BridgeCommand | None = None,
-                 rx_buffer: bytearray | None = None, tx_queue: bytearray | None = None,
-                 step_counter: int = 0, flag_set_tick: int = 0):
-        self.phase = phase
-        self.pending = pending  # the raised flag's command
-        self.rx_buffer = bytearray() if rx_buffer is None else rx_buffer
-        self.tx_queue = bytearray() if tx_queue is None else tx_queue
-        self.step_counter = step_counter
-        self.flag_set_tick = flag_set_tick
-
-
 class BoardState:
     """The whole evaluation board: register files per I2C device plus the
-    firmware state machine bridging the byte stream onto them."""
+    firmware state machine bridging the byte stream onto them.
+
+    The firmware state is the board's own: ``phase``, ``pending`` (the
+    raised flag's command, or ``None``), ``rx_buffer`` (received bytes not
+    yet framed), ``tx_queue`` (read responses not yet taken),
+    ``step_counter`` (the tick) and ``flag_set_tick`` (when the flag was
+    last raised)."""
 
     def __init__(
         self,
@@ -110,7 +104,12 @@ class BoardState:
         self.config = config or default_config()
         self.synth_map = synth_map if synth_map is not None else load_synth_map()
         self.pot_map = pot_map if pot_map is not None else load_pot_map()
-        self.firmware = FirmwareState()
+        self.phase = Phase.STARTUP
+        self.pending: BridgeCommand | None = None
+        self.rx_buffer = bytearray()
+        self.tx_queue = bytearray()
+        self.step_counter = 0
+        self.flag_set_tick = 0
         self.session = None  # the open session (in-process or TCP); one at a time
         self.session_lock = threading.Lock()  # held while a session is open
         # the last DISPATCH_HISTORY records at most, oldest first
@@ -122,7 +121,8 @@ class BoardState:
             self.config.synth_address: RegisterFile.from_map(self.synth_map)
         }
         for rail in self.config.rails:
-            self.devices.setdefault(rail.pot_address, RegisterFile.from_map(self.pot_map))
+            if rail.pot_address not in self.devices:
+                self.devices[rail.pot_address] = RegisterFile.from_map(self.pot_map)
         # each device's live (values, write masks) by address, None where
         # no device answers, for _serve
         self._ports = [None] * 0x80
@@ -144,7 +144,7 @@ class BoardState:
         if not self.session_lock.acquire(blocking=False):
             raise AlreadyOpenError("simulator already has an open session")
         try:
-            if self.firmware.phase is not Phase.MAIN_LOOP:
+            if self.phase is not Phase.MAIN_LOOP:
                 self.boot()
         except BaseException:
             self.session_lock.release()
@@ -155,10 +155,9 @@ class BoardState:
         """Free the board if ``session`` holds it: the registers persist,
         the command and response queues start clean.  A no-op otherwise."""
         if self.session is session:
-            fw = self.firmware
-            fw.pending = None
-            fw.rx_buffer.clear()
-            fw.tx_queue.clear()
+            self.pending = None
+            self.rx_buffer.clear()
+            self.tx_queue.clear()
             self.session = None
             self.session_lock.release()
 
@@ -171,67 +170,57 @@ class BoardState:
         programmed.  Bytes already received stay buffered: commands ingested
         before the main loop are executed first thing once it runs.
         """
-        fw = self.firmware
         # startup: reset register state, drop half-processed work
         for device in self.devices.values():
             device.reset()
-        fw.pending = None
-        fw.tx_queue.clear()
-        fw.step_counter = 0
+        self.pending = None
+        self.tx_queue.clear()
+        self.step_counter = 0
         self.dispatch_log.clear()
         self.commands_served = self.frames_dropped = self.max_dispatch_steps = 0
         # power-init: program every rail to its configured default
-        fw.phase = Phase.POWER_INIT
+        self.phase = Phase.POWER_INIT
         for rail, (address, register) in zip(self.config.rails, self._rail_registers):
             self.devices[address].write(register, plan_voltage(rail, rail.v_default).code)
-        fw.phase = Phase.MAIN_LOOP
-
-    def ingest_byte(self, byte: int) -> None:
-        """Receive-interrupt analogue: buffer one byte; once four are
-        pending and no flag is raised, decode them and raise the flag."""
-        if not 0 <= byte <= 0xFF:
-            raise ValueError(f"byte {byte} outside 0..255")
-        self.ingest(bytes((byte,)))
+        self.phase = Phase.MAIN_LOOP
 
     def ingest(self, data: bytes) -> None:
-        """Receive a whole chunk: buffer it, then frame complete commands
-        while no flag is raised.  The one receive path.  Framing a chunk
-        once leaves the board as framing after each of its bytes would.
+        """Receive a chunk: buffer it, then frame complete commands while
+        no flag is raised.  The one receive path; a receive interrupt per
+        byte is ``ingest(bytes((b,)))``.  Framing a chunk once leaves the
+        board as framing after each of its bytes would.
 
         Undecodable frames (bad opcode, out-of-range address) discard their
         four bytes silently: the wire protocol has no error channel, exactly
         like an I2C master seeing a NACK.
         """
-        fw = self.firmware
-        fw.rx_buffer.extend(data)
-        if fw.phase is Phase.MAIN_LOOP:
-            self._frame(fw.step_counter)
+        self.rx_buffer.extend(data)
+        if self.phase is Phase.MAIN_LOOP:
+            self._frame(self.step_counter)
 
     def _frame(self, tick: int) -> None:
         """The receive loop: while no flag is raised, take frames off the
         buffer up to the first valid command and raise its flag at
         ``tick``; each bad frame on the way is dropped.  One frame is
         decoded at a time, so a frame left on the buffer is not decoded."""
-        fw = self.firmware
-        buf = fw.rx_buffer
-        while fw.pending is None and len(buf) >= COMMAND_LENGTH:
+        buf = self.rx_buffer
+        while self.pending is None and len(buf) >= COMMAND_LENGTH:
             [command] = decode_frames(buf[:COMMAND_LENGTH])
             del buf[:COMMAND_LENGTH]
             if command is None:
                 self.frames_dropped += 1
             else:
-                fw.pending, fw.flag_set_tick = command, tick
+                self.pending, self.flag_set_tick = command, tick
 
     def step(self) -> None:
         """One main-loop iteration, one tick: serve the raised flag, or
         else frame the next valid buffered command and serve it in the
         same tick, if there is one."""
-        fw = self.firmware
-        if fw.phase is not Phase.MAIN_LOOP:
+        if self.phase is not Phase.MAIN_LOOP:
             raise RuntimeError("step() requires the firmware main loop (boot first)")
-        self._frame(fw.step_counter + 1)  # frames only if no flag is raised
-        if fw.pending is None:
-            fw.step_counter += 1  # idle, or only bad frames were buffered
+        self._frame(self.step_counter + 1)  # frames only if no flag is raised
+        if self.pending is None:
+            self.step_counter += 1  # idle, or only bad frames were buffered
         else:
             self._serve(())
 
@@ -245,11 +234,10 @@ class BoardState:
         whole frame, as after :meth:`ingest` framed a chunk's only command,
         is not handed to the decoder.
         """
-        fw = self.firmware
-        whole = len(fw.rx_buffer) >= COMMAND_LENGTH
-        if fw.phase is not Phase.MAIN_LOOP and whole:
+        whole = len(self.rx_buffer) >= COMMAND_LENGTH
+        if self.phase is not Phase.MAIN_LOOP and whole:
             self.step()  # refuses before boot
-        self._serve(decode_frames(fw.rx_buffer) if whole else ())
+        self._serve(decode_frames(self.rx_buffer) if whole else ())
 
     def _serve(self, frames: list[BridgeCommand | None]) -> None:
         """Serve the raised flag, then ``frames``, the decoded frames at the
@@ -268,21 +256,20 @@ class BoardState:
         ``DISPATCH_HISTORY`` records the oldest are dropped,
         ``DISPATCH_HISTORY // 2`` at a time.
         """
-        fw = self.firmware
-        log, pending, tick = self.dispatch_log, fw.pending, fw.step_counter
+        log, pending, tick = self.dispatch_log, self.pending, self.step_counter
         commands = list(filter(None, frames))
-        del fw.rx_buffer[:len(frames) * COMMAND_LENGTH]
+        del self.rx_buffer[:len(frames) * COMMAND_LENGTH]
         self.frames_dropped += len(frames) - len(commands)
         if pending is None:
             served = commands
         else:  # the raised flag is served first, in the pass's first tick
             served = [pending, *commands]
-            wait = tick + 1 - fw.flag_set_tick
+            wait = tick + 1 - self.flag_set_tick
             if wait > self.max_dispatch_steps:
                 self.max_dispatch_steps = wait
-            log.append(DispatchRecord(pending, fw.flag_set_tick, tick + 1))
-            fw.pending = None
-        append, ports, read = fw.tx_queue.append, self._ports, Action.READ
+            log.append(DispatchRecord(pending, self.flag_set_tick, tick + 1))
+            self.pending = None
+        append, ports, read = self.tx_queue.append, self._ports, Action.READ
         for command in served:
             port = ports[command.i2c_address]
             if command.action is read:
@@ -297,19 +284,19 @@ class BoardState:
             # each framed command is set and served in its own step's tick
             ticks = range(last - len(commands) + 1, last + 1)
             log.extend(map(DispatchRecord, commands, ticks, ticks))
-            fw.flag_set_tick = last
+            self.flag_set_tick = last
         if len(log) > DISPATCH_HISTORY:
             half = DISPATCH_HISTORY // 2
             del log[:(len(log) - DISPATCH_HISTORY + half - 1) // half * half]
         if frames and frames[-1] is None:
             last += 1  # trailing bad frames are dropped by a step of their own
-        fw.step_counter = last
+        self.step_counter = last
         self.commands_served += len(served)
 
     def take_output(self) -> bytes:
         """Drain queued read responses, oldest first."""
-        out = bytes(self.firmware.tx_queue)
-        self.firmware.tx_queue.clear()
+        out = bytes(self.tx_queue)
+        self.tx_queue.clear()
         return out
 
     # -- oracle views --------------------------------------------------------

@@ -116,7 +116,6 @@ class TcpSession:
     def __init__(self, sock: socket.socket, read_timeout: float):
         self._sock = sock
         self._timeout = read_timeout
-        self._open = True
         self._lock = threading.Lock()  # held by the one call using the socket
         self._rx = bytearray()
 
@@ -174,16 +173,17 @@ class TcpSession:
             self._lock.release()
 
     def close(self) -> None:
-        if self._open:
-            self._open = False
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
+        # a closed socket refuses shutdown with OSError, and closing it
+        # again is a no-op, so a second close is one too
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
 
     def _require_open(self) -> None:
-        if not self._open:
+        # the session is open while its socket is
+        if self._sock.fileno() < 0:
             raise SessionClosedError("session is closed")
 
 

@@ -137,7 +137,7 @@ def test_criterion_4_firmware_latency_bound():
                 commands.append(BridgeCommand.read(0x70, rng.randint(0, 0xFF)))
         stream = b"".join(encode_command(c) for c in commands)
         for byte in stream:
-            board.ingest_byte(byte)
+            board.ingest(bytes((byte,)))
             for _ in range(rng.randint(0, 3)):
                 board.step()
         board.run_until_idle()

@@ -79,6 +79,11 @@ def test_a_rail_voltage_divided_by_zero_exits_2(capsys):
     assert "bad number '1/0'" in capsys.readouterr().err
 
 
+def test_a_register_address_that_is_no_integer_exits_2(capsys):
+    assert run(["reg", "read", "0xZZ"]) == 2
+    assert "bad integer '0xZZ'" in capsys.readouterr().err
+
+
 def test_set_rail_json(capsys):
     payload = run_json(capsys, ["--json", "set-rail", "--rail", "0",
                                 "--volts", "2.5"])

@@ -86,7 +86,6 @@ def test_the_top_level_exports_exactly_the_public_names():
     ("clockgen.planner", "apply_plan"),
     ("clockgen.power", "apply_supply"),
     ("clockgen.sim", "DispatchRecord"),
-    ("clockgen.sim", "FirmwareState"),
 ])
 def test_a_name_kept_off_the_top_level_imports_from_its_module(module, name):
     assert not hasattr(clockgen, name)

@@ -23,6 +23,7 @@ from clockgen import (
     plan_voltage,
 )
 from clockgen.planner import _descent
+from clockgen.readout import phase_step_byte, phase_steps_from_byte
 
 import oracles
 
@@ -403,6 +404,13 @@ def test_encode_boundary_divider_fits_fields():
     assert 0 <= p3 < 2**30
 
 
+def test_a_divider_refuses_a_zero_denominator_and_a_negative_integer_part():
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        RationalDivider(1, 0, 0)
+    with pytest.raises(ValueError, match="integer part must be nonnegative"):
+        RationalDivider(-1, 0, 1)
+
+
 def test_decode_integer_divider():
     assert decode_divider(1024, 0, 1) == RationalDivider(12, 0, 1)
 
@@ -422,6 +430,20 @@ def test_decode_rejects_non_divider_image():
         decode_divider(1024, 1, 3)  # total not divisible by 128
     with pytest.raises(InconsistentEncodingError):
         decode_divider(1024, 5, 3)  # p2 >= p3
+
+
+def test_decode_rejects_a_parameter_wider_than_its_field():
+    with pytest.raises(InconsistentEncodingError, match="outside its field width"):
+        decode_divider(1 << 18, 0, 1)  # P1 is 18 bits wide
+
+
+def test_phase_step_bytes_cover_the_signed_8bit_range_and_no_more():
+    assert (phase_step_byte(127), phase_step_byte(-128)) == (0x7F, 0x80)
+    assert (phase_steps_from_byte(0x7F), phase_steps_from_byte(0xFF)) == (127, -1)
+    with pytest.raises(ValueError, match="signed 8-bit"):
+        phase_step_byte(128)
+    with pytest.raises(ValueError, match="outside 0..255"):
+        phase_steps_from_byte(256)
 
 
 def test_decode_range_restriction():

@@ -49,6 +49,13 @@ def test_half_step_band_edges():
         plan_voltage(RAIL, high + half + Fraction(1, 10**9))
 
 
+def test_a_rail_refuses_an_8bit_pot_address_and_a_code_past_the_wiper():
+    with pytest.raises(ValueError, match="7-bit"):
+        RailModel(0, pot_address=0x80)
+    with pytest.raises(ValueError, match="wiper code 256 outside 0..255"):
+        RailModel(0).predict(256)
+
+
 def test_prediction_monotone_in_code():
     previous = None
     for code in range(256):

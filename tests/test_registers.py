@@ -78,6 +78,18 @@ def test_parse_bad_bit_range():
     assert info.value.line == 2
 
 
+def test_parse_reports_a_field_past_the_register_space_on_its_line():
+    with pytest.raises(RegisterMapError, match="address 256 outside 0..255") as info:
+        parse_register_map("0x00, 0, 0xFF\nx = 0x100[0:0]")
+    assert info.value.line == 2
+
+
+def test_parse_refuses_a_field_binding_without_a_register():
+    with pytest.raises(RegisterMapError, match="bad field binding") as info:
+        parse_register_map("x = oops")
+    assert info.value.line == 1
+
+
 def test_shipped_map_fields_disjoint():
     # independent exhaustive scan over (address, bit) space
     regmap = load_synth_map()
@@ -129,6 +141,13 @@ def test_register_file_reads_total_and_default_zero():
         assert 0 <= regfile.read(address) <= 0xFF
     with pytest.raises(ValueError):
         regfile.read(256)
+
+
+def test_register_file_refuses_a_short_image_and_a_value_past_a_byte():
+    with pytest.raises(ValueError, match="exactly 256"):
+        RegisterFile([0] * 255)
+    with pytest.raises(ValueError, match="value 256 outside 0..255"):
+        RegisterFile().write(0, 256)
 
 
 def test_masked_write_idempotent():

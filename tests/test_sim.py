@@ -20,6 +20,7 @@ from clockgen import (
     Phase,
     PlannerConstraints,
     RationalDivider,
+    RegisterFile,
     RegisterMap,
     SimulatorServer,
     encode_command,
@@ -84,18 +85,33 @@ def test_boot_twice_idempotent():
     snapshots = {a: d.snapshot() for a, d in board.devices.items()}
     board.boot()
     assert {a: d.snapshot() for a, d in board.devices.items()} == snapshots
-    assert board.firmware.phase is Phase.MAIN_LOOP
-    assert board.firmware.pending is None
+    assert board.phase is Phase.MAIN_LOOP
+    assert board.pending is None
 
 
 def test_bytes_ingested_before_main_loop_survive_boot():
     board = BoardState()
     for byte in encode_command(BridgeCommand.write(0x70, 0x06, 0xAB)):
-        board.ingest_byte(byte)
+        board.ingest(bytes((byte,)))
     board.boot()
     board.run_until_idle()
     assert board.devices[0x70].read(0x06) == 0xAB
     assert len(board.dispatch_log) == 1
+
+
+def test_a_board_builds_one_register_file_per_device(monkeypatch):
+    built = []
+    from_map = RegisterFile.from_map
+
+    def counting(regmap):
+        built.append(regmap)
+        return from_map(regmap)
+
+    monkeypatch.setattr(RegisterFile, "from_map", counting)
+    board = BoardState()
+    # the synthesizer and the two pots that the five default rails share
+    assert len(built) == len(board.devices) == 3
+    assert len({rail.pot_address for rail in board.config.rails}) == 2
 
 
 def test_step_before_boot_rejected():
@@ -108,21 +124,21 @@ def test_step_before_boot_rejected():
 def test_write_command_sets_flag_and_pending():
     board = booted()
     for byte in (0xFF, 0x70, 0x06, 0xAB):
-        board.ingest_byte(byte)
-    assert board.firmware.pending == BridgeCommand.write(0x70, 0x06, 0xAB)
+        board.ingest(bytes((byte,)))
+    assert board.pending == BridgeCommand.write(0x70, 0x06, 0xAB)
 
 
 def test_read_command_sets_read_flag():
     board = booted()
     feed(board, BridgeCommand.read(0x70, 0x06))
-    assert board.firmware.pending == BridgeCommand.read(0x70, 0x06)
+    assert board.pending == BridgeCommand.read(0x70, 0x06)
 
 
 def test_invalid_opcode_discarded_silently():
     board = booted()
     board.ingest(bytes([0x02, 0x70, 0x06, 0xAB]))
-    assert board.firmware.pending is None
-    assert len(board.firmware.rx_buffer) == 0
+    assert board.pending is None
+    assert len(board.rx_buffer) == 0
     board.run_until_idle()
     assert board.dispatch_log == []
 
@@ -130,8 +146,8 @@ def test_invalid_opcode_discarded_silently():
 def test_out_of_range_address_discarded_silently():
     board = booted()
     board.ingest(bytes([0xFF, 0x80, 0x06, 0xAB]))
-    assert board.firmware.pending is None
-    assert len(board.firmware.rx_buffer) == 0
+    assert board.pending is None
+    assert len(board.rx_buffer) == 0
 
 
 def test_framing_recovers_after_discarded_frame():
@@ -145,10 +161,10 @@ def test_framing_recovers_after_discarded_frame():
 def test_command_arriving_while_flag_set_is_buffered():
     board = booted()
     feed(board, BridgeCommand.write(0x70, 0x06, 0x11))
-    assert board.firmware.pending == BridgeCommand.write(0x70, 0x06, 0x11)
+    assert board.pending == BridgeCommand.write(0x70, 0x06, 0x11)
     feed(board, BridgeCommand.write(0x70, 0x07, 0x22))  # parked behind the flag
-    assert board.firmware.pending == BridgeCommand.write(0x70, 0x06, 0x11)
-    assert len(board.firmware.rx_buffer) == 4
+    assert board.pending == BridgeCommand.write(0x70, 0x06, 0x11)
+    assert len(board.rx_buffer) == 4
     board.step()  # dispatches the first
     assert board.devices[0x70].read(0x06) == 0x11
     assert board.devices[0x70].read(0x07) == 0x00
@@ -159,9 +175,9 @@ def test_command_arriving_while_flag_set_is_buffered():
 def test_partial_frame_keeps_buffer_under_four():
     board = booted()
     for byte in (0xFF, 0x70, 0x06):
-        board.ingest_byte(byte)
-    assert len(board.firmware.rx_buffer) == 3
-    assert board.firmware.pending is None
+        board.ingest(bytes((byte,)))
+    assert len(board.rx_buffer) == 3
+    assert board.pending is None
 
 
 # -- step dispatch ---------------------------------------------------------------
@@ -169,10 +185,10 @@ def test_partial_frame_keeps_buffer_under_four():
 def test_write_dispatch_within_five_steps():
     board = booted()
     feed(board, BridgeCommand.write(0x70, 0x06, 0xAB))
-    set_tick = board.firmware.flag_set_tick
+    set_tick = board.flag_set_tick
     for _ in range(5):
         board.step()
-    assert board.firmware.pending is None
+    assert board.pending is None
     assert board.devices[0x70].read(0x06) == 0xAB
     record = board.dispatch_log[-1]
     assert record.dispatch_tick - set_tick <= 5
@@ -197,7 +213,7 @@ def test_write_unknown_device_ignored_flag_cleared():
     board = booted()
     feed(board, BridgeCommand.write(0x5A, 0x06, 0xAB))
     board.run_until_idle()
-    assert board.firmware.pending is None
+    assert board.pending is None
     assert len(board.dispatch_log) == 1
     snapshots = [d.snapshot() for d in board.devices.values()]
     assert all(s == d.snapshot() for s, d in zip(snapshots, board.devices.values()))
@@ -222,7 +238,7 @@ def test_random_interleavings_never_lose_commands():
         ]
         stream = b"".join(encode_command(c) for c in commands)
         for byte in stream:
-            board.ingest_byte(byte)
+            board.ingest(bytes((byte,)))
             for _ in range(rng.randint(0, 2)):
                 board.step()
         board.run_until_idle()
@@ -545,15 +561,14 @@ def _booted_pair():
 
 
 def _state(board):
-    fw = board.firmware
     return {
         "registers": {a: d.snapshot() for a, d in board.devices.items()},
         "output": board.take_output(),
-        "ticks": fw.step_counter,
-        "flags": (fw.pending is not None and fw.pending.action is Action.WRITE,
-                  fw.pending is not None and fw.pending.action is Action.READ,
-                  fw.pending, fw.flag_set_tick),
-        "rx": bytes(fw.rx_buffer),
+        "ticks": board.step_counter,
+        "flags": (board.pending is not None and board.pending.action is Action.WRITE,
+                  board.pending is not None and board.pending.action is Action.READ,
+                  board.pending, board.flag_set_tick),
+        "rx": bytes(board.rx_buffer),
         "records": list(board.dispatch_log),
         "counters": (board.commands_served, board.frames_dropped,
                      board.max_dispatch_steps),
@@ -561,26 +576,25 @@ def _state(board):
 
 
 def _step_until_idle(board):
-    fw = board.firmware
-    while fw.pending is not None or len(fw.rx_buffer) >= 4:
+    while board.pending is not None or len(board.rx_buffer) >= 4:
         board.step()
 
 
 @settings(max_examples=200, deadline=None)
 @given(prefix=st.binary(max_size=6), chunks=_chunks())
 def test_batch_service_matches_single_steps(prefix, chunks):
-    """ingest + run_until_idle leaves the board as ingest_byte per byte plus
+    """ingest + run_until_idle leaves the board as ingest of each byte plus
     step() until idle would; ``prefix`` is ingested before the first batch,
     so a flag may already be raised when it starts."""
     batched, stepped = _booted_pair()
     for byte in prefix:
-        batched.ingest_byte(byte)
-        stepped.ingest_byte(byte)
+        batched.ingest(bytes((byte,)))
+        stepped.ingest(bytes((byte,)))
     for chunk in chunks:
         batched.ingest(chunk)
         batched.run_until_idle()
         for byte in chunk:
-            stepped.ingest_byte(byte)
+            stepped.ingest(bytes((byte,)))
         _step_until_idle(stepped)
         assert _state(batched) == _state(stepped)
 
@@ -652,7 +666,7 @@ def test_run_until_idle_before_boot_refuses_like_step():
     board.ingest(encode_command(BridgeCommand.write(0x70, 0x06, 0xAB)))
     with pytest.raises(RuntimeError, match="boot first"):
         board.run_until_idle()
-    assert len(board.firmware.rx_buffer) == 4
+    assert len(board.rx_buffer) == 4
     board.boot()
     board.run_until_idle()
     assert board.devices[0x70].read(0x06) == 0xAB
@@ -670,7 +684,7 @@ def test_a_step_decodes_only_the_frames_it_takes_off_the_buffer():
     board.ingest(b"".join(frames))
     for _ in range(5):
         board.step()
-        taken = len(frames) - len(board.firmware.rx_buffer) // 4
+        taken = len(frames) - len(board.rx_buffer) // 4
         assert len(FRAME_TABLE) == taken
     assert (taken, board.frames_dropped, board.commands_served) == (8, 3, 5)
 
@@ -708,7 +722,7 @@ def test_dispatch_history_stays_bounded_with_true_counters():
         assert len(board.dispatch_log) <= DISPATCH_HISTORY
         assert board.dispatch_log[-1].command == commands[-1]
     for byte in encode_command(BridgeCommand.read(0x70, 0x06)) + bad:
-        board.ingest_byte(byte)  # the single-step path keeps the same bound
+        board.ingest(bytes((byte,)))  # the single-step path keeps the same bound
     for _ in range(3):
         board.step()
     served, dropped = served + 1, dropped + 1
@@ -805,7 +819,7 @@ def _step_valid_frames(reference, data):
         if frame[0] in (0x00, 0xFF) and frame[1] <= 0x7F:
             reference.ingest(frame)
             reference.step()
-            assert reference.firmware.pending is None
+            assert reference.pending is None
     return reference.take_output()
 
 

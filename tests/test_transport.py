@@ -65,6 +65,11 @@ def test_empty_host_is_refused():
         SessionConfig(endpoint="tcp", host="")
 
 
+def test_unknown_endpoint_is_refused():
+    with pytest.raises(ValueError, match="unknown endpoint 'usb'"):
+        SessionConfig(endpoint="usb")
+
+
 def test_timeout_must_be_positive():
     with pytest.raises(ValueError):
         SessionConfig(read_timeout=0)
@@ -459,15 +464,21 @@ def test_tcp_survives_undecodable_frames(tcp_server):
 
 
 class _SignallingSocket:
-    """A socket that sets ``receiving`` when a read starts to wait on it."""
+    """A socket that sets ``receiving`` when a read starts to wait on it,
+    and ``sending`` when a write starts."""
 
     def __init__(self, sock):
         self._sock = sock
         self.receiving = threading.Event()
+        self.sending = threading.Event()
 
     def recv(self, size):
         self.receiving.set()
         return self._sock.recv(size)
+
+    def sendall(self, data):
+        self.sending.set()
+        return self._sock.sendall(data)
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
@@ -495,3 +506,37 @@ def test_tcp_session_refuses_a_second_caller_while_one_reads():
     assert session.read_bytes(1) == b"\x07"
     session.close()
     peer.close()
+
+
+def test_tcp_session_refuses_a_reader_while_a_blocked_write_holds_it():
+    ours, peer = socket.socketpair()
+    peer.settimeout(5.0)
+    sock = _SignallingSocket(ours)
+    session = TcpSession(sock, read_timeout=5.0)
+    payload = bytes(16 << 20)  # far past the socket buffers: sendall blocks
+    writer = threading.Thread(target=session.write_bytes, args=(payload,))
+    writer.start()
+    received = 0
+    try:
+        assert sock.sending.wait(5.0)
+        with pytest.raises(SessionBusyError):
+            session.read_bytes(1)
+    finally:
+        while received < len(payload):
+            chunk = peer.recv(1 << 20)
+            if not chunk:
+                break
+            received += len(chunk)
+        writer.join(5.0)
+    assert received == len(payload) and not writer.is_alive()
+    session.close()
+    peer.close()
+
+
+def test_tcp_write_to_a_closed_peer_fails_as_a_closed_session():
+    ours, peer = socket.socketpair()
+    peer.close()
+    session = TcpSession(ours, read_timeout=1.0)
+    with pytest.raises(SessionClosedError, match="send failed: "):
+        session.write_bytes(WRITE_06)
+    session.close()
