@@ -211,11 +211,19 @@ def load_config(path: str | os.PathLike | None = None) -> StackConfig:
     return parse_config(_read(path)) if path else default_config()
 
 
+@cache
+def _packaged_map(name: str) -> RegisterMap:
+    """The shipped register map ``name``, parsed once per process and then
+    shared: a :class:`RegisterMap` is immutable."""
+    return parse_register_map(_packaged(name))
+
+
 def load_synth_map(path: str | os.PathLike | None = None) -> RegisterMap:
-    """Load a synthesizer register map, defaulting to the shipped one."""
-    return parse_register_map(_read(path) if path else _packaged("synth.map"))
+    """Load a synthesizer register map: the file at ``path``, read and
+    parsed on every call, or else the shipped one, shared."""
+    return parse_register_map(_read(path)) if path else _packaged_map("synth.map")
 
 
 def load_pot_map() -> RegisterMap:
-    """Load the shipped pot register map."""
-    return parse_register_map(_packaged("pot.map"))
+    """The shipped pot register map, shared."""
+    return _packaged_map("pot.map")

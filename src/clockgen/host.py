@@ -9,7 +9,13 @@ snapshot, the rails, each channel's retune reads and plan reads) is encoded
 once per device handle into the frame it sends as it is on every call;
 status sends the output frame and the rail frame as one.  The values a
 synthesizer read set returns are decoded as they come, through the
-:class:`~clockgen.readout.RegisterView` built beside its frame.  The device
+:class:`~clockgen.readout.RegisterView` built beside its frame.  Writes
+are compiled the same way: each channel write a handle makes (the retune
+that keeps the VCO, the one that plans it afresh, the phase step, the
+enable bit) is compiled into a :class:`~clockgen.readout.RegisterWrite`
+when the handle first makes it, never when it is built, and the bridge
+encodes the frame that writes its registers once and fills in the frame's
+payload bytes on each call.  The device
 layer on top exposes the operator-facing operations: frequency, phase,
 output enables, and rail voltages.  All device operations are synchronous
 and idempotent; repeating one leaves identical register state.  The
@@ -26,9 +32,9 @@ shared, immutable statuses and volts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .config import StackConfig, load_config, load_pot_map, load_synth_map
 from .errors import InconsistentEncodingError, NoPlanError, UnsatisfiableFrequencyError
@@ -50,16 +56,19 @@ from .protocol import (
     encode_command,
 )
 from .readout import (
+    RETUNE_FRESH,
+    RETUNE_KEPT,
     ChannelStatus,
     RegisterView,
-    channel_writes,
+    RegisterWrite,
+    channel_values,
+    channel_write,
     decode_feedback,
     decode_outputs,
     decode_plan,
     decode_rails,
     enabled_channels,
     output_view,
-    partial_registers,
     plan_view,
     rail_registers,
     retune_views,
@@ -73,8 +82,16 @@ def _reads(device: int, registers: Iterable[int]) -> bytes:
     return b"".join(encode_command(BridgeCommand.read(device, r)) for r in registers)
 
 
+@lru_cache(maxsize=256)
+def _write_frame(device: int, registers: tuple[int, ...]) -> bytes:
+    """The frame that writes ``registers`` of ``device``, in that order,
+    each with payload 0: a compiled write fills in the payload bytes."""
+    return b"".join(encode_command(BridgeCommand.write(device, r, 0)) for r in registers)
+
+
 class BridgeClient:
-    """Register access over an open session: exchange, read, write, close.
+    """Register access over an open session: exchange, read, write, the
+    compiled field writes (:meth:`write_fields`), close.
 
     :meth:`exchange` is the one path to the session: a frame of commands
     goes out as one write and their responses come back with one read,
@@ -117,25 +134,28 @@ class BridgeClient:
     def read_register(self, device: int, register: int) -> int:
         return self.exchange(encode_command(BridgeCommand.read(device, register)))[0]
 
-    def write_fields(self, device: int, writes: list[tuple[int, int, int]],
-                     current: dict[int, int] | None = None) -> None:
-        """Write packed field ``writes`` to ``device``: one exchange
-        writes each register they touch, once.
+    def write_fields(self, device: int, write: RegisterWrite, values: Sequence[int],
+                     current: Sequence[int] | None = None) -> None:
+        """Write ``values``, one per field of the compiled ``write``, to
+        ``device``: one exchange writes each register the fields touch,
+        once, in ``write.registers`` order.
 
-        Fields sharing a register are folded onto its ``current`` value
-        (0 where it is fully overwritten).  Without ``current``, an
-        exchange before it reads each register the writes cover only in
-        part, once (:func:`partial_registers`); a caller that has read them
-        already passes them as ``current``.
+        The frame that writes those registers is encoded once per device
+        and register list and kept (the last 256 are); each call writes
+        the registers' new values (:meth:`RegisterWrite.payload`) into a
+        copy's payload bytes in one step.  The bits the fields leave alone
+        come from ``current``, the values of the ``write.current``
+        registers; without it, an exchange before the write reads them (no
+        exchange when the fields cover every bit they touch).  A value
+        that does not fit its field is refused before either exchange.
         """
+        image = write.place(values)
         if current is None:
-            registers = partial_registers(writes)
-            current = dict(zip(registers, self.exchange(_reads(device, registers))))
-        folded: dict[int, int] = {}
-        for address, bits, mask in writes:
-            folded[address] = (folded.get(address, current.get(address, 0)) & ~mask) | bits
-        self.exchange(b"".join(encode_command(BridgeCommand.write(device, a, v))
-                               for a, v in folded.items()))
+            current = self.exchange(_reads(device, write.current))
+        frame = bytearray(_write_frame(device, write.registers))
+        # the payload is each command's last byte
+        frame[COMMAND_LENGTH - 1::COMMAND_LENGTH] = write.payload(image, current)
+        self.exchange(bytes(frame))
 
     def close(self) -> None:
         self._session.close()
@@ -173,6 +193,8 @@ class DeviceHandle:
         # per decoded read set, the last values read and what they decoded to
         self._last_outputs: tuple[list[int] | None, list[ChannelStatus]] = (None, [])
         self._last_rails: tuple[list[int] | None, dict[int, Fraction]] = (None, {})
+        # the compiled channel writes, by (channel, parts), each built when first used
+        self._writes: dict[tuple[int, tuple[str, ...]], RegisterWrite] = {}
 
     @cached_property
     def _plan_reads(self) -> list[tuple[RegisterView, bytes]]:
@@ -180,6 +202,18 @@ class DeviceHandle:
         first used, as only plan recovery needs them."""
         views = [plan_view(self.synth_map, k) for k in range(CHANNEL_COUNT)]
         return [(view, _reads(self.synth_address, view.registers)) for view in views]
+
+    def _channel_write(self, channel: int, parts: tuple[str, ...],
+                       current: list[int] | None = None) -> RegisterWrite:
+        """The compiled write of ``parts`` of ``channel``
+        (:func:`channel_write`), built when first used.  A retune's takes
+        the kept bits from its retune reads, ``current``; any other reads
+        the registers it covers in part."""
+        write = self._writes.get((channel, parts))
+        if write is None:
+            write = self._writes[channel, parts] = channel_write(
+                self.synth_map, channel, parts, current)
+        return write
 
     @property
     def constraints(self):
@@ -229,9 +263,12 @@ class DeviceHandle:
             raise UnsatisfiableFrequencyError(
                 f"{exc}; channels {', '.join(map(str, running))} run on that VCO"
             ) from None
-        self._write(self.bridge.write_fields, self.synth_address, channel_writes(
-            self.synth_map, channel, feedback=plan.feedback if feedback is None else None,
-            output=plan.output, steps=0, enable=True), dict(zip(view.registers, values)))
+        fresh = feedback is None
+        write = self._channel_write(channel, RETUNE_FRESH if fresh else RETUNE_KEPT,
+                                    view.registers)
+        self._write(self.bridge.write_fields, self.synth_address, write, channel_values(
+            feedback=plan.feedback if fresh else None, output=plan.output,
+            steps=0, enable=True), values)
         self._plans = {k: p for k, p in self._plans.items()
                        if p.feedback == plan.feedback}
         self._plans[channel] = plan
@@ -249,7 +286,8 @@ class DeviceHandle:
                            degrees=degrees,
                            step_limit=self.constraints.phase_step_limit)
         self._write(self.bridge.write_fields, self.synth_address,
-                    channel_writes(self.synth_map, channel, steps=phase.steps))
+                    self._channel_write(channel, ("steps",)),
+                    channel_values(steps=phase.steps))
         return phase
 
     def _drop_stale_plans(self) -> None:
@@ -292,7 +330,7 @@ class DeviceHandle:
         """Toggle one channel's enable bit, leaving every other bit alone."""
         check_channel(channel)
         self._write(self.bridge.write_fields, self.synth_address,
-                    channel_writes(self.synth_map, channel, enable=on))
+                    self._channel_write(channel, ("enable",)), channel_values(enable=on))
 
     # -- power rails -----------------------------------------------------------
 

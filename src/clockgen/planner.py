@@ -514,22 +514,35 @@ def plan_phase(
     """Quantize a requested offset to whole VCO periods.
 
     The offset may be given in seconds or in degrees of the achieved output
-    period; exactly one must be supplied.  Rounds to the nearest step with
-    ties away from zero, so the residual never exceeds half a quantum.
+    period; exactly one must be supplied.  Seconds are a literal delay.
+    Degrees are an angle, reduced into (-180, 180] first: a whole period
+    more or less puts the edge in the same place, and the reduced angle is
+    the shortest delay that does.  Rounds to the nearest step with ties
+    away from zero, so the residual never exceeds half a quantum.  Past
+    the step limit raises :class:`PhaseRangeError`; given degrees, it names
+    the reachable arc, which is narrower than +/-180 degrees only where the
+    VCO runs more than ``2 * step_limit`` times the output frequency: with
+    the default limit and VCO window, always below about 8.7 MHz and, on a
+    fast VCO, up to 11.2 MHz.
     """
     if (seconds is None) == (degrees is None):
         raise ValueError("supply exactly one of seconds= or degrees=")
     if seconds is not None:
         offset = as_fraction(seconds)
     else:
-        offset = as_fraction(degrees) / 360 / plan.f_achieved
+        turns = as_fraction(degrees) / 360
+        # less the whole turns that bring it into (-1/2, 1/2]
+        offset = (turns - math.ceil(turns - Fraction(1, 2))) / plan.f_achieved
     quantum = 1 / plan.f_vco
     steps = _round_half_away(offset / quantum)
     if abs(steps) > step_limit:
-        raise PhaseRangeError(
-            f"offset needs {steps} steps of {float(quantum):.3g} s, "
-            f"limit is +/-{step_limit}"
-        )
+        message = (f"offset needs {steps} steps of {float(quantum):.3g} s, "
+                   f"limit is +/-{step_limit}")
+        if degrees is not None:
+            arc = step_limit * 360 * quantum * plan.f_achieved
+            message += (f"; at {float(plan.f_achieved):.6g} Hz the reachable arc "
+                        f"is +/-{float(arc):.4g} degrees")
+        raise PhaseRangeError(message)
     achieved = steps * quantum
     return PhasePlan(
         steps=steps,
@@ -548,15 +561,18 @@ def apply_plan(
     synth_address: int,
 ) -> None:
     """Program one channel: feedback and channel dividers, phase step, and
-    the channel enable bit, through ``bridge.write_fields``.
+    the channel enable bit, through ``bridge.write_fields`` and the
+    channel's compiled write (:func:`clockgen.readout.channel_write`),
+    built for the call.
 
     The feedback divider sets the one VCO every output divides, and this
     always rewrites it, so it moves every other running channel.
     :meth:`clockgen.DeviceHandle.set_frequency` keeps the running VCO and
     is the safe call.
     """
-    from .readout import channel_writes  # not at the top: readout imports the planner
+    # not at the top: readout imports the planner
+    from .readout import RETUNE_FRESH, channel_values, channel_write
     check_channel(channel)
-    bridge.write_fields(synth_address, channel_writes(
-        regmap, channel, feedback=plan.feedback, output=plan.output,
-        steps=phase.steps if phase is not None else 0, enable=True))
+    values = channel_values(feedback=plan.feedback, output=plan.output,
+                            steps=phase.steps if phase is not None else 0, enable=True)
+    bridge.write_fields(synth_address, channel_write(regmap, channel, RETUNE_FRESH), values)

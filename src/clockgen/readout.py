@@ -1,8 +1,9 @@
 """The synthesizer register image, both ways, and rail readback.
 
 Only this module names synthesizer register fields.  It holds the P1/P2/P3
-codec, the phase-step byte, the one writer (:func:`channel_writes`), the
-registers each operation reads, and the decoders every reader uses.
+codec, the phase-step byte, the one writer (:class:`RegisterWrite`, built
+per channel by :func:`channel_write`), the registers each operation reads,
+and the decoders every reader uses.
 Each fixed read set (the output snapshot, a channel's retune reads, a
 channel's plan reads, a board's whole register list) has a
 :class:`RegisterView`, compiled once per map, that says where each field it
@@ -13,7 +14,9 @@ decodes sits in the list of values the read returns.  The decoders
 by one pair decoder, :func:`divider_pair`, onto an integer ``(numerator,
 denominator)`` pair; status (:func:`decode_outputs`) stays on such pairs
 and builds a ``Fraction`` only for the values a :class:`ChannelStatus`
-holds.
+holds.  A :class:`RegisterWrite` is a view's twin: it places the values of
+one field set, and the bits they leave alone, in the payload bytes of a
+write frame the bridge encodes once.
 """
 
 from __future__ import annotations
@@ -131,27 +134,6 @@ class ChannelStatus(Value):
         setfield(self, "problem", problem)
 
 
-def channel_writes(regmap: RegisterMap, channel: int, *,
-                   feedback: RationalDivider | None = None,
-                   output: RationalDivider | None = None,
-                   steps: int | None = None,
-                   enable: bool | None = None) -> list[tuple[int, int, int]]:
-    """The packed field writes that set what is given for ``channel``, in
-    this order: the feedback divider (shared by every channel), the
-    channel's output divider, its phase step (a signed count of VCO
-    periods) and its enable bit."""
-    writes: list[tuple[int, int, int]] = []
-    for prefix, divider in (("fb", feedback), (f"ms{channel}", output)):
-        if divider is not None:
-            for name, value in zip(divider_fields(prefix), encode_divider(divider)):
-                writes += regmap.pack(name, value)
-    if steps is not None:
-        writes += regmap.pack(f"ms{channel}_phstep", phase_step_byte(steps))
-    if enable is not None:
-        writes += regmap.pack(f"clk{channel}_en", int(enable))
-    return writes
-
-
 def field_registers(regmap: RegisterMap, names: Iterable[str]) -> list[int]:
     """Addresses holding the named fields or composites, each once, in
     address order: the registers to read before decoding them."""
@@ -163,10 +145,15 @@ def divider_fields(prefix: str) -> list[str]:
     return [f"{prefix}_{p}" for p in ("p1", "p2", "p3")]
 
 
-def partial_registers(writes: list[tuple[int, int, int]]) -> list[int]:
-    """Registers that ``writes`` cover only in part, each once, in the
-    order the fields first name them: their other bits must be read."""
-    return list(dict.fromkeys(a for a, _bits, mask in writes if mask != 0xFF))
+def _kept_bits(regmap: RegisterMap, names: Iterable[str]) -> dict[int, int]:
+    """Per register the named fields or composites touch, in the order
+    they first name it, the bits none of them covers: what a write of them
+    must keep of the register's current value."""
+    kept: dict[int, int] = {}
+    for name in names:
+        for part in regmap.group(name):
+            kept[part.address] = kept.get(part.address, 0xFF) & ~part.mask
+    return kept
 
 
 # the fields the decoders read, by channel where they are per channel
@@ -176,6 +163,33 @@ _OUTPUT = tuple(tuple(divider_fields(f"ms{k}")) for k in range(CHANNEL_COUNT))
 _PHSTEP = tuple(f"ms{k}_phstep" for k in range(CHANNEL_COUNT))
 _STATE_FIELDS = _FEEDBACK + sum(_ENABLE, ())
 _OUTPUT_FIELDS = _STATE_FIELDS + sum(_OUTPUT, ()) + _PHSTEP
+
+
+def _bit_runs(regmap: RegisterMap, name: str, first_bit: dict[int, int]
+              ) -> list[list[int]]:
+    """Where ``name``'s bits sit in the little-endian integer that a list
+    of register values makes, a byte per register, each register's first
+    bit at ``first_bit[address]``: runs of ``[position, width, offset]``,
+    ``offset`` the run's first bit in the field.  A part's register and
+    shift give its position, and parts adjacent there join one run.  A
+    part whose register has no place raises :class:`RegisterMapError`
+    naming the field."""
+    runs: list[list[int]] = []
+    offset = 0
+    for part in regmap.group(name):
+        try:
+            position = first_bit[part.address] + part.lsb
+        except KeyError:
+            raise RegisterMapError(
+                f"field {name} needs register 0x{part.address:02X}, "
+                "which the read set lacks") from None
+        width = part.msb - part.lsb + 1
+        if runs and runs[-1][0] + runs[-1][1] == position:
+            runs[-1][1] += width  # adjacent to the run below it
+        else:
+            runs.append([position, width, offset])
+        offset += width
+    return runs
 
 
 class RegisterView:
@@ -206,25 +220,10 @@ class RegisterView:
         runs: list[tuple[int, int]] = []  # each field's lowest run: (position, mask)
         more: list[tuple[int, int, int, int]] = []  # (slot, position, mask, offset)
         for name in names:
-            field_runs: list[list[int]] = []  # [position, width, offset]
-            offset = 0
-            for part in regmap.group(name):
-                try:
-                    position = first_bit[part.address] + part.lsb
-                except KeyError:
-                    raise RegisterMapError(
-                        f"field {name} needs register 0x{part.address:02X}, "
-                        "which the read set lacks") from None
-                width = part.msb - part.lsb + 1
-                if field_runs and field_runs[-1][0] + field_runs[-1][1] == position:
-                    field_runs[-1][1] += width  # adjacent to the run below it
-                else:
-                    field_runs.append([position, width, offset])
-                offset += width
+            (position, width, _), *field_runs = _bit_runs(regmap, name, first_bit)
             slot = self.slot[name] = len(runs)
-            position, width, _ = field_runs[0]
             runs.append((position, (1 << width) - 1))
-            for position, width, offset in field_runs[1:]:
+            for position, width, offset in field_runs:
                 more.append((slot, position, (1 << width) - 1, offset))
         self._runs, self._more = tuple(runs), tuple(more)
 
@@ -236,6 +235,122 @@ class RegisterView:
         for slot, position, mask, offset in self._more:
             fields[slot] |= (image >> position & mask) << offset
         return fields
+
+
+class RegisterWrite:
+    """The write of one field set, compiled once per map: the twin of
+    :class:`RegisterView`.
+
+    ``registers`` are the addresses the fields touch, each once, in the
+    order the fields first name them, which is their order on the wire.
+    Each field's bit runs are compiled as a view's are, as positions in the
+    little-endian integer the registers' new values make, a byte each, and
+    each register keeps the bits no field covers.
+    :meth:`place` checks every value against its field's width and places
+    it; :meth:`payload` folds in the kept bits from the current values it
+    is given and returns the registers' new values as bytes, in order: the
+    payload bytes of the write frame :meth:`BridgeClient.write_fields`
+    encodes once and fills.
+
+    ``current`` are the registers the kept bits are taken from, in the
+    order their values are given: by default the registers the fields
+    cover only in part, in the order the fields name them.  A ``current``
+    that lacks one of those raises :class:`RegisterMapError`.
+    """
+
+    __slots__ = ("registers", "current", "_fields", "_keep")
+
+    def __init__(self, regmap: RegisterMap, names: Sequence[str],
+                 current: Iterable[int] | None = None):
+        kept = _kept_bits(regmap, names)
+        self.registers = tuple(kept)
+        self.current = ([address for address, bits in kept.items() if bits]
+                        if current is None else list(current))
+        first_bit = {address: 8 * i for i, address in enumerate(self.registers)}
+        fields = []  # (name, 1 << width, ((position, mask, offset), ...))
+        for name in names:
+            runs = _bit_runs(regmap, name, first_bit)
+            _, width, offset = runs[-1]
+            fields.append((name, 1 << (offset + width),
+                           tuple((p, (1 << w) - 1, o) for p, w, o in runs)))
+        self._fields = tuple(fields)
+        index = {address: i for i, address in enumerate(self.current)}
+        keep = []  # (index in current, kept bits, position)
+        for address, bits in kept.items():
+            if bits:
+                if address not in index:
+                    raise RegisterMapError(
+                        f"register 0x{address:02X} keeps bits 0x{bits:02X}, "
+                        "which the current registers lack")
+                keep.append((index[address], bits, first_bit[address]))
+        self._keep = tuple(keep)
+
+    def place(self, values: Sequence[int]) -> int:
+        """``values``, one per field in order, placed in the integer the
+        registers' new values make; one that does not fit its field raises
+        ``ValueError``, as :meth:`RegisterMap.pack` does."""
+        image = 0
+        for value, (name, limit, runs) in zip(values, self._fields, strict=True):
+            if not 0 <= value < limit:
+                raise ValueError(f"value {value} does not fit "
+                                 f"{limit.bit_length() - 1}-bit field {name}")
+            for position, mask, offset in runs:
+                image |= (value >> offset & mask) << position
+        return image
+
+    def payload(self, image: int, current: Sequence[int] = ()) -> bytes:
+        """The registers' new values, in :attr:`registers` order: ``image``
+        from :meth:`place` with the kept bits folded in from ``current``,
+        the values of the :attr:`current` registers in order."""
+        for index, bits, position in self._keep:
+            image |= (current[index] & bits) << position
+        return image.to_bytes(len(self.registers), "little")
+
+
+# the parts a channel write may set, in the order it writes them, and the
+# fields of each, by channel
+_PARTS = {
+    "feedback": (_FEEDBACK,) * CHANNEL_COUNT,
+    "output": _OUTPUT,
+    "steps": tuple((name,) for name in _PHSTEP),
+    "enable": tuple((en,) for en, _pdn in _ENABLE),
+}
+# a retune that keeps the running VCO, and one that plans it afresh
+RETUNE_KEPT = ("output", "steps", "enable")
+RETUNE_FRESH = ("feedback", *RETUNE_KEPT)
+
+
+def channel_write(regmap: RegisterMap, channel: int, parts: Sequence[str],
+                  current: Iterable[int] | None = None) -> RegisterWrite:
+    """The compiled write of ``parts`` of ``channel``, any of
+    ``"feedback"`` (the divider every channel shares), ``"output"`` (the
+    channel's divider), ``"steps"`` (its phase step, a signed count of VCO
+    periods) and ``"enable"`` (its enable bit), written in that order.
+    :func:`channel_values` gives the values it takes; ``current`` is as
+    for :class:`RegisterWrite`."""
+    names = [name for part, fields in _PARTS.items() if part in parts
+             for name in fields[channel]]
+    return RegisterWrite(regmap, names, current)
+
+
+def channel_values(*, feedback: RationalDivider | None = None,
+                   output: RationalDivider | None = None,
+                   steps: int | None = None,
+                   enable: bool | None = None) -> list[int]:
+    """The field values of what is given, in the order the
+    :func:`channel_write` of those parts takes them: P1/P2/P3 of each
+    divider, the phase step's byte and the enable bit.  A divider whose P1
+    overflows raises :class:`FieldOverflowError`, a step outside
+    -128..127 ``ValueError``."""
+    values: list[int] = []
+    for divider in (feedback, output):
+        if divider is not None:
+            values += encode_divider(divider)
+    if steps is not None:
+        values.append(phase_step_byte(steps))
+    if enable is not None:
+        values.append(int(enable))
+    return values
 
 
 def output_view(regmap: RegisterMap, registers: Iterable[int] | None = None
@@ -256,7 +371,7 @@ def retune_views(regmap: RegisterMap) -> list[RegisterView]:
     for k in range(CHANNEL_COUNT):
         # the feedback and enable writes land in registers already in state
         names = _OUTPUT[k] + (_PHSTEP[k],)
-        partial = partial_registers([w for name in names for w in regmap.pack(name, 0)])
+        partial = [a for a, bits in _kept_bits(regmap, names).items() if bits]
         views.append(RegisterView(regmap, _STATE_FIELDS, sorted(state.union(partial))))
     return views
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from clockgen.errors import UnsatisfiableFrequencyError
 from clockgen.planner import FrequencyPlan, RationalDivider
 from clockgen.power import WIPER_STEPS
-from clockgen.readout import ChannelStatus
+from clockgen.readout import ChannelStatus, encode_divider
 
 
 def exact_plans(f_in, f_target, cons):
@@ -304,6 +304,39 @@ def bitwise_pack(parts, value):
             bit += 1
         writes.append((field.address, placed, mask))
     return writes
+
+
+def channel_writes(regmap, channel, *, feedback=None, output=None, steps=None,
+                   enable=None):
+    """The packed field writes that set what is given for ``channel``, in
+    this order: the feedback divider, the channel's output divider, its
+    phase step and its enable bit; each field probed from the map's fields
+    and packed one bit at a time.  A step outside -128..127 raises
+    ``ValueError``."""
+    values = []
+    for prefix, divider in (("fb", feedback), (f"ms{channel}", output)):
+        if divider is not None:
+            values += zip((f"{prefix}_p1", f"{prefix}_p2", f"{prefix}_p3"),
+                          encode_divider(divider))
+    if steps is not None:
+        if not -128 <= steps <= 127:
+            raise ValueError(f"steps {steps} outside signed 8-bit range")
+        values.append((f"ms{channel}_phstep", steps % 256))
+    if enable is not None:
+        values.append((f"clk{channel}_en", int(enable)))
+    return [write for name, value in values
+            for write in bitwise_pack(probing_group(regmap.fields, name), value)]
+
+
+def write_frame(device, writes, current):
+    """The write frame of packed ``writes``: each register they touch once,
+    in the order they first name it, its bits the writes leave alone taken
+    from ``current`` (address -> value)."""
+    folded = {}
+    for address, bits, mask in writes:
+        folded[address] = folded.get(address, current[address]) & ~mask | bits
+    return bytes(byte for address, value in folded.items()
+                 for byte in (0xFF, device, address, value))
 
 
 def bitwise_unpack(parts, read):

@@ -142,6 +142,20 @@ def test_phase_workflow_over_tcp(capsys, tcp_server):
     assert status["channels"][1]["phase_offset"] == "3/2200000000"
 
 
+def test_set_phase_past_half_a_turn_over_tcp(capsys, tcp_server):
+    # at 10 MHz 127 VCO steps reach about 208 degrees; 270 degrees puts the
+    # edge where -90 does, a quarter period early
+    endpoint = tcp(tcp_server)
+    assert run(["--transport", endpoint, "set-freq", "--channel", "0",
+                "--hz", "10M"]) == 0
+    capsys.readouterr()
+    payload = run_json(capsys, ["--transport", endpoint, "--json", "set-phase",
+                                "--channel", "0", "--degrees", "270"])
+    assert payload["steps"] == -55
+    status = run_json(capsys, ["--transport", endpoint, "--json", "status"])
+    assert status["channels"][0]["phase_offset"] == "-1/40000000"
+
+
 def test_enable_disable_over_tcp(capsys, tcp_server):
     endpoint = tcp(tcp_server)
     assert run(["--transport", endpoint, "set-freq", "--channel", "2",

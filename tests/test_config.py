@@ -11,6 +11,8 @@ from clockgen import (
     bridge_init,
     default_config,
     load_config,
+    load_pot_map,
+    load_synth_map,
     parse_config,
 )
 
@@ -30,6 +32,24 @@ def test_packaged_default_loads():
 def test_packaged_default_matches_compiled_defaults():
     # the shipped file and the compiled-in fallback must agree
     assert load_config() == default_config()
+
+
+def test_packaged_maps_are_parsed_once_and_a_map_file_every_time(tmp_path):
+    from importlib import resources
+
+    # a packaged map is shared: a RegisterMap is never changed after it is built
+    assert load_synth_map() is load_synth_map()
+    assert load_pot_map() is load_pot_map()
+    path = tmp_path / "synth.map"
+    path.write_text(resources.files("clockgen").joinpath("data", "synth.map")
+                    .read_text("utf-8"), "utf-8")
+    first, second = load_synth_map(path), load_synth_map(path)
+    assert first is not second and first is not load_synth_map()
+    assert first.fields == second.fields == load_synth_map().fields
+    assert first.entries == load_synth_map().entries
+    # the file is read again on every call
+    path.write_text("0x00, 0x38, 0x00\n", "utf-8")
+    assert load_synth_map(path).fields == {}
 
 
 def test_five_rails_span_two_pots():

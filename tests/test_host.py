@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import socket
 import threading
@@ -6,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from clockgen import (
     Action,
@@ -15,8 +16,11 @@ from clockgen import (
     BridgeCommand,
     ConfigError,
     DeviceHandle,
+    FieldOverflowError,
+    FrequencyPlan,
     InfeasibleVoltageError,
     NoPlanError,
+    PhasePlan,
     PhaseRangeError,
     PlannerConstraints,
     RailModel,
@@ -40,7 +44,18 @@ from clockgen import (
 from clockgen import host
 from clockgen.config import default_rails
 from clockgen.planner import apply_plan
-from clockgen.readout import RegisterView, channel_writes, output_view, rail_registers
+from clockgen.readout import (
+    RETUNE_FRESH,
+    RETUNE_KEPT,
+    RegisterView,
+    RegisterWrite,
+    channel_values,
+    channel_write,
+    divider_fields,
+    output_view,
+    rail_registers,
+    retune_views,
+)
 from clockgen.registers import RegisterMap
 from clockgen.transport import TcpSession
 
@@ -409,11 +424,13 @@ def test_set_phase_recovers_plan_from_registers(device, board):
     fresh.close()
 
 
+def _write_fields(device, names, values):
+    device.bridge.write_fields(device.synth_address, RegisterWrite(device.synth_map, names),
+                               values)
+
+
 def _write_divider(device, prefix, divider):
-    writes = []
-    for suffix, value in zip(("p1", "p2", "p3"), encode_divider(divider)):
-        writes += device.synth_map.pack(f"{prefix}_{suffix}", value)
-    device.bridge.write_fields(device.synth_address, writes)
+    _write_fields(device, divider_fields(prefix), encode_divider(divider))
 
 
 def _fractional_plan(device, channel):
@@ -430,9 +447,7 @@ def _vco_below_window(device, channel):
 
 def _output_p2_not_below_p3(device, channel):
     plan = device.set_frequency(channel, 100 * MHZ)
-    device.bridge.write_fields(device.synth_address,
-                               device.synth_map.pack(f"ms{channel}_p2", 7)
-                               + device.synth_map.pack(f"ms{channel}_p3", 7))
+    _write_fields(device, [f"ms{channel}_p2", f"ms{channel}_p3"], [7, 7])
     return plan
 
 
@@ -512,8 +527,8 @@ def _new_bridge_after_another_turn(a, board):
 def _raw_writes_through_the_bridge(a, board):
     cons = a.constraints
     plan = plan_frequency(cons.f_in, Fraction(225, 2) * MHZ, 1, cons)
-    for address, bits, mask in channel_writes(a.synth_map, 1, feedback=plan.feedback,
-                                              output=plan.output, enable=True):
+    for address, bits, mask in oracles.channel_writes(
+            a.synth_map, 1, feedback=plan.feedback, output=plan.output, enable=True):
         current = a.bridge.read_register(a.synth_address, address)
         a.bridge.write_register(a.synth_address, address, (current & ~mask) | bits)
 
@@ -759,7 +774,7 @@ def test_prepared_reads_leave_the_bytes_on_the_wire_as_they_were(counting_device
         assert written == _WIRE_BEFORE[name], name
 
 
-def test_write_fields_folds_fields_sharing_a_register(counting_device, board):
+def test_compiled_write_folds_fields_sharing_a_register(counting_device, board):
     device, counting = counting_device
     regmap = device.synth_map
     address = regmap.field("clk0_en").address
@@ -767,8 +782,7 @@ def test_write_fields_folds_fields_sharing_a_register(counting_device, board):
     device.bridge.write_register(device.synth_address, address, 0b1000)
     before = synth_snapshot(device, board)
     counting.reset()
-    device.bridge.write_fields(device.synth_address,
-                               regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1))
+    _write_fields(device, ["clk0_en", "clk1_en"], [1, 1])
     after = synth_snapshot(device, board)
     assert after[address] == 0b1011
     assert {a for a in range(256) if before[a] != after[a]} == {address}
@@ -777,20 +791,111 @@ def test_write_fields_folds_fields_sharing_a_register(counting_device, board):
     assert counting.reads == 1
 
 
-def test_write_fields_folds_onto_current_without_reading(counting_device, board):
+def test_compiled_write_folds_onto_current_without_reading(counting_device, board):
     device, counting = counting_device
     regmap = device.synth_map
     address = regmap.field("clk0_en").address
     device.bridge.write_register(device.synth_address, address, 0b0100)
     counting.reset()
-    device.bridge.write_fields(device.synth_address,
-                               regmap.pack("clk0_en", 1) + regmap.pack("clk1_en", 1),
-                               current={address: 0b1000})
+    write = RegisterWrite(regmap, ["clk0_en", "clk1_en"])
+    assert write.current == [address]
+    device.bridge.write_fields(device.synth_address, write, [1, 1], current=[0b1000])
     # the other bits come from current, not from the board
     assert synth_snapshot(device, board)[address] == 0b1011
     assert [(c.action, c.register) for c in frames(counting.written)] == \
         [(Action.WRITE, address)]
     assert (counting.writes, counting.reads) == (1, 0)
+
+
+class _ImageSession:
+    """A session onto a fixed register image that records each frame
+    written: its reads answer from the image and its writes change
+    nothing."""
+
+    def __init__(self, image):
+        self.image, self.written, self._owed = image, [], b""
+
+    def write_bytes(self, frame):
+        self.written.append(bytes(frame))
+        commands = zip(*[iter(frame)] * 4)
+        self._owed += bytes(self.image[r] for op, _dev, r, _val in commands if op == 0x00)
+
+    def read_bytes(self, size):
+        data, self._owed = self._owed[:size], self._owed[size:]
+        return data
+
+
+@st.composite
+def _divider_pairs(draw):
+    """A feedback and an output divider: a joint plan for a band target,
+    a plan for a second target on that VCO kept, or any two dividers whose
+    P1 fits its 18 bits."""
+    kind = draw(st.sampled_from(["joint", "kept", "any"]))
+    if kind == "any":
+        def divider():
+            d = draw(st.integers(1, 2**30 - 1))
+            n = draw(st.integers(4 * d, 2052 * d - 1))
+            return RationalDivider.from_pair(n // math.gcd(n, d), d // math.gcd(n, d))
+        return divider(), divider()
+    cons = load_config().constraints
+    band = st.integers(5 * MHZ, 200 * MHZ)
+    plan = plan_frequency(cons.f_in, draw(band), 0, cons)
+    if kind == "kept":
+        try:
+            plan = plan_frequency(cons.f_in, draw(band), 1, cons, feedback=plan.feedback)
+        except UnsatisfiableFrequencyError:
+            reject()
+    return plan.feedback, plan.output
+
+
+_WRITE_PARTS = [RETUNE_FRESH, RETUNE_KEPT, ("steps",), ("enable",),
+                ("feedback", "enable"), ("output",)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel=st.integers(0, 3), parts=st.sampled_from(_WRITE_PARTS),
+       dividers=_divider_pairs(), steps=st.integers(-128, 127), enable=st.booleans(),
+       image=st.binary(min_size=256, max_size=256), read_first=st.booleans())
+def test_compiled_write_matches_the_oracle_fold(channel, parts, dividers, steps, enable,
+                                                image, read_first):
+    # the frame a compiled write sends is the old field-by-field fold's,
+    # byte for byte, whether the kept bits come from values the caller
+    # read (as a retune's do) or from a read of its own
+    regmap, device = load_synth_map(), 0x70
+    feedback, output = dividers
+    given = {part: value for part, value in zip(
+        ("feedback", "output", "steps", "enable"), (feedback, output, steps, enable))
+        if part in parts}
+    retune = retune_views(regmap)[channel].registers if "output" in parts else None
+    write = channel_write(regmap, channel, parts, retune)
+    session = _ImageSession(image)
+    current = None if read_first else [image[a] for a in write.current]
+    BridgeClient(session).write_fields(device, write, channel_values(**given), current)
+    expected = oracles.write_frame(device, oracles.channel_writes(regmap, channel, **given),
+                                   image)
+    assert session.written[-1] == expected
+    reads = [bytes((0x00, device, a, 0x00)) for a in write.current]
+    assert session.written[:-1] == ([b"".join(reads)] if read_first and reads else [])
+
+
+def test_compiled_write_refuses_a_value_past_its_field_before_sending(counting_device):
+    device, counting = counting_device
+    cons, address = device.constraints, device.synth_address
+    plan = plan_frequency(cons.f_in, 100 * MHZ, 0, cons)
+    wide = RationalDivider(2052, 0, 1)  # P1 = 2052 * 128 - 512 = 2**18
+    too_wide = FrequencyPlan(plan.f_in, plan.f_target, plan.feedback, wide, plan.f_vco,
+                             plan.f_achieved, plan.rel_error)
+    with pytest.raises(FieldOverflowError):
+        apply_plan(device.bridge, device.synth_map, too_wide, None, 0, address)
+    step_128 = PhasePlan(128, 1 / plan.f_vco, 128 / plan.f_vco, Fraction(0))
+    with pytest.raises(ValueError, match="steps 128 outside signed 8-bit range"):
+        apply_plan(device.bridge, device.synth_map, plan, step_128, 0, address)
+    # a raw value past its field, on a write that reads its kept bits first
+    write = channel_write(device.synth_map, 0, RETUNE_KEPT)
+    assert write.current
+    with pytest.raises(ValueError, match="value 262144 does not fit 18-bit field ms0_p1"):
+        device.bridge.write_fields(address, write, [2**18, 0, 1, 0, 1])
+    assert (counting.writes, counting.reads, counting.written) == (0, 0, bytearray())
 
 
 def test_readback_matches_simulator_view(device, board):
@@ -993,6 +1098,28 @@ def test_readback_retune_and_recovery_make_no_unpack_calls(monkeypatch, device, 
     assert calls == []
 
 
+def test_a_handle_compiles_each_channel_write_when_first_used(monkeypatch, device):
+    built = []
+    init = RegisterWrite.__init__
+
+    def counting_init(self, regmap, names, current=None):
+        built.append(list(names))
+        init(self, regmap, names, current)
+
+    monkeypatch.setattr(RegisterWrite, "__init__", counting_init)
+    handle = DeviceHandle(device.bridge, device.synth_map, device.config, device.pot_map)
+    assert built == []
+    handle.set_frequency(0, 100 * MHZ)  # no other channel runs: VCO planned
+    handle.set_phase(0, degrees=45)
+    handle.set_frequency(0, 50 * MHZ)
+    handle.set_phase(0, degrees=90)
+    assert [names[0] for names in built] == ["fb_p1", "ms0_phstep"]
+    handle.set_frequency(1, 125 * MHZ)  # channel 0 runs: VCO kept
+    handle.enable_output(1, False)
+    handle.enable_output(1, True)
+    assert [names[0] for names in built[2:]] == ["ms1_p1", "clk1_en"]
+
+
 def test_a_view_over_a_read_set_missing_a_register_names_the_field():
     regmap = load_synth_map()
     registers = [a for a in output_view(regmap).registers if a != 0x62]
@@ -1003,6 +1130,12 @@ def test_a_view_over_a_read_set_missing_a_register_names_the_field():
     # built over all it needs, in any order and among other registers
     view = RegisterView(regmap, ["fb_p2"], [0x16, 0x00, 0x14, 0x13, 0x15])
     assert view.fields([0x3F, 0xAA, 0x22, 0x11, 0x33])[view.slot["fb_p2"]] == 0x3F332211
+    # a write takes its kept bits from current registers that must hold them
+    with pytest.raises(RegisterMapError, match="register 0x26 keeps bits 0xC0"):
+        RegisterWrite(regmap, ["ms0_p2"], [0x22])
+    write = RegisterWrite(regmap, ["ms0_p2"], [0x00, 0x26])
+    assert write.payload(write.place([0x3F332211]), [0xAA, 0xC5]) == \
+        bytes((0x11, 0x22, 0x33, 0xFF))
 
 
 def test_tcp_readback_matches_simulator_view(tcp_server):

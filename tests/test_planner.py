@@ -359,6 +359,33 @@ def test_phase_out_of_range():
         plan_phase(plan, seconds=Fraction("60e-9"))  # needs 150 steps
 
 
+@settings(max_examples=200, deadline=None)
+@given(target=st.one_of(st.integers(5 * MHZ, 12 * MHZ), st.integers(5 * MHZ, 200 * MHZ)),
+       degrees=st.fractions(-1080, 1080, max_denominator=360),
+       turns=st.integers(-3, 3))
+def test_phase_degrees_reduce_into_half_a_turn_across_the_band(target, degrees, turns):
+    plan = plan_frequency(F_IN, target)
+    reduced = degrees
+    while reduced > 180:
+        reduced -= 360
+    while reduced <= -180:
+        reduced += 360
+    offset, quantum = reduced / 360 / plan.f_achieved, 1 / plan.f_vco
+    if abs(offset / quantum) < Fraction(255, 2):  # rounds to at most 127 steps
+        phase = plan_phase(plan, degrees=degrees)
+        assert phase.steps == oracles.phase_steps(offset, quantum)
+        assert phase.residual == offset - phase.offset_achieved
+        assert plan_phase(plan, degrees=degrees + 360 * turns) == phase
+    else:
+        # only where the VCO runs more than 254 times the output is half a
+        # turn out of reach: below about 8.7 to 11.2 MHz, by the VCO
+        arc = 127 * 360 * plan.f_achieved / plan.f_vco
+        assert arc < 180 and plan.f_vco > 254 * plan.f_achieved
+        with pytest.raises(PhaseRangeError,
+                           match=rf"reachable arc is \+/-{float(arc):.4g} degrees"):
+            plan_phase(plan, degrees=degrees + 360 * turns)
+
+
 def test_phase_matches_exhaustive_scan():
     rng = random.Random(15)
     plan = plan_frequency(F_IN, 100 * MHZ)

@@ -30,7 +30,7 @@ from clockgen import (
     plan_frequency,
 )
 from clockgen.planner import DENOMINATOR_HARD_CAP, as_fraction
-from clockgen.readout import channel_writes, decode_feedback, output_view
+from clockgen.readout import decode_feedback, output_view
 
 import oracles
 
@@ -199,7 +199,7 @@ def test_decode_feedback_agrees_with_fraction_window_checks(case):
         ms_int_min=cons.ms_int_min, ms_int_max=cons.ms_int_max,
         max_denominator=cons.max_denominator)
     image = dict.fromkeys(range(256), 0)
-    for address, bits, mask in channel_writes(REGMAP, 0, feedback=feedback):
+    for address, bits, mask in oracles.channel_writes(REGMAP, 0, feedback=feedback):
         image[address] = image[address] & ~mask | bits
     if not cons.fb_int_min <= feedback.a <= cons.fb_int_max:
         expected = InconsistentEncodingError, "invalid feedback divider"
