@@ -6,7 +6,7 @@ encoded, in order) as one write and reads all of their responses with one
 read, so each device operation costs at most one round trip however many
 registers it touches.  Each read set that never changes (the output
 snapshot, the rails, each channel's retune reads and plan reads) is encoded
-once per device handle into the frame it sends as it is on every call;
+once per process into the frame a handle sends as it is on every call;
 status sends the output frame and the rail frame as one.  The values a
 synthesizer read set returns are decoded as they come, through the
 :class:`~clockgen.readout.RegisterView` built beside its frame.  Writes
@@ -32,7 +32,7 @@ shared, immutable statuses and volts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -77,8 +77,10 @@ from .registers import RegisterMap
 from .transport import SessionConfig, open_session
 
 
-def _reads(device: int, registers: Iterable[int]) -> bytes:
-    """The frame that reads ``registers`` of ``device``, in that order."""
+@lru_cache(maxsize=256)
+def _reads(device: int, registers: tuple[int, ...]) -> bytes:
+    """The frame that reads ``registers`` of ``device``, in that order;
+    each is encoded once per process (the last 256 are kept)."""
     return b"".join(encode_command(BridgeCommand.read(device, r)) for r in registers)
 
 
@@ -151,7 +153,7 @@ class BridgeClient:
         """
         image = write.place(values)
         if current is None:
-            current = self.exchange(_reads(device, write.current))
+            current = self.exchange(_reads(device, tuple(write.current)))
         frame = bytearray(_write_frame(device, write.registers))
         # the payload is each command's last byte
         frame[COMMAND_LENGTH - 1::COMMAND_LENGTH] = write.payload(image, current)
@@ -185,11 +187,11 @@ class DeviceHandle:
         # the fixed read sets, each encoded once beside the view that decodes it
         address = config.synth_address
         self._output_view = output_view(synth_map)
-        self._output_reads = _reads(address, self._output_view.registers)
-        self._retune_reads = [(view, _reads(address, view.registers))
+        self._output_reads = _reads(address, tuple(self._output_view.registers))
+        self._retune_reads = [(view, _reads(address, tuple(view.registers)))
                               for view in retune_views(synth_map)]
-        self._rail_reads = b"".join(encode_command(BridgeCommand.read(*where))
-                                    for where in rail_registers(config.rails, pot_map))
+        self._rail_reads = b"".join(_reads(device, (register,)) for device, register
+                                    in rail_registers(config.rails, pot_map))
         # per decoded read set, the last values read and what they decoded to
         self._last_outputs: tuple[list[int] | None, list[ChannelStatus]] = (None, [])
         self._last_rails: tuple[list[int] | None, dict[int, Fraction]] = (None, {})
@@ -201,7 +203,8 @@ class DeviceHandle:
         """Per channel, the view and frame of its plan reads; built when
         first used, as only plan recovery needs them."""
         views = [plan_view(self.synth_map, k) for k in range(CHANNEL_COUNT)]
-        return [(view, _reads(self.synth_address, view.registers)) for view in views]
+        return [(view, _reads(self.synth_address, tuple(view.registers)))
+                for view in views]
 
     def _channel_write(self, channel: int, parts: tuple[str, ...],
                        current: list[int] | None = None) -> RegisterWrite:

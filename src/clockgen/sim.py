@@ -20,9 +20,12 @@ buffer at once (:func:`~clockgen.protocol.decode_frames`) and hands it to
 ``BoardState._serve``, the one dispatch body, which serves the raised flag
 and then those commands in one loop with no call per command on the live
 register lists of each device (:meth:`RegisterFile.cells`), trusting the
-decoder's range checks, and appends their dispatch records in one
-``extend``.  The board keeps cheap counters (commands served, frames
-dropped, worst dispatch steps) and only the most recent dispatch records.
+decoder's range checks.  The board keeps cheap counters (commands served,
+frames dropped, worst dispatch steps) and only the most recent dispatch
+records.  It keeps them per pass, not per command: one history entry holds
+a pass's command list and its first ticks, the raised flag's record is an
+entry of its own, and :attr:`BoardState.dispatch_log` builds each
+:class:`DispatchRecord` from the entries when it is read.
 
 The board keeps its own claim rules: :meth:`BoardState.open` claims it for
 one session at a time (booting it on the first open, and leaving it free
@@ -38,6 +41,8 @@ achieved frequencies, phase offsets, and rail voltages.
 from __future__ import annotations
 
 import threading
+from collections import deque
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -76,7 +81,8 @@ class Phase(Enum):
 class DispatchRecord(Record):
     """One executed command, with the ticks its flag was raised and served."""
 
-    # slots, and no frozen __setattr__: the board builds one per command served
+    # slots, and no frozen __setattr__: each read of the dispatch log
+    # builds one per record it holds
     __slots__ = ("command", "flag_set_tick", "dispatch_tick")
 
     def __init__(self, command: BridgeCommand, flag_set_tick: int, dispatch_tick: int):
@@ -112,8 +118,11 @@ class BoardState:
         self.flag_set_tick = 0
         self.session = None  # the open session (in-process or TCP); one at a time
         self.session_lock = threading.Lock()  # held while a session is open
-        # the last DISPATCH_HISTORY records at most, oldest first
-        self.dispatch_log: list[DispatchRecord] = []
+        # the dispatch history: one (commands, first flag tick, first
+        # dispatch tick) entry per pass, oldest first, whose records from
+        # the _log_skip-th on are the _log_len records of the log
+        self._history: deque[tuple[Sequence[BridgeCommand], int, int]] = deque()
+        self._log_len = self._log_skip = 0
         self.commands_served = 0
         self.frames_dropped = 0
         self.max_dispatch_steps = 0  # worst dispatch_tick - flag_set_tick
@@ -176,7 +185,8 @@ class BoardState:
         self.pending = None
         self.tx_queue.clear()
         self.step_counter = 0
-        self.dispatch_log.clear()
+        self._history.clear()
+        self._log_len = self._log_skip = 0
         self.commands_served = self.frames_dropped = self.max_dispatch_steps = 0
         # power-init: program every rail to its configured default
         self.phase = Phase.POWER_INIT
@@ -248,15 +258,15 @@ class BoardState:
         ``frames`` is then framed and served in a tick of its own, as a
         :meth:`step` would: the bad frames before it are dropped in its
         tick, and bad frames after the last command take one tick more.
-        The commands are served in one loop, then recorded with one
-        ``extend``.  A read queues its device's register, or
-        ``ABSENT_DEVICE_VALUE`` for an absent device; a write sets the
-        register's writable bits.  The decoder has proven address, register
-        and value in range, so they are not checked again.  Past
-        ``DISPATCH_HISTORY`` records the oldest are dropped,
-        ``DISPATCH_HISTORY // 2`` at a time.
+        The commands are served in one loop, then recorded as one history
+        entry, their list and first ticks, with no record built.  A read
+        queues its device's register, or ``ABSENT_DEVICE_VALUE`` for an
+        absent device; a write sets the register's writable bits.  The
+        decoder has proven address, register and value in range, so they
+        are not checked again.  Past ``DISPATCH_HISTORY`` records the oldest
+        are dropped, ``DISPATCH_HISTORY // 2`` at a time.
         """
-        log, pending, tick = self.dispatch_log, self.pending, self.step_counter
+        history, pending, tick = self._history, self.pending, self.step_counter
         commands = list(filter(None, frames))
         del self.rx_buffer[:len(frames) * COMMAND_LENGTH]
         self.frames_dropped += len(frames) - len(commands)
@@ -267,7 +277,7 @@ class BoardState:
             wait = tick + 1 - self.flag_set_tick
             if wait > self.max_dispatch_steps:
                 self.max_dispatch_steps = wait
-            log.append(DispatchRecord(pending, self.flag_set_tick, tick + 1))
+            history.append(((pending,), self.flag_set_tick, tick + 1))
             self.pending = None
         append, ports, read = self.tx_queue.append, self._ports, Action.READ
         for command in served:
@@ -282,16 +292,38 @@ class BoardState:
         last = tick + len(served)
         if commands:
             # each framed command is set and served in its own step's tick
-            ticks = range(last - len(commands) + 1, last + 1)
-            log.extend(map(DispatchRecord, commands, ticks, ticks))
+            first = last - len(commands) + 1
+            history.append((commands, first, first))
             self.flag_set_tick = last
-        if len(log) > DISPATCH_HISTORY:
-            half = DISPATCH_HISTORY // 2
-            del log[:(len(log) - DISPATCH_HISTORY + half - 1) // half * half]
+        self._log_len += len(served)
+        if self._log_len > DISPATCH_HISTORY:
+            self._trim_history()
         if frames and frames[-1] is None:
             last += 1  # trailing bad frames are dropped by a step of their own
         self.step_counter = last
         self.commands_served += len(served)
+
+    def _trim_history(self) -> None:
+        """Past ``DISPATCH_HISTORY`` records, drop the oldest,
+        ``DISPATCH_HISTORY // 2`` at a time, and each entry whose records
+        all lie before the kept ones."""
+        half = DISPATCH_HISTORY // 2
+        drop = (self._log_len - DISPATCH_HISTORY + half - 1) // half * half
+        self._log_len -= drop
+        skip, history = self._log_skip + drop, self._history
+        while len(history[0][0]) <= skip:
+            skip -= len(history.popleft()[0])
+        self._log_skip = skip
+
+    @property
+    def dispatch_log(self) -> list[DispatchRecord]:
+        """The last ``DISPATCH_HISTORY`` dispatch records at most, oldest
+        first, built from the history when read: a new list each time, a
+        snapshot that later service leaves as it is."""
+        records = [DispatchRecord(command, flag_tick + i, dispatch_tick + i)
+                   for commands, flag_tick, dispatch_tick in self._history
+                   for i, command in enumerate(commands)]
+        return records[self._log_skip:]
 
     def take_output(self) -> bytes:
         """Drain queued read responses, oldest first."""

@@ -136,6 +136,9 @@ class TcpSession:
         if not self._lock.acquire(blocking=False):
             raise SessionBusyError("concurrent use of one session")
         try:
+            # a read leaves the socket with what was left of its own
+            # timeout; each write may wait the session's full timeout
+            self._sock.settimeout(self._timeout)
             self._sock.sendall(data)
         except OSError as exc:
             raise SessionClosedError(f"send failed: {exc}") from exc

@@ -20,6 +20,7 @@ from clockgen.errors import UnsatisfiableFrequencyError
 from clockgen.planner import FrequencyPlan, RationalDivider
 from clockgen.power import WIPER_STEPS
 from clockgen.readout import ChannelStatus, encode_divider
+from clockgen.sim import DISPATCH_HISTORY
 
 
 def exact_plans(f_in, f_target, cons):
@@ -423,6 +424,11 @@ class ReferenceFirmware:
     Commands are ``(action, address, register, payload)`` tuples, with
     ``"read"``/``"write"`` and a read's payload 0.
 
+    The records keep the board's bound: a record that takes them past
+    ``DISPATCH_HISTORY`` drops the oldest ``DISPATCH_HISTORY // 2``.  Trimmed
+    a record at a time, they keep the records the board keeps trimming a
+    pass at a time.
+
     ``devices`` maps each address to its register values and write masks,
     copied.  :meth:`state` is what a test compares a board against.
     """
@@ -486,6 +492,8 @@ class ReferenceFirmware:
             values = self.registers[address]
             values[register] = (values[register] & ~mask) | (payload & mask)
         self.records.append((command, self.flag_set_tick, self.tick))
+        if len(self.records) > DISPATCH_HISTORY:
+            del self.records[:DISPATCH_HISTORY // 2]
         self.served += 1
 
     def run_until_idle(self):

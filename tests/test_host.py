@@ -774,6 +774,23 @@ def test_prepared_reads_leave_the_bytes_on_the_wire_as_they_were(counting_device
         assert written == _WIRE_BEFORE[name], name
 
 
+def test_a_second_handle_encodes_no_read_frame(counting_device, monkeypatch):
+    device, counting = counting_device
+    encoded_reads = []
+
+    def encode(command):
+        if command.action is Action.READ:
+            encoded_reads.append(command)
+        return encode_command(command)
+
+    monkeypatch.setattr(host, "encode_command", encode)
+    second = DeviceHandle(device.bridge, device.synth_map, device.config, device.pot_map)
+    assert second.read_status() == device.read_status()
+    assert encoded_reads == []
+    assert ([frame for _, frame in second._retune_reads]
+            == [frame for _, frame in device._retune_reads])
+
+
 def test_compiled_write_folds_fields_sharing_a_register(counting_device, board):
     device, counting = counting_device
     regmap = device.synth_map

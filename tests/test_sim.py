@@ -40,7 +40,7 @@ from clockgen.readout import (
     plan_view,
     retune_views,
 )
-from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND
+from clockgen.sim import DISPATCH_HISTORY, DISPATCH_STEP_BOUND, DispatchRecord
 from clockgen.transport import TcpSession
 
 import oracles
@@ -660,6 +660,57 @@ def test_steps_between_chunks_match_the_reference_firmware(chunks, data):
     assert _as_reference(_state(board)) == reference.state()
 
 
+def _history_chunks():
+    """Chunks for the history's bound: a few bytes, or a run of up to 5000
+    frames cycling through a few drawn ones (valid and bad), possibly
+    ending in part of a frame."""
+    run = st.builds(
+        lambda frames, count, tail:
+            b"".join(frames[i % len(frames)] for i in range(count)) + tail,
+        st.lists(_frames(), min_size=1, max_size=6), st.integers(1, 5000),
+        st.binary(max_size=3))
+    return st.lists(st.one_of(st.binary(min_size=1, max_size=7), run),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chunks=_history_chunks(), lead=st.integers(1, 2 * DISPATCH_HISTORY),
+       data=st.data())
+def test_history_past_its_bound_matches_the_reference_firmware(chunks, lead, data):
+    """Past DISPATCH_HISTORY commands the board's dispatch log keeps the
+    records the reference keeps, trimming a record at a time.  A run of
+    ``lead`` valid reads goes in among the chunks and a last run takes
+    the total past the bound, each led by the bytes that complete the
+    frame in part before it; after each chunk come a few steps and maybe
+    a pass until idle."""
+    board = booted()
+    reference = _reference(board)
+
+    def aligned(before, frames):
+        return bytes(-sum(map(len, before)) % 4) + frames
+
+    reads = b"".join(encode_command(BridgeCommand.read(0x70, r % 256))
+                     for r in range(lead))
+    at = data.draw(st.integers(0, len(chunks)), label="lead at")
+    chunks.insert(at, aligned(chunks[:at], reads))
+    chunks.append(aligned(chunks, encode_command(BridgeCommand.read(0x2C, 0))
+                          * (DISPATCH_HISTORY + 1)))
+    for chunk in chunks:
+        board.ingest(chunk)
+        reference.receive(chunk)
+        for _ in range(data.draw(st.integers(0, 3), label="steps")):
+            board.step()
+            reference.step()
+        if data.draw(st.booleans(), label="until idle"):
+            board.run_until_idle()
+            reference.run_until_idle()
+        assert _as_reference(_state(board)) == reference.state()
+    board.run_until_idle()
+    reference.run_until_idle()
+    assert board.commands_served > DISPATCH_HISTORY
+    assert _as_reference(_state(board)) == reference.state()
+
+
 def test_run_until_idle_before_boot_refuses_like_step():
     board = BoardState()
     board.run_until_idle()  # nothing buffered: idle
@@ -735,6 +786,26 @@ def test_dispatch_history_stays_bounded_with_true_counters():
     assert board.dispatch_log == []
     assert (board.commands_served, board.frames_dropped,
             board.max_dispatch_steps) == (0, 0, 0)
+
+
+def test_dispatch_log_is_a_snapshot_that_boot_empties():
+    board = booted()
+    commands = [BridgeCommand.read(0x70, 0x06), BridgeCommand.write(0x70, 0x06, 0x12)]
+    board.ingest(b"".join(map(encode_command, commands)))
+    board.run_until_idle()
+    expected = [DispatchRecord(commands[0], 0, 1), DispatchRecord(commands[1], 2, 2)]
+    log = board.dispatch_log
+    assert log == expected and log is not board.dispatch_log
+    log[0].dispatch_tick = 99
+    log.append(log[0])
+    del log[1]
+    assert board.dispatch_log == expected
+    board.ingest(encode_command(commands[0]))
+    board.run_until_idle()
+    assert len(board.dispatch_log) == 3 and len(log) == 2
+    board.boot()
+    assert board.dispatch_log == []
+    assert log == [DispatchRecord(commands[0], 0, 99), DispatchRecord(commands[0], 0, 99)]
 
 
 def test_dispatch_history_stays_bounded_over_tcp():

@@ -533,6 +533,45 @@ def test_tcp_session_refuses_a_reader_while_a_blocked_write_holds_it():
     peer.close()
 
 
+def test_tcp_write_after_a_late_read_waits_the_full_timeout():
+    ours, peer = socket.socketpair()
+    peer.settimeout(5.0)
+    session = TcpSession(ours, read_timeout=0.8)
+
+    def send_late():
+        time.sleep(0.6)
+        peer.sendall(b"\x01")
+        time.sleep(0.02)  # the read's last recv starts with 0.2 s left
+        peer.sendall(b"\x02")
+
+    sender = threading.Thread(target=send_late)
+    sender.start()
+    assert session.read_bytes(2) == b"\x01\x02"
+    sender.join(5.0)
+    payload = bytes(16 << 20)  # far past the socket buffers: sendall blocks
+    received = []
+
+    def drain():
+        time.sleep(0.4)  # past what the read left, within a full timeout
+        count = 0
+        while count < len(payload):
+            chunk = peer.recv(1 << 20)
+            if not chunk:
+                break
+            count += len(chunk)
+        received.append(count)
+
+    drainer = threading.Thread(target=drain)
+    drainer.start()
+    try:
+        session.write_bytes(payload)
+    finally:
+        drainer.join(5.0)
+    assert received == [len(payload)] and not drainer.is_alive()
+    session.close()
+    peer.close()
+
+
 def test_tcp_write_to_a_closed_peer_fails_as_a_closed_session():
     ours, peer = socket.socketpair()
     peer.close()
